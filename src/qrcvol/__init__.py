@@ -5,10 +5,6 @@ __version__ = "0.1.0"
 
 from .quantum import (
     FeatureVector,
-    PauliString,
-    PauliSum,
-    StateVector,
-    assemble_dense,
     build_hamiltonian,
     evolve,
     measure_features,

@@ -29,6 +29,7 @@ from .errors import (
     QrcvolError,
 )
 from . import harness, pipeline
+from .embeddings import KINDS
 
 log = logging.getLogger("qrcvol")
 
@@ -156,7 +157,7 @@ def cmd_run(args) -> int:
     grid = harness.load_grid_config(args.config)
     if args.embeddings:
         wanted = set(args.embeddings.split(","))
-        unknown = wanted - {"quantum", "classical_esn", "raw"}
+        unknown = wanted - set(KINDS)
         if unknown:
             raise ConfigError(f"unknown embedding kinds in filter: {sorted(unknown)}")
         grid.embeddings = [t for t in grid.embeddings if t["kind"] in wanted]

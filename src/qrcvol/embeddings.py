@@ -117,6 +117,7 @@ class EmbeddedDataset:
     labels: np.ndarray  # (m,)
     split_index: int
     config: EmbeddingConfig
+    dataset_sha256: str = ""  # dataset_sha256() of the source dataset
 
     def train_rows(self):
         return self.features[: self.split_index], self.labels[: self.split_index]
@@ -189,10 +190,21 @@ def embed_dataset(ds: WindowedDataset, cfg: EmbeddingConfig) -> EmbeddedDataset:
         labels=ds.labels.copy(),
         split_index=ds.split_index,
         config=cfg,
+        dataset_sha256=dataset_sha256(ds),
     )
 
 
 # --- embedding cache: columnar text keyed by (ticker, cfg hash) ---------
+# Each file also records the dataset_sha256 of the dataset it embeds, so a
+# reader can tell a file written for other contents under the same ticker.
+
+def dataset_sha256(ds: WindowedDataset) -> str:
+    """SHA-256 of a dataset's window shape and values, labels and split index."""
+    digest = hashlib.sha256(f"{ds.windows.shape} {ds.split_index}\n".encode())
+    digest.update(np.ascontiguousarray(ds.windows, dtype=np.float64).tobytes())
+    digest.update(np.ascontiguousarray(ds.labels, dtype=np.int64).tobytes())
+    return digest.hexdigest()
+
 
 def cache_filename(ticker: str, cfg: EmbeddingConfig) -> str:
     return f"{ticker}__{cfg.cfg_hash()}.emb.csv"
@@ -206,6 +218,7 @@ def write_embedded(emb: EmbeddedDataset, directory) -> str:
         fh.write(f"# ticker={emb.ticker} cfg={emb.config.cfg_hash()}\n")
         fh.write(f"# config={json.dumps(emb.config.to_dict(), sort_keys=True)}\n")
         fh.write(f"# split_index={emb.split_index}\n")
+        fh.write(f"# dataset_sha256={emb.dataset_sha256}\n")
         d = emb.features.shape[1]
         fh.write(",".join([f"f{k}" for k in range(d)] + ["label"]) + "\n")
         for row, label in zip(emb.features, emb.labels):
@@ -245,4 +258,5 @@ def read_embedded(ticker: str, cfg: EmbeddingConfig, directory) -> EmbeddedDatas
         labels=labels,
         split_index=int(meta["split_index"]),
         config=cfg,
+        dataset_sha256=meta.get("dataset_sha256", ""),
     )

@@ -20,7 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import EmbeddingConfig, embed_dataset, read_embedded, write_embedded
+from .embeddings import (
+    KINDS,
+    EmbeddingConfig,
+    dataset_sha256,
+    embed_dataset,
+    read_embedded,
+    write_embedded,
+)
 from .errors import ConfigError
 from .pipeline import PriceSeries, WindowedDataset
 from .readout import EvalResult, fit_logistic, fit_ridge, predict_scores, evaluate
@@ -60,7 +67,7 @@ class GridSpec:
             problems.append("grid has no readout templates")
         for tpl in self.embeddings:
             kind = tpl.get("kind")
-            if kind not in ("quantum", "classical_esn", "raw"):
+            if kind not in KINDS:
                 problems.append(f"unknown embedding kind {kind!r}")
         for tpl in self.readouts:
             kind = tpl.get("kind")
@@ -172,14 +179,16 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
     embed_cfgs = grid.expand_embeddings()
     readouts = grid.expand_readouts()
 
-    # embed each (config, ticker) once and reuse across readout cells
+    # embed each (config, ticker) once and reuse across readout cells; a
+    # cache file embedded from other dataset contents is a miss
+    fingerprints = {ticker: dataset_sha256(ds) for ticker, ds in usable.items()}
     embedded = {}
     tasks = []
     keys = []
     for cfg in embed_cfgs:
         for ticker, ds in usable.items():
             cached = read_embedded(ticker, cfg, cache_dir) if cache_dir else None
-            if cached is not None:
+            if cached is not None and cached.dataset_sha256 == fingerprints[ticker]:
                 embedded[(cfg.cfg_hash(), ticker)] = cached
             else:
                 tasks.append((ds, cfg))
@@ -343,9 +352,8 @@ def emit_report(report: ExperimentReport, out_dir) -> dict:
                     + "\n"
                 )
 
-    group_order = ["quantum", "classical_esn", "raw"]
     lines = ["Embedding comparison (mean over tickers, test split)", ""]
-    for kind in group_order:
+    for kind in KINDS:
         group = [c for c in ordered if c.embedding.kind == kind]
         if not group:
             continue

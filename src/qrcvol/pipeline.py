@@ -82,9 +82,10 @@ class WindowedDataset:
 def load_prices(path, tickers=None) -> list:
     """Read a `date,ticker,adj_close` CSV into per-ticker series.
 
-    Rows with missing fields or non-positive/unparseable prices are
-    rejected with a logged row-level diagnostic.  Out-of-order dates are
-    sorted with a warning.
+    Rows with missing fields, non-positive/unparseable prices or a ticker
+    that is not a plain file name (it names output files) are rejected
+    with a logged row-level diagnostic.  Out-of-order dates are sorted
+    with a warning.
     """
     wanted = set(tickers) if tickers else None
     rows_by_ticker = {}
@@ -106,6 +107,10 @@ def load_prices(path, tickers=None) -> list:
             raw_price = (row.get("adj_close") or "").strip()
             if not date or not ticker or not raw_price:
                 log.warning("%s row %d: missing field, row rejected", path, lineno)
+                continue
+            if "/" in ticker or "\\" in ticker or ticker in (".", ".."):
+                log.warning("%s row %d: ticker %r is not a plain file name, row rejected",
+                            path, lineno, ticker)
                 continue
             if wanted is not None and ticker not in wanted:
                 continue

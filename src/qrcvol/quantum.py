@@ -1,15 +1,20 @@
-"""Exact statevector simulation of Pauli-sum Hamiltonian dynamics.
+"""Exact statevector simulation of the quantum-reservoir Hamiltonian.
 
-A Hamiltonian is a real-weighted sum of Pauli strings.  Time evolution
-e^{-iHt}|psi> is computed exactly through a dense Hermitian
-eigendecomposition (H = V diag(lam) V^dag), which is feasible and exact
-for the qubit counts used here (n <= 14, guarded).
+A return window x_0 .. x_{n-1} is encoded into
+
+    H = a_x * sum_i X_i + a_z * sum_i x_i Z_i + a_zz * sum_i (x_i + x_{i+1}) Z_i Z_{i+1},
+
+a real symmetric 2^n x 2^n matrix: a_x on the entries that flip one bit
+and a window-dependent diagonal.  Time evolution e^{-iHt}|psi> is
+computed exactly through a dense symmetric eigendecomposition
+(H = V diag(lam) V^T), which is feasible and exact for the qubit counts
+used here (n <= 14, guarded).
 
 Conventions
 -----------
 * Qubit 0 is the least-significant bit of the basis-state index, so the
   basis state |b_{n-1} ... b_1 b_0> has index sum_i b_i 2^i.
-* A Pauli string is written with ops[i] acting on qubit i.
+* States are plain arrays of 2^n complex amplitudes with unit norm.
 * Feature vectors list <Z_0> ... <Z_{n-1}> followed by <Z_i Z_j> for all
   i < j in lexicographic (i, j) order: 45 entries when n = 9.
 """
@@ -17,7 +22,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -29,8 +34,7 @@ try:
 
     def _eigh(mat):
         # the divide-and-conquer driver without the finite check is the
-        # fastest full symmetric eigensolver here; mat is always a fresh
-        # array so overwriting it is safe
+        # fastest full symmetric eigensolver here
         return _scipy_eigh(mat, driver="evd", overwrite_a=True, check_finite=False)
 
 except ImportError:  # pragma: no cover
@@ -39,86 +43,9 @@ except ImportError:  # pragma: no cover
         return np.linalg.eigh(mat)
 
 
-PAULI_SYMBOLS = "IXYZ"
 MAX_QUBITS = 14
 
 NORM_ATOL = 1e-6
-
-
-@dataclass(frozen=True)
-class PauliString:
-    """Tensor product of single-qubit Paulis, one symbol per qubit."""
-
-    ops: str
-
-    def __post_init__(self):
-        bad = set(self.ops) - set(PAULI_SYMBOLS)
-        if bad:
-            raise InputShapeError(f"invalid Pauli symbols {sorted(bad)} in {self.ops!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.ops)
-
-    @classmethod
-    def single(cls, n: int, qubit: int, sym: str) -> "PauliString":
-        ops = ["I"] * n
-        ops[qubit] = sym
-        return cls("".join(ops))
-
-    @classmethod
-    def pair(cls, n: int, i: int, j: int, sym: str) -> "PauliString":
-        ops = ["I"] * n
-        ops[i] = sym
-        ops[j] = sym
-        return cls("".join(ops))
-
-
-@dataclass
-class PauliSum:
-    """Real-weighted sum of Pauli strings on n qubits (always Hermitian)."""
-
-    n: int
-    terms: list = field(default_factory=list)  # [(coeff, PauliString), ...]
-
-    def __post_init__(self):
-        for coeff, ps in self.terms:
-            if not math.isfinite(coeff):
-                raise InputShapeError(f"non-finite coefficient {coeff}")
-            if ps.n != self.n:
-                raise InputShapeError(
-                    f"term {ps.ops!r} has {ps.n} qubits, expected {self.n}"
-                )
-
-    @property
-    def has_y(self) -> bool:
-        return any("Y" in ps.ops for _, ps in self.terms)
-
-
-@dataclass
-class StateVector:
-    """Pure state of n qubits: 2^n complex amplitudes with unit norm."""
-
-    amplitudes: np.ndarray
-    n: int
-
-    @classmethod
-    def zero(cls, n: int) -> "StateVector":
-        amps = np.zeros(2**n, dtype=complex)
-        amps[0] = 1.0
-        return cls(amps, n)
-
-    @classmethod
-    def from_amplitudes(cls, amps, n=None) -> "StateVector":
-        amps = np.asarray(amps, dtype=complex)
-        if n is None:
-            n = int(round(math.log2(len(amps))))
-        if len(amps) != 2**n:
-            raise InputShapeError(f"amplitude count {len(amps)} is not 2^{n}")
-        return cls(amps, n)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 @dataclass
@@ -127,140 +54,6 @@ class FeatureVector:
 
     values: np.ndarray
     n: int
-
-
-def pair_order(n: int):
-    """(i, j) pairs with i < j in lexicographic order."""
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def build_hamiltonian(window, scalers, n=None) -> PauliSum:
-    """Encode a return window into H = H_X + H_Z + H_ZZ.
-
-    H_X = a_x * sum_i X_i
-    H_Z = a_z * sum_i x_i Z_i
-    H_ZZ = a_zz * sum_i (x_i + x_{i+1}) Z_i Z_{i+1}
-
-    Zero-coefficient terms are dropped so term lists are canonical.
-    """
-    window = np.asarray(window, dtype=float)
-    a_x, a_z, a_zz = (float(s) for s in scalers)
-    for name, val in (("a_x", a_x), ("a_z", a_z), ("a_zz", a_zz)):
-        if not math.isfinite(val):
-            raise InputShapeError(f"scaler {name} is not finite")
-    if n is None:
-        n = len(window)
-    if len(window) != n:
-        raise InputShapeError(f"window length {len(window)} != qubit count {n}")
-
-    terms = []
-    for i in range(n):
-        if a_x != 0.0:
-            terms.append((a_x, PauliString.single(n, i, "X")))
-    for i in range(n):
-        c = a_z * window[i]
-        if c != 0.0:
-            terms.append((c, PauliString.single(n, i, "Z")))
-    for i in range(n - 1):
-        c = a_zz * (window[i] + window[i + 1])
-        if c != 0.0:
-            terms.append((c, PauliString.pair(n, i, i + 1, "Z")))
-    return PauliSum(n, terms)
-
-
-@lru_cache(maxsize=MAX_QUBITS + 1)
-def _basis_bits(n: int):
-    """Cached (2^n,) index array and (2^n, n) bit matrix, qubit 0 = LSB."""
-    idx = np.arange(2**n)
-    bits = ((idx[:, None] >> np.arange(n)) & 1).astype(np.int8)
-    idx.setflags(write=False)
-    bits.setflags(write=False)
-    return idx, bits
-
-
-def _parity(idx: np.ndarray, mask: int) -> np.ndarray:
-    """Parity of popcount(idx & mask), vectorized over idx."""
-    p = np.zeros(idx.shape, dtype=np.int64)
-    k = 0
-    while mask >> k:
-        if (mask >> k) & 1:
-            p ^= (idx >> k) & 1
-        k += 1
-    return p
-
-
-def _assemble(h: PauliSum, force_complex: bool = False) -> np.ndarray:
-    """Dense matrix of a PauliSum; real symmetric when no Y is present."""
-    if h.n > MAX_QUBITS:
-        raise ResourceError(f"{h.n} qubits exceeds the {MAX_QUBITS}-qubit guard")
-    dim = 2**h.n
-    dtype = complex if (force_complex or h.has_y) else float
-    mat = np.zeros((dim, dim), dtype=dtype)
-    idx, bits = _basis_bits(h.n)
-    diag = None
-    for coeff, ps in h.terms:
-        flip = 0
-        z_qubits = []
-        n_y = 0
-        for q, sym in enumerate(ps.ops):
-            if sym in "XY":
-                flip |= 1 << q
-            if sym in "ZY":
-                z_qubits.append(q)
-            if sym == "Y":
-                n_y += 1
-        if z_qubits:
-            par = bits[:, z_qubits[0]]
-            for q in z_qubits[1:]:
-                par = par ^ bits[:, q]
-            signs = 1.0 - 2.0 * par
-        else:
-            signs = 1.0
-        phase = (1j) ** (n_y % 4) if n_y else 1.0
-        # P|b> = phase * sign(b) * |b ^ flip>; idx^flip is a permutation,
-        # so the index pairs within one term are unique.
-        if flip == 0 and not n_y:
-            # pure-Z term: accumulate the diagonal in one vector
-            contribution = coeff * signs if z_qubits else np.full(dim, coeff)
-            diag = contribution if diag is None else diag + contribution
-        else:
-            mat[idx ^ flip, idx] += coeff * phase * signs
-    if diag is not None:
-        mat[idx, idx] += diag
-    return mat
-
-
-def assemble_dense(h: PauliSum) -> np.ndarray:
-    """Dense 2^n x 2^n complex Hermitian matrix of the Pauli sum."""
-    return _assemble(h, force_complex=True)
-
-
-def _check_normalized(state: StateVector) -> None:
-    if abs(state.norm() - 1.0) > NORM_ATOL:
-        raise StateError(f"statevector norm {state.norm()} deviates from 1")
-
-
-def evolve(state: StateVector, h: PauliSum, t: float) -> StateVector:
-    """Apply e^{-iHt} exactly via Hermitian eigendecomposition."""
-    if not math.isfinite(t):
-        raise InputShapeError("evolution time must be finite")
-    _check_normalized(state)
-    if h.n != state.n:
-        raise InputShapeError(f"hamiltonian on {h.n} qubits, state on {state.n}")
-    if not h.terms:
-        return StateVector(state.amplitudes.copy(), state.n)
-    mat = _assemble(h)
-    lam, vec = _eigh(mat)
-    phases = np.exp(-1j * lam * t)
-    amps = state.amplitudes
-    if mat.dtype == np.float64:
-        # real eigenvectors: two real matvecs per side beat promoting
-        # vec to complex (which allocates and quadruples the flops)
-        rotated = phases * (vec.T @ amps.real + 1j * (vec.T @ amps.imag))
-        out = vec @ rotated.real + 1j * (vec @ rotated.imag)
-    else:
-        out = vec @ (phases * (vec.conj().T @ amps))
-    return StateVector(out, state.n)
 
 
 @lru_cache(maxsize=MAX_QUBITS + 1)
@@ -273,11 +66,71 @@ def _z_signs(n: int) -> np.ndarray:
     return signs
 
 
-def measure_features(state: StateVector) -> FeatureVector:
+def build_hamiltonian(window, scalers) -> np.ndarray:
+    """Dense real symmetric matrix of H = H_X + H_Z + H_ZZ for one window.
+
+    H_X = a_x * sum_i X_i
+    H_Z = a_z * sum_i x_i Z_i
+    H_ZZ = a_zz * sum_i (x_i + x_{i+1}) Z_i Z_{i+1}
+
+    One qubit per window entry.  The diagonal is summed term by term in
+    the order Z_0 .. Z_{n-1}, Z_0 Z_1 .. Z_{n-2} Z_{n-1}.
+    """
+    window = np.asarray(window, dtype=float)
+    a_x, a_z, a_zz = (float(s) for s in scalers)
+    for name, val in (("a_x", a_x), ("a_z", a_z), ("a_zz", a_zz)):
+        if not math.isfinite(val):
+            raise InputShapeError(f"scaler {name} is not finite")
+    n = len(window)
+    if n > MAX_QUBITS:
+        raise ResourceError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit guard")
+    dim = 2**n
+    zs = _z_signs(n)
+    diag = np.zeros(dim)
+    for i in range(n):
+        diag += (a_z * window[i]) * zs[:, i]
+    for i in range(n - 1):
+        diag += (a_zz * (window[i] + window[i + 1])) * (zs[:, i] * zs[:, i + 1])
+    mat = np.zeros((dim, dim))
+    np.fill_diagonal(mat, diag)
+    idx = np.arange(dim)
+    for q in range(n):
+        mat[idx ^ (1 << q), idx] += a_x  # X_q maps |b> to |b ^ 2^q>
+    return mat
+
+
+def _check_normalized(amplitudes: np.ndarray) -> None:
+    norm = float(np.linalg.norm(amplitudes))
+    if abs(norm - 1.0) > NORM_ATOL:
+        raise StateError(f"statevector norm {norm} deviates from 1")
+
+
+def evolve(amplitudes: np.ndarray, h: np.ndarray, t: float) -> np.ndarray:
+    """Apply e^{-iHt} exactly via symmetric eigendecomposition.
+
+    h is a real symmetric matrix from build_hamiltonian.  The eigensolver
+    overwrites it in place, so it must not be reused.
+    """
+    if not math.isfinite(t):
+        raise InputShapeError("evolution time must be finite")
+    _check_normalized(amplitudes)
+    if h.shape != (len(amplitudes), len(amplitudes)):
+        raise InputShapeError(f"hamiltonian of shape {h.shape}, state of length {len(amplitudes)}")
+    # h is symmetric, so h.T is the same matrix in the Fortran order
+    # LAPACK overwrites without a copy
+    lam, vec = _eigh(h.T)
+    phases = np.exp(-1j * lam * t)
+    # real eigenvectors: two real matvecs per side beat promoting vec to
+    # complex (which allocates and quadruples the flops)
+    rotated = phases * (vec.T @ amplitudes.real + 1j * (vec.T @ amplitudes.imag))
+    return vec @ rotated.real + 1j * (vec @ rotated.imag)
+
+
+def measure_features(amplitudes: np.ndarray) -> FeatureVector:
     """Z and ZZ expectation values from exact Born probabilities."""
-    _check_normalized(state)
-    n = state.n
-    probs = np.abs(state.amplitudes) ** 2
+    _check_normalized(amplitudes)
+    n = len(amplitudes).bit_length() - 1
+    probs = np.abs(amplitudes) ** 2
     zs = _z_signs(n)
     z = probs @ zs
     corr = zs.T @ (zs * probs[:, None])  # corr[i, j] = <Z_i Z_j>
@@ -297,5 +150,6 @@ def _upper_pairs(n: int):
 def quantum_embed(window, a_x=1.0, a_z=1.0, a_zz=0.5, t=1.0) -> FeatureVector:
     """Encode a window, evolve |0...0> under it, measure Z/ZZ features."""
     h = build_hamiltonian(window, (a_x, a_z, a_zz))
-    state = evolve(StateVector.zero(h.n), h, t)
-    return measure_features(state)
+    zero = np.zeros(len(h), dtype=complex)
+    zero[0] = 1.0
+    return measure_features(evolve(zero, h, t))

@@ -245,40 +245,3 @@ def evaluate(scores, labels, threshold) -> EvalResult:
         ap_defined=defined,
     )
 
-
-# --- text serialization --------------------------------------------------
-
-def model_to_text(model: LinearModel) -> str:
-    lines = [
-        f"kind={model.kind}",
-        f"regularization={model.regularization:.17g}",
-        f"bias={model.bias:.17g}",
-        f"converged={int(model.converged)}",
-        f"degenerate={int(model.degenerate)}",
-        "weights=" + ",".join(f"{w:.17g}" for w in model.weights),
-        "scaler_mean=" + ",".join(f"{v:.17g}" for v in model.scaler.mean),
-        "scaler_std=" + ",".join(f"{v:.17g}" for v in model.scaler.std),
-        "scaler_constant=" + ",".join(str(int(c)) for c in model.scaler.constant),
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def model_from_text(text: str) -> LinearModel:
-    fields = {}
-    for line in text.strip().splitlines():
-        key, _, val = line.partition("=")
-        fields[key] = val
-    scaler = Standardizer(
-        mean=np.array([float(v) for v in fields["scaler_mean"].split(",")]),
-        std=np.array([float(v) for v in fields["scaler_std"].split(",")]),
-        constant=np.array([bool(int(v)) for v in fields["scaler_constant"].split(",")]),
-    )
-    return LinearModel(
-        kind=fields["kind"],
-        weights=np.array([float(v) for v in fields["weights"].split(",")]),
-        bias=float(fields["bias"]),
-        regularization=float(fields["regularization"]),
-        scaler=scaler,
-        converged=bool(int(fields["converged"])),
-        degenerate=bool(int(fields["degenerate"])),
-    )

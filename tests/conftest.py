@@ -25,25 +25,48 @@ def taylor_expm(mat: np.ndarray) -> np.ndarray:
     return result
 
 
-def random_pauli_sum(rng, n, include_y=False):
-    """Random real-weighted Pauli sum for property tests."""
-    from qrcvol.quantum import PauliString, PauliSum
+_I = np.eye(2)
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
-    symbols = "IXYZ" if include_y else "IXZ"
-    terms = []
-    for _ in range(rng.integers(1, 6)):
-        ops = "".join(rng.choice(list(symbols)) for _ in range(n))
-        if set(ops) == {"I"}:
-            continue
-        terms.append((float(rng.normal()), PauliString(ops)))
-    if not terms:
-        terms = [(1.0, PauliString("X" + "I" * (n - 1)))]
-    return PauliSum(n, terms)
+
+def _on_qubits(n, factors):
+    """Kronecker product with factors[q] on qubit q; qubit 0 is the rightmost factor."""
+    mat = np.ones((1, 1))
+    for q in reversed(range(n)):
+        mat = np.kron(mat, factors.get(q, _I))
+    return mat
+
+
+def kron_hamiltonian(window, scalers):
+    """The paper's H built from 2x2 Kronecker products, independently of qrcvol:
+    a_x sum_i X_i + a_z sum_i x_i Z_i + a_zz sum_i (x_i + x_{i+1}) Z_i Z_{i+1}.
+    """
+    a_x, a_z, a_zz = scalers
+    n = len(window)
+    h = np.zeros((2**n, 2**n))
+    for i in range(n):
+        h += a_x * _on_qubits(n, {i: _X}) + a_z * window[i] * _on_qubits(n, {i: _Z})
+    for i in range(n - 1):
+        h += a_zz * (window[i] + window[i + 1]) * _on_qubits(n, {i: _Z, i + 1: _Z})
+    return h
+
+
+def random_window_scalers(rng, n):
+    """Random window of n returns and (a_x, a_z, a_zz), each possibly negative or zero."""
+    window = rng.normal(0, 0.5, size=n)
+    scalers = rng.normal(0, 1.5, size=3)
+    window[rng.random(n) < 0.2] = 0.0
+    scalers[rng.random(3) < 0.2] = 0.0
+    return window, tuple(float(s) for s in scalers)
 
 
 def random_state(rng, n):
-    from qrcvol.quantum import StateVector
-
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    amps /= np.linalg.norm(amps)
-    return StateVector(amps, n)
+    return amps / np.linalg.norm(amps)
+
+
+def zero_state(n):
+    amps = np.zeros(2**n, dtype=complex)
+    amps[0] = 1.0
+    return amps

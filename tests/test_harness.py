@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qrcvol.embeddings import EmbeddingConfig, dataset_sha256, read_embedded
 from qrcvol.errors import ConfigError
 from qrcvol.harness import (
     GridSpec,
@@ -140,6 +141,17 @@ class TestRunGrid:
         report2 = run_grid({"S6": ds}, grid, cache_dir=tmp_path)
         for c1, c2 in zip(report.cells, report2.cells):
             assert c1.mean_accuracy == c2.mean_accuracy
+
+    def test_cache_of_other_dataset_contents_is_rewritten(self, tmp_path):
+        grid = small_grid()
+        old, new = synth_dataset(6), synth_dataset(7)
+        run_grid({"S": old}, grid, cache_dir=tmp_path)
+        report = run_grid({"S": new}, grid, cache_dir=tmp_path)
+        fresh = run_grid({"S": new}, grid)
+        assert report.cells[0].per_ticker == fresh.cells[0].per_ticker
+        cached = read_embedded("S", EmbeddingConfig.make("raw"), tmp_path)
+        assert np.array_equal(cached.features, new.windows)
+        assert cached.dataset_sha256 == dataset_sha256(new)
 
     def test_grid_validation(self):
         with pytest.raises(ConfigError):

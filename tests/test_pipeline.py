@@ -48,6 +48,16 @@ class TestLoadPrices:
         assert len(series[0].prices) == 2
         assert any("row 3" in r.getMessage() for r in caplog.records)
 
+    def test_path_escaping_tickers_rejected_with_row_diagnostic(self, tmp_path, caplog):
+        bad = ["../../escaped", "a/b", "a\\b", ".", ".."]
+        rows = [f"2020-01-01,{t},100" for t in bad] + ["2020-01-01,A.B,100"]
+        path = make_csv(tmp_path, rows)
+        with caplog.at_level(logging.WARNING):
+            series = load_prices(path)
+        assert [s.ticker for s in series] == ["A.B"]
+        for lineno in range(2, 2 + len(bad)):
+            assert any(f"row {lineno}:" in r.getMessage() for r in caplog.records)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestionError):
             load_prices(tmp_path / "nope.csv")

@@ -1,57 +1,41 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from qrcvol.errors import InputShapeError, ResourceError, StateError
-from qrcvol.quantum import (
-    FeatureVector,
-    PauliString,
-    PauliSum,
-    StateVector,
-    assemble_dense,
-    build_hamiltonian,
-    evolve,
-    measure_features,
-    pair_order,
-    quantum_embed,
-)
+from qrcvol.quantum import build_hamiltonian, evolve, measure_features, quantum_embed
 
-from conftest import random_pauli_sum, random_state, taylor_expm
+from conftest import kron_hamiltonian, random_state, random_window_scalers, taylor_expm, zero_state
 
-
-def term_set(h):
-    return {(round(c, 12), p.ops) for c, p in h.terms}
 
 
 class TestBuildHamiltonian:
     def test_all_zero_coefficients(self):
         h = build_hamiltonian((0.0, 0.0), scalers=(0.0, 1.0, 1.0))
-        assert h.terms == []
+        assert np.array_equal(h, np.zeros((4, 4)))
 
     def test_antisymmetric_window_drops_zz(self):
         h = build_hamiltonian((0.5, -0.5), scalers=(1.0, 1.0, 1.0))
-        assert term_set(h) == {
-            (1.0, "XI"),
-            (1.0, "IX"),
-            (0.5, "ZI"),
-            (-0.5, "IZ"),
-        }
+        no_zz = kron_hamiltonian((0.5, -0.5), (1.0, 1.0, 0.0))
+        assert np.array_equal(h, no_zz)
 
     def test_three_qubit_substitution(self):
         h = build_hamiltonian((1.0, 1.0, 1.0), scalers=(2.0, 3.0, 4.0))
-        assert term_set(h) == {
-            (2.0, "XII"),
-            (2.0, "IXI"),
-            (2.0, "IIX"),
-            (3.0, "ZII"),
-            (3.0, "IZI"),
-            (3.0, "IIZ"),
-            (8.0, "ZZI"),
-            (8.0, "IZZ"),
-        }
+        # 2 sum X_i + 3 sum Z_i + 8 (Z_0 Z_1 + Z_1 Z_2)
+        z = 1.0 - 2.0 * ((np.arange(8)[:, None] >> np.arange(3)) & 1)
+        diag = 3.0 * z.sum(axis=1) + 8.0 * (z[:, 0] * z[:, 1] + z[:, 1] * z[:, 2])
+        one_flip = np.array([[bin(a ^ b).count("1") == 1 for b in range(8)] for a in range(8)])
+        assert np.array_equal(h, np.diag(diag) + 2.0 * one_flip)
 
-    def test_window_length_mismatch(self):
-        with pytest.raises(InputShapeError):
-            build_hamiltonian((1.0, 2.0), scalers=(1, 1, 1), n=3)
+    def test_matches_kronecker_oracle_exactly(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 6):
+            for _ in range(20):
+                window, scalers = random_window_scalers(rng, n)
+                h = build_hamiltonian(window, scalers)
+                assert h.dtype == np.float64
+                assert np.array_equal(h, kron_hamiltonian(window, scalers))
 
     def test_non_finite_scaler(self):
         with pytest.raises(InputShapeError):
@@ -60,61 +44,55 @@ class TestBuildHamiltonian:
 
 class TestAssembleDense:
     def test_single_z(self):
-        mat = assemble_dense(PauliSum(1, [(1.0, PauliString("Z"))]))
-        assert np.array_equal(mat, np.diag([1.0 + 0j, -1.0]))
+        mat = build_hamiltonian((1.0,), (0.0, 1.0, 0.0))
+        assert np.array_equal(mat, np.diag([1.0, -1.0]))
 
     def test_single_x(self):
-        mat = assemble_dense(PauliSum(1, [(1.0, PauliString("X"))]))
-        assert np.array_equal(mat, np.array([[0, 1], [1, 0]], dtype=complex))
+        mat = build_hamiltonian((0.0,), (1.0, 0.0, 0.0))
+        assert np.array_equal(mat, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_zz_two_qubits(self):
-        mat = assemble_dense(PauliSum(2, [(1.0, PauliString("ZZ"))]))
-        assert np.array_equal(mat, np.diag([1.0 + 0j, -1.0, -1.0, 1.0]))
+        mat = build_hamiltonian((0.5, 0.5), (0.0, 0.0, 1.0))
+        assert np.array_equal(mat, np.diag([1.0, -1.0, -1.0, 1.0]))
 
     def test_qubit0_is_lsb(self):
         # Z on qubit 0 flips sign exactly on odd basis indices
-        mat = assemble_dense(PauliSum(2, [(1.0, PauliString("ZI"))]))
-        assert np.array_equal(np.diag(mat), np.array([1, -1, 1, -1], dtype=complex))
-
-    def test_y_term_matches_definition(self):
-        mat = assemble_dense(PauliSum(1, [(1.0, PauliString("Y"))]))
-        assert np.allclose(mat, np.array([[0, -1j], [1j, 0]]))
+        mat = build_hamiltonian((1.0, 0.0), (0.0, 1.0, 0.0))
+        assert np.array_equal(np.diag(mat), [1.0, -1.0, 1.0, -1.0])
 
     def test_hermiticity_random(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            n = int(rng.integers(1, 5))
-            h = random_pauli_sum(rng, n, include_y=True)
-            mat = assemble_dense(h)
-            assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
+            window, scalers = random_window_scalers(rng, int(rng.integers(1, 5)))
+            mat = build_hamiltonian(window, scalers)
+            assert np.array_equal(mat, mat.T)
 
     def test_resource_guard(self):
         with pytest.raises(ResourceError):
-            assemble_dense(PauliSum(15, [(1.0, PauliString("X" + "I" * 14))]))
+            build_hamiltonian(np.zeros(15), (1.0, 1.0, 1.0))
 
 
 class TestEvolve:
     def test_empty_hamiltonian_identity(self):
         rng = np.random.default_rng(0)
         state = random_state(rng, 3)
-        out = evolve(state, PauliSum(3, []), t=2.7)
-        assert np.array_equal(out.amplitudes, state.amplitudes)
+        out = evolve(state, build_hamiltonian(np.zeros(3), (0.0, 1.0, 1.0)), t=2.7)
+        assert np.array_equal(out, state)
 
     def test_x_rotation_quarter_period(self):
-        h = PauliSum(1, [(1.0, PauliString("X"))])
-        out = evolve(StateVector.zero(1), h, t=np.pi / 4)
+        h = build_hamiltonian((0.0,), (1.0, 0.0, 0.0))
+        out = evolve(zero_state(1), h, t=np.pi / 4)
         expected = np.array([np.cos(np.pi / 4), -1j * np.sin(np.pi / 4)])
-        assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
+        assert np.max(np.abs(out - expected)) < 1e-12
 
     def test_z_eigenstate_only_phase(self):
-        h = PauliSum(1, [(0.83, PauliString("Z"))])
-        out = evolve(StateVector.zero(1), h, t=5.21)
+        h = build_hamiltonian((0.83,), (0.0, 1.0, 0.0))
+        out = evolve(zero_state(1), h, t=5.21)
         assert abs(measure_features(out).values[0] - 1.0) < 1e-12
 
     def test_rejects_unnormalized_state(self):
-        state = StateVector(np.array([1.0, 1.0], dtype=complex), 1)
         with pytest.raises(StateError):
-            evolve(state, PauliSum(1, [(1.0, PauliString("X"))]), 1.0)
+            evolve(np.array([1.0, 1.0], dtype=complex), build_hamiltonian((0.0,), (1.0, 0.0, 0.0)), 1.0)
 
     def test_norm_preservation(self):
         rng = np.random.default_rng(7)
@@ -122,50 +100,55 @@ class TestEvolve:
             n = int(rng.integers(2, 10))
             window = rng.normal(size=n)
             h = build_hamiltonian(window, scalers=rng.normal(size=3))
-            out = evolve(StateVector.zero(n), h, t=float(rng.uniform(0, 3)))
-            assert abs(out.norm() - 1.0) < 1e-10
+            out = evolve(zero_state(n), h, t=float(rng.uniform(0, 3)))
+            assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
     def test_matches_taylor_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
             n = int(rng.integers(2, 5))
-            h = random_pauli_sum(rng, n, include_y=True)
+            window, scalers = random_window_scalers(rng, n)
             state = random_state(rng, n)
             t = float(rng.uniform(0, 2))
-            out = evolve(state, h, t)
-            oracle = taylor_expm(-1j * t * assemble_dense(h)) @ state.amplitudes
-            assert np.max(np.abs(out.amplitudes - oracle)) < 1e-8
+            out = evolve(state, build_hamiltonian(window, scalers), t)
+            oracle = taylor_expm(-1j * t * kron_hamiltonian(window, scalers)) @ state
+            assert np.max(np.abs(out - oracle)) < 1e-8
 
     def test_matches_scipy_expm(self):
         import scipy.linalg
 
         rng = np.random.default_rng(13)
-        h = random_pauli_sum(rng, 3, include_y=True)
+        window, scalers = random_window_scalers(rng, 3)
         state = random_state(rng, 3)
-        out = evolve(state, h, 1.3)
-        oracle = scipy.linalg.expm(-1j * 1.3 * assemble_dense(h)) @ state.amplitudes
-        assert np.max(np.abs(out.amplitudes - oracle)) < 1e-10
+        out = evolve(state, build_hamiltonian(window, scalers), 1.3)
+        oracle = scipy.linalg.expm(-1j * 1.3 * kron_hamiltonian(window, scalers)) @ state
+        assert np.max(np.abs(out - oracle)) < 1e-10
 
 
 class TestMeasureFeatures:
     def test_basis_state_00(self):
-        fv = measure_features(StateVector.zero(2))
+        fv = measure_features(zero_state(2))
         assert np.array_equal(fv.values, [1.0, 1.0, 1.0])
 
     def test_basis_state_qubit1_set(self):
         amps = np.zeros(4, dtype=complex)
         amps[2] = 1.0  # bit 1 set, bit 0 clear
-        fv = measure_features(StateVector(amps, 2))
+        fv = measure_features(amps)
         assert np.array_equal(fv.values, [1.0, -1.0, -1.0])
 
     def test_bell_state(self):
         amps = np.zeros(4, dtype=complex)
         amps[0] = amps[3] = 1 / np.sqrt(2)
-        fv = measure_features(StateVector(amps, 2))
+        fv = measure_features(amps)
         assert np.max(np.abs(fv.values - np.array([0.0, 0.0, 1.0]))) < 1e-12
 
     def test_feature_ordering(self):
-        assert pair_order(4) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        # basis state with qubits 1 and 3 set: <Z_i Z_j> = -1 exactly when
+        # one of i, j is in {1, 3}, listed in (0,1) (0,2) (0,3) (1,2) (1,3) (2,3) order
+        amps = np.zeros(16, dtype=complex)
+        amps[0b1010] = 1.0
+        fv = measure_features(amps)
+        assert np.array_equal(fv.values, [1, -1, 1, -1, -1, 1, -1, -1, 1, -1])
 
     def test_bounds_random_states(self):
         rng = np.random.default_rng(17)
@@ -186,9 +169,9 @@ class TestMeasureFeatures:
             amps = singles[0]
             for v in singles[1:]:
                 amps = np.kron(v, amps)  # qubit 0 stays the LSB
-            fv = measure_features(StateVector(amps, n))
+            fv = measure_features(amps)
             z = fv.values[:n]
-            for k, (i, j) in enumerate(pair_order(n)):
+            for k, (i, j) in enumerate(itertools.combinations(range(n), 2)):
                 assert abs(fv.values[n + k] - z[i] * z[j]) < 1e-10
 
 
@@ -216,12 +199,3 @@ class TestQuantumEmbed:
         a = quantum_embed(window, 1.1, 0.9, 0.4, 1.7)
         b = quantum_embed(window, 1.1, 0.9, 0.4, 1.7)
         assert np.array_equal(a.values, b.values)
-
-
-def test_pauli_string_validation():
-    with pytest.raises(InputShapeError):
-        PauliString("XQ")
-    with pytest.raises(InputShapeError):
-        PauliSum(2, [(1.0, PauliString("X"))])
-    with pytest.raises(InputShapeError):
-        PauliSum(1, [(np.nan, PauliString("X"))])

@@ -9,8 +9,6 @@ from qrcvol.readout import (
     fit_logistic,
     fit_ridge,
     logistic_loss_grad,
-    model_from_text,
-    model_to_text,
     predict_scores,
     ridge_solve,
 )
@@ -235,16 +233,3 @@ class TestStandardizer:
         s = Standardizer.fit(x)
         assert not s.constant[0] and s.constant[1]
         assert s.std[1] == 1.0
-
-
-def test_model_text_roundtrip():
-    x, y = separable_1d()
-    for fit in (lambda: fit_logistic(x, y, l2=1e-3), lambda: fit_ridge(x, y, alpha=0.5)):
-        model = fit()
-        back = model_from_text(model_to_text(model))
-        assert back.kind == model.kind
-        assert np.array_equal(back.weights, model.weights)
-        assert back.bias == model.bias
-        assert np.array_equal(back.scaler.mean, model.scaler.mean)
-        x_new = np.random.default_rng(14).normal(size=(7, 1))
-        assert np.array_equal(predict_scores(back, x_new), predict_scores(model, x_new))
