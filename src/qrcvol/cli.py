@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import fcntl
 import hashlib
 import json
 import logging
@@ -38,6 +39,8 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_INTERNAL = 3
 
+DATASET_SUFFIX = ".dataset.npz"
+
 
 def _sha256(path) -> str:
     h = hashlib.sha256()
@@ -47,16 +50,18 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir, command, args_dict, inputs, artifacts, seed=None):
+def _write_manifest(out_dir, command, args_dict, inputs, artifacts, **fields):
+    """Write manifest.json; fields (seed, skipped, ...) are top-level keys."""
     manifest = {
         "tool": "qrcvol",
         "version": __version__,
         "command": command,
         "args": args_dict,
-        "seed": seed,
+        "seed": None,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "inputs": {str(p): _sha256(p) for p in inputs},
         "artifacts": {str(p): _sha256(p) for p in artifacts},
+        **fields,
     }
     path = os.path.join(str(out_dir), "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -66,27 +71,30 @@ def _write_manifest(out_dir, command, args_dict, inputs, artifacts, seed=None):
 
 
 class _OutputLock:
-    """Guards an output directory against concurrent runs."""
+    """Guards an output directory against concurrent runs.
+
+    A POSIX flock on `.qrcvol.lock`: the kernel releases it when the
+    holder exits, however it exits.  The file stays, since a run that
+    removed it could let two later runs lock two different files.
+    """
 
     def __init__(self, out_dir):
         self.path = os.path.join(str(out_dir), ".qrcvol.lock")
 
     def __enter__(self):
+        fd = os.open(self.path, os.O_CREAT | os.O_WRONLY)
         try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
             raise IngestionError(
                 f"output directory is locked by another run ({self.path})"
-            )
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
+            ) from None
+        self.fd = fd
         return self
 
     def __exit__(self, *exc):
-        try:
-            os.remove(self.path)
-        except OSError:
-            pass
+        os.close(self.fd)
         return False
 
 
@@ -132,7 +140,7 @@ def cmd_prepare(args) -> int:
                 skipped[p.ticker] = str(exc)
                 log.warning("ticker %s skipped: %s", p.ticker, exc)
                 continue
-            path = os.path.join(args.out, f"{p.ticker}.dataset.csv")
+            path = os.path.join(args.out, f"{p.ticker}{DATASET_SUFFIX}")
             pipeline.write_dataset(ds, path)
             artifacts.append(path)
         if not artifacts:
@@ -146,6 +154,7 @@ def cmd_prepare(args) -> int:
              "stride": args.stride, "tickers": args.tickers},
             inputs=[args.prices],
             artifacts=artifacts,
+            skipped=skipped,
         )
     print(f"prepared {len(artifacts)} ticker dataset(s) in {args.out}")
     for ticker, reason in skipped.items():
@@ -168,10 +177,10 @@ def cmd_run(args) -> int:
     dataset_paths = sorted(
         os.path.join(args.data, name)
         for name in os.listdir(args.data)
-        if name.endswith(".dataset.csv")
+        if name.endswith(DATASET_SUFFIX)
     )
     if not dataset_paths:
-        raise IngestionError(f"no *.dataset.csv files in {args.data}")
+        raise IngestionError(f"no *{DATASET_SUFFIX} files in {args.data}")
     datasets = {}
     for path in dataset_paths:
         ds = pipeline.read_dataset(path)

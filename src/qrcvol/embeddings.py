@@ -16,13 +16,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import quantum
 from .errors import ConfigError, IngestionError
-from .pipeline import WindowedDataset
+from .pipeline import WindowedDataset, load_arrays, save_arrays
 
 KINDS = ("quantum", "classical_esn", "raw")
 
@@ -85,14 +86,6 @@ class EmbeddingConfig:
         if self.esn is not None:
             d["esn"] = asdict(self.esn)
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EmbeddingConfig":
-        q = QuantumParams(**d["quantum"]) if "quantum" in d else None
-        e = EsnParams(**d["esn"]) if "esn" in d else None
-        cfg = cls(kind=d.get("kind", "?"), quantum=q, esn=e)
-        cfg.validate()
-        return cfg
 
     def cfg_hash(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True)
@@ -194,7 +187,7 @@ def embed_dataset(ds: WindowedDataset, cfg: EmbeddingConfig) -> EmbeddedDataset:
     )
 
 
-# --- embedding cache: columnar text keyed by (ticker, cfg hash) ---------
+# --- embedding cache: one pipeline.save_arrays file per (ticker, cfg hash) ---
 # Each file also records the dataset_sha256 of the dataset it embeds, so a
 # reader can tell a file written for other contents under the same ticker.
 
@@ -207,56 +200,23 @@ def dataset_sha256(ds: WindowedDataset) -> str:
 
 
 def cache_filename(ticker: str, cfg: EmbeddingConfig) -> str:
-    return f"{ticker}__{cfg.cfg_hash()}.emb.csv"
+    return f"{ticker}__{cfg.cfg_hash()}.emb.npz"
 
 
 def write_embedded(emb: EmbeddedDataset, directory) -> str:
-    import os
-
     path = os.path.join(str(directory), cache_filename(emb.ticker, emb.config))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# ticker={emb.ticker} cfg={emb.config.cfg_hash()}\n")
-        fh.write(f"# config={json.dumps(emb.config.to_dict(), sort_keys=True)}\n")
-        fh.write(f"# split_index={emb.split_index}\n")
-        fh.write(f"# dataset_sha256={emb.dataset_sha256}\n")
-        d = emb.features.shape[1]
-        fh.write(",".join([f"f{k}" for k in range(d)] + ["label"]) + "\n")
-        for row, label in zip(emb.features, emb.labels):
-            fh.write(",".join(f"{x:.17g}" for x in row) + f",{int(label)}\n")
+    save_arrays(path, features=emb.features, labels=emb.labels,
+                split_index=emb.split_index, dataset_sha256=emb.dataset_sha256)
     return path
 
 
 def read_embedded(ticker: str, cfg: EmbeddingConfig, directory) -> EmbeddedDataset:
-    import os
-
+    """The cached embedding, or None when there is no file of this format version."""
     path = os.path.join(str(directory), cache_filename(ticker, cfg))
-    if not os.path.exists(path):
+    arrays = load_arrays(path) if os.path.exists(path) else None
+    if arrays is None:
         return None
-    meta = {}
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for part in line[1:].split(maxsplit=1):
-                    if "=" in part:
-                        k, _, val = part.partition("=")
-                        meta[k] = val
-                continue
-            if line.startswith("f0,"):
-                continue
-            rows.append(line.split(","))
-    if "split_index" not in meta:
-        raise IngestionError(f"{path}: not an embedding cache file")
-    feats = np.array([[float(x) for x in r[:-1]] for r in rows])
-    labels = np.array([int(r[-1]) for r in rows])
-    return EmbeddedDataset(
-        ticker=ticker,
-        features=feats,
-        labels=labels,
-        split_index=int(meta["split_index"]),
-        config=cfg,
-        dataset_sha256=meta.get("dataset_sha256", ""),
-    )
+    try:
+        return EmbeddedDataset(ticker=ticker, config=cfg, **arrays)
+    except TypeError as exc:
+        raise IngestionError(f"{path}: not an embedding cache file: {exc}") from exc

@@ -29,8 +29,8 @@ from .embeddings import (
     write_embedded,
 )
 from .errors import ConfigError
-from .pipeline import PriceSeries, WindowedDataset
-from .readout import EvalResult, fit_logistic, fit_ridge, predict_scores, evaluate
+from .pipeline import PriceSeries
+from .readout import fit_logistic, fit_ridge, predict_scores, evaluate
 
 READOUT_KINDS = ("logistic", "ridge")
 

@@ -1,4 +1,4 @@
-"""Price ingestion, log returns, rolling volatility, labels and windows.
+"""Price ingestion, log returns, rolling volatility, labels, windows and their `.npz` storage.
 
 The labeling pipeline is:
   prices -> log returns r_t -> rolling sample std sigma_t^w ->
@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+import os
+import zipfile
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -235,59 +237,55 @@ def prepare_dataset(p: PriceSeries, w: int = 9, lam: float = 1.0, stride: int = 
     return windowize(r, labels, w, stride=stride, threshold=tau, lam=lam)
 
 
-# --- dataset cache: columnar text, one row per window -------------------
+# --- storage: one deterministic .npz format for datasets and caches -----
+
+FORMAT_VERSION = 1
+# Every zip entry carries this date, so equal arrays give equal bytes
+# whatever the clock reads and whatever date numpy or zipfile default to.
+_ZIP_DATE = (1980, 1, 1, 0, 0, 0)
+
+
+def save_arrays(path, **arrays) -> None:
+    """Write arrays and FORMAT_VERSION as an uncompressed `.npz` at path.
+
+    The file is written next to path and renamed into place, so path
+    never holds a partial file.
+    """
+    tmp = f"{path}.tmp"
+    with zipfile.ZipFile(tmp, "w") as zf:
+        for name, value in {"format": FORMAT_VERSION, **arrays}.items():
+            with zf.open(zipfile.ZipInfo(name + ".npy", _ZIP_DATE), "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, np.asarray(value, order="C"), allow_pickle=False)
+    os.replace(tmp, path)
+
+
+def load_arrays(path):
+    """Arrays of a file written by save_arrays by name, 0-d ones as Python scalars.
+
+    Returns None for a file of another format version; a file that is
+    not a readable `.npz` raises IngestionError naming path.
+    """
+    try:
+        with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise IngestionError(f"cannot read {path}: {exc}") from exc
+    if not np.array_equal(arrays.pop("format", None), FORMAT_VERSION):
+        return None
+    return {name: a.item() if a.ndim == 0 else a for name, a in arrays.items()}
+
 
 def write_dataset(ds: WindowedDataset, path) -> None:
-    """Write a dataset cache file (t, w returns, label, test flag)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# ticker={ds.ticker}\n")
-        fh.write(f"# w={ds.w} lambda={ds.lam:.17g} stride={ds.stride}\n")
-        fh.write(f"# split_index={ds.split_index} threshold={ds.threshold:.17g}\n")
-        cols = ["t"] + [f"r{k}" for k in range(ds.w)] + ["label", "is_test"]
-        fh.write(",".join(cols) + "\n")
-        for k in range(len(ds.labels)):
-            vals = [str(int(ds.t_index[k]))]
-            vals += [f"{x:.17g}" for x in ds.windows[k]]
-            vals.append(str(int(ds.labels[k])))
-            vals.append(str(int(k >= ds.split_index)))
-            fh.write(",".join(vals) + "\n")
+    """Write a dataset file holding every field of ds at path."""
+    save_arrays(path, **vars(ds))
 
 
 def read_dataset(path) -> WindowedDataset:
-    """Read a dataset cache file written by write_dataset."""
-    meta = {}
-    rows = []
+    """Read a dataset file written by write_dataset."""
+    arrays = load_arrays(path)
+    if arrays is None:
+        raise IngestionError(f"{path}: dataset file of another format version, run prepare again")
     try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise IngestionError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for part in line[1:].split():
-                    if "=" in part:
-                        k, _, val = part.partition("=")
-                        meta[k] = val
-                continue
-            if line.startswith("t,"):
-                continue
-            rows.append(line.split(","))
-    if not rows or "ticker" not in meta:
-        raise IngestionError(f"{path}: not a dataset cache file")
-    w = int(meta["w"])
-    t_index = np.array([int(r[0]) for r in rows])
-    windows = np.array([[float(x) for x in r[1 : 1 + w]] for r in rows])
-    labels = np.array([int(r[1 + w]) for r in rows])
-    return WindowedDataset(
-        ticker=meta["ticker"],
-        windows=windows,
-        labels=labels,
-        t_index=t_index,
-        split_index=int(meta["split_index"]),
-        threshold=float(meta["threshold"]),
-        lam=float(meta["lambda"]),
-        stride=int(meta["stride"]),
-    )
+        return WindowedDataset(**arrays)
+    except TypeError as exc:
+        raise IngestionError(f"{path}: not a dataset file: {exc}") from exc

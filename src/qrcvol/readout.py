@@ -9,8 +9,7 @@ to {-1,+1} and solves the normal equations (X^T X + alpha I) w = X^T y.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -2,9 +2,15 @@ import hashlib
 import json
 import os
 import shutil
+import signal
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import qrcvol
+from qrcvol import cli
 from qrcvol.cli import main
 
 SMALL_CONFIG = {
@@ -71,7 +77,7 @@ class TestSynth:
 class TestPrepare:
     def test_cache_created(self, workspace):
         _, _, data, _ = workspace
-        assert (data / "SYNTH.dataset.csv").exists()
+        assert (data / "SYNTH.dataset.npz").exists()
         assert (data / "manifest.json").exists()
 
     def test_missing_file_exit_two(self, tmp_path, capsys):
@@ -82,11 +88,25 @@ class TestPrepare:
 
     def test_rerun_byte_identical(self, workspace, tmp_path):
         _, prices, data, _ = workspace
-        before = file_hash(data / "SYNTH.dataset.csv")
+        before = file_hash(data / "SYNTH.dataset.npz")
         data2 = tmp_path / "data2"
         assert main(["prepare", "--prices", str(prices), "--out", str(data2),
                      "--window", "5"]) == 0
-        assert file_hash(data2 / "SYNTH.dataset.csv") == before
+        assert file_hash(data2 / "SYNTH.dataset.npz") == before
+
+    def test_manifest_records_skipped_tickers(self, workspace, tmp_path):
+        _, prices, data, _ = workspace
+        manifest = json.loads((data / "manifest.json").read_text())
+        assert manifest["skipped"] == {}
+        both = tmp_path / "both.csv"
+        rows = prices.read_text().splitlines()
+        both.write_text("\n".join(rows + ["2015-01-02,SHORT,10", "2015-01-03,SHORT,11"]) + "\n")
+        out = tmp_path / "both"
+        assert main(["prepare", "--prices", str(both), "--out", str(out), "--window", "5"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["skipped"]) == ["SHORT"]
+        assert "window size 5" in manifest["skipped"]["SHORT"]
+        assert not (out / "SHORT.dataset.npz").exists()
 
 
 class TestRun:
@@ -143,10 +163,53 @@ class TestRun:
         tmp_path, _, data, config = workspace
         out = tmp_path / "locked"
         out.mkdir()
-        (out / ".qrcvol.lock").write_text("123")
+        with cli._OutputLock(out):
+            rc = main(["run", "--data", str(data), "--config", str(config),
+                       "--out", str(out)])
+        assert rc == 2
+        assert not (out / "cells.csv").exists()
+
+    def test_lock_of_killed_run_does_not_block(self, workspace):
+        tmp_path, _, data, config = workspace
+        out = tmp_path / "killed"
+        out.mkdir()
+        holder = (
+            "import os, signal, sys\n"
+            "from qrcvol.cli import _OutputLock\n"
+            "_OutputLock(sys.argv[1]).__enter__()\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qrcvol.__file__)))
+        proc = subprocess.run([sys.executable, "-c", holder, str(out)], env=env, timeout=60)
+        assert proc.returncode == -signal.SIGKILL
+        assert (out / ".qrcvol.lock").exists()
         rc = main(["run", "--data", str(data), "--config", str(config),
                    "--out", str(out)])
+        assert rc == 0
+        assert (out / "cells.csv").exists()
+
+    def test_corrupt_dataset_file_exit_two(self, workspace, capsys):
+        tmp_path, _, data, config = workspace
+        bad = data / "BAD.dataset.npz"
+        good = (data / "SYNTH.dataset.npz").read_bytes()
+        for content in (b"", b"not a zip file", good[:200], good[:-30]):
+            bad.write_bytes(content)
+            rc = main(["run", "--data", str(data), "--config", str(config),
+                       "--out", str(tmp_path / "corrupt")])
+            assert rc == 2
+            assert str(bad) in capsys.readouterr().err
+
+    def test_dataset_file_of_other_format_version_exit_two(self, workspace, capsys):
+        tmp_path, _, data, config = workspace
+        path = data / "SYNTH.dataset.npz"
+        with np.load(path) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        arrays["format"] = np.array(0)
+        np.savez(path, **arrays)
+        rc = main(["run", "--data", str(data), "--config", str(config),
+                   "--out", str(tmp_path / "old")])
         assert rc == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_manifest_replay_hashes(self, workspace):
         tmp_path, _, data, config = workspace

@@ -57,7 +57,7 @@ class TestConfig:
 
     def test_roundtrip_dict(self):
         cfg = EmbeddingConfig.make("classical_esn", seed=5, leak_rate=0.4)
-        assert EmbeddingConfig.from_dict(cfg.to_dict()) == cfg
+        assert EmbeddingConfig.make("classical_esn", **cfg.to_dict()["esn"]) == cfg
 
 
 class TestEmbedDataset:

@@ -1,10 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from qrcvol.embeddings import EmbeddingConfig, dataset_sha256, read_embedded
-from qrcvol.errors import ConfigError
+from qrcvol.errors import ConfigError, IngestionError
 from qrcvol.harness import (
     GridSpec,
     emit_report,
@@ -136,7 +137,7 @@ class TestRunGrid:
         )
         report = run_grid({"S6": ds}, grid, cache_dir=tmp_path)
         assert len(report.cells) == 3
-        assert len(list(tmp_path.glob("*.emb.csv"))) == 1
+        assert len(list(tmp_path.glob("*.emb.npz"))) == 1
         # second run reads from cache and reproduces results
         report2 = run_grid({"S6": ds}, grid, cache_dir=tmp_path)
         for c1, c2 in zip(report.cells, report2.cells):
@@ -152,6 +153,29 @@ class TestRunGrid:
         cached = read_embedded("S", EmbeddingConfig.make("raw"), tmp_path)
         assert np.array_equal(cached.features, new.windows)
         assert cached.dataset_sha256 == dataset_sha256(new)
+
+    def test_cache_of_other_format_version_is_rewritten(self, tmp_path):
+        ds = synth_dataset(6)
+        grid = small_grid()
+        run_grid({"S": ds}, grid, cache_dir=tmp_path)
+        (path,) = tmp_path.glob("*.emb.npz")
+        with np.load(path) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        arrays["format"] = np.array(0)
+        np.savez(path, **arrays)
+        assert read_embedded("S", EmbeddingConfig.make("raw"), tmp_path) is None
+        report = run_grid({"S": ds}, grid, cache_dir=tmp_path)
+        assert report.cells[0].per_ticker == run_grid({"S": ds}, grid).cells[0].per_ticker
+        cached = read_embedded("S", EmbeddingConfig.make("raw"), tmp_path)
+        assert np.array_equal(cached.features, ds.windows)
+
+    def test_unreadable_cache_file_raises(self, tmp_path):
+        ds = synth_dataset(6)
+        run_grid({"S": ds}, small_grid(), cache_dir=tmp_path)
+        (path,) = tmp_path.glob("*.emb.npz")
+        path.write_bytes(path.read_bytes()[:100])
+        with pytest.raises(IngestionError, match=re.escape(str(path))):
+            run_grid({"S": ds}, small_grid(), cache_dir=tmp_path)
 
     def test_grid_validation(self):
         with pytest.raises(ConfigError):

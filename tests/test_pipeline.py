@@ -1,4 +1,5 @@
 import logging
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,13 @@ from qrcvol.pipeline import (
     windowize,
     write_dataset,
 )
+
+
+def random_walk_dataset():
+    rng = np.random.default_rng(21)
+    prices = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.01, size=60)))
+    dates = [f"2020-{1 + d // 28:02d}-{1 + d % 28:02d}" for d in range(60)]
+    return prepare_dataset(PriceSeries("T", dates, prices), w=9, lam=1.0)
 
 
 def make_csv(tmp_path, rows, header="date,ticker,adj_close"):
@@ -227,11 +235,8 @@ class TestPrepareDataset:
         assert same_mean, "expected equal-mean windows with different labels"
 
     def test_cache_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(21)
-        prices = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.01, size=60)))
-        dates = [f"2020-{1 + d // 28:02d}-{1 + d % 28:02d}" for d in range(60)]
-        ds = prepare_dataset(PriceSeries("T", dates, prices), w=9, lam=1.0)
-        path = tmp_path / "T.dataset.csv"
+        ds = random_walk_dataset()
+        path = tmp_path / "T.dataset.npz"
         write_dataset(ds, path)
         back = read_dataset(path)
         assert back.ticker == ds.ticker
@@ -240,3 +245,14 @@ class TestPrepareDataset:
         assert np.array_equal(back.windows, ds.windows)
         assert np.array_equal(back.labels, ds.labels)
         assert np.array_equal(back.t_index, ds.t_index)
+        assert back.threshold == ds.threshold and back.stride == ds.stride
+        assert back.labels.dtype == ds.labels.dtype and back.t_index.dtype == ds.t_index.dtype
+
+    def test_dataset_file_bytes_do_not_depend_on_clock(self, tmp_path, monkeypatch):
+        ds = random_walk_dataset()
+        paths = [tmp_path / "a.dataset.npz", tmp_path / "b.dataset.npz"]
+        for path, now in zip(paths, (1.0e9, 1.5e9)):
+            monkeypatch.setattr(time, "time", lambda now=now: now)
+            write_dataset(ds, path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.dataset.npz", "b.dataset.npz"]
