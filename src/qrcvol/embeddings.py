@@ -162,12 +162,7 @@ def embed_dataset(ds: WindowedDataset, cfg: EmbeddingConfig) -> EmbeddedDataset:
         feats = ds.windows.copy()
     elif cfg.kind == "quantum":
         q = cfg.quantum
-        feats = np.stack(
-            [
-                quantum.quantum_embed(win, q.a_x, q.a_z, q.a_zz, q.t).values
-                for win in ds.windows
-            ]
-        )
+        feats = quantum.quantum_embed(ds.windows, q.a_x, q.a_z, q.a_zz, q.t).values
     else:
         reservoir = EchoStateReservoir(cfg.esn)
         state = reservoir.initial_state()

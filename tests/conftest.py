@@ -52,6 +52,18 @@ def kron_hamiltonian(window, scalers):
     return h
 
 
+def dense(h):
+    """Dense matrix of one window's Hamiltonian pair (diag, a_x): the
+    diagonal plus a_x on every entry that flips one bit."""
+    diag, a_x = h
+    dim = len(diag)
+    mat = np.diag(diag)
+    idx = np.arange(dim)
+    for q in range(dim.bit_length() - 1):
+        mat[idx ^ (1 << q), idx] += a_x
+    return mat
+
+
 def random_window_scalers(rng, n):
     """Random window of n returns and (a_x, a_z, a_zz), each possibly negative or zero."""
     window = rng.normal(0, 0.5, size=n)

@@ -5,6 +5,7 @@ import shutil
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ SMALL_CONFIG = {
 
 
 def file_hash(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 @pytest.fixture

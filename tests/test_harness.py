@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,12 +203,12 @@ class TestEmitReport:
         ds = synth_dataset(7)
         report = run_grid({"S7": ds}, small_grid())
         paths = emit_report(report, tmp_path / "out")
-        cells = open(paths["cells"]).read().splitlines()
+        cells = Path(paths["cells"]).read_text().splitlines()
         assert len(cells) == 2  # header + one cell
-        first = {p: open(p, "rb").read() for p in paths.values()}
+        first = {p: Path(p).read_bytes() for p in paths.values()}
         emit_report(report, tmp_path / "out")
         for p, content in first.items():
-            assert open(p, "rb").read() == content
+            assert Path(p).read_bytes() == content
 
     def test_groups_sorted_by_accuracy(self, tmp_path):
         d = {f"S{k}": synth_dataset(k) for k in range(2)}
@@ -219,7 +220,7 @@ class TestEmitReport:
         )
         report = run_grid(d, grid)
         paths = emit_report(report, tmp_path / "out")
-        lines = [l.split(",") for l in open(paths["cells"]).read().splitlines()[1:]]
+        lines = [l.split(",") for l in Path(paths["cells"]).read_text().splitlines()[1:]]
         accs_by_kind = {}
         for parts in lines:
             accs_by_kind.setdefault(parts[0], []).append(float(parts[-2]))

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,22 +10,21 @@ import pytest
 from qrcvol.errors import InputShapeError, ResourceError, StateError
 from qrcvol.quantum import build_hamiltonian, evolve, measure_features, quantum_embed
 
-from conftest import kron_hamiltonian, random_state, random_window_scalers, taylor_expm, zero_state
-
+from conftest import dense, kron_hamiltonian, random_state, random_window_scalers, taylor_expm, zero_state
 
 
 class TestBuildHamiltonian:
     def test_all_zero_coefficients(self):
         h = build_hamiltonian((0.0, 0.0), scalers=(0.0, 1.0, 1.0))
-        assert np.array_equal(h, np.zeros((4, 4)))
+        assert np.array_equal(dense(h), np.zeros((4, 4)))
 
     def test_antisymmetric_window_drops_zz(self):
-        h = build_hamiltonian((0.5, -0.5), scalers=(1.0, 1.0, 1.0))
+        h = dense(build_hamiltonian((0.5, -0.5), scalers=(1.0, 1.0, 1.0)))
         no_zz = kron_hamiltonian((0.5, -0.5), (1.0, 1.0, 0.0))
         assert np.array_equal(h, no_zz)
 
     def test_three_qubit_substitution(self):
-        h = build_hamiltonian((1.0, 1.0, 1.0), scalers=(2.0, 3.0, 4.0))
+        h = dense(build_hamiltonian((1.0, 1.0, 1.0), scalers=(2.0, 3.0, 4.0)))
         # 2 sum X_i + 3 sum Z_i + 8 (Z_0 Z_1 + Z_1 Z_2)
         z = 1.0 - 2.0 * ((np.arange(8)[:, None] >> np.arange(3)) & 1)
         diag = 3.0 * z.sum(axis=1) + 8.0 * (z[:, 0] * z[:, 1] + z[:, 1] * z[:, 2])
@@ -34,37 +37,55 @@ class TestBuildHamiltonian:
             for _ in range(20):
                 window, scalers = random_window_scalers(rng, n)
                 h = build_hamiltonian(window, scalers)
-                assert h.dtype == np.float64
-                assert np.array_equal(h, kron_hamiltonian(window, scalers))
+                assert h.diag.dtype == np.float64
+                assert np.array_equal(dense(h), kron_hamiltonian(window, scalers))
 
     def test_non_finite_scaler(self):
         with pytest.raises(InputShapeError):
             build_hamiltonian((1.0,), scalers=(np.inf, 1, 1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_window(self, bad):
+        with pytest.raises(InputShapeError):
+            build_hamiltonian((0.1, bad, 0.2), scalers=(1.0, 1.0, 0.5))
+        windows = np.zeros((3, 4))
+        windows[2, 1] = bad
+        with pytest.raises(InputShapeError):
+            build_hamiltonian(windows, scalers=(1.0, 1.0, 0.5))
+
+    def test_batch_rows_match_single_windows(self):
+        rng = np.random.default_rng(9)
+        windows = rng.normal(size=(2, 3, 4))
+        h = build_hamiltonian(windows, (0.7, 1.2, -0.4))
+        assert h.diag.shape == (2, 3, 16)
+        for j, k in itertools.product(range(2), range(3)):
+            single = build_hamiltonian(windows[j, k], (0.7, 1.2, -0.4))
+            assert np.array_equal(h.diag[j, k], single.diag)
+
 
 class TestAssembleDense:
     def test_single_z(self):
-        mat = build_hamiltonian((1.0,), (0.0, 1.0, 0.0))
+        mat = dense(build_hamiltonian((1.0,), (0.0, 1.0, 0.0)))
         assert np.array_equal(mat, np.diag([1.0, -1.0]))
 
     def test_single_x(self):
-        mat = build_hamiltonian((0.0,), (1.0, 0.0, 0.0))
+        mat = dense(build_hamiltonian((0.0,), (1.0, 0.0, 0.0)))
         assert np.array_equal(mat, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_zz_two_qubits(self):
-        mat = build_hamiltonian((0.5, 0.5), (0.0, 0.0, 1.0))
+        mat = dense(build_hamiltonian((0.5, 0.5), (0.0, 0.0, 1.0)))
         assert np.array_equal(mat, np.diag([1.0, -1.0, -1.0, 1.0]))
 
     def test_qubit0_is_lsb(self):
         # Z on qubit 0 flips sign exactly on odd basis indices
-        mat = build_hamiltonian((1.0, 0.0), (0.0, 1.0, 0.0))
+        mat = dense(build_hamiltonian((1.0, 0.0), (0.0, 1.0, 0.0)))
         assert np.array_equal(np.diag(mat), [1.0, -1.0, 1.0, -1.0])
 
     def test_hermiticity_random(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             window, scalers = random_window_scalers(rng, int(rng.integers(1, 5)))
-            mat = build_hamiltonian(window, scalers)
+            mat = dense(build_hamiltonian(window, scalers))
             assert np.array_equal(mat, mat.T)
 
     def test_resource_guard(self):
@@ -123,6 +144,35 @@ class TestEvolve:
         out = evolve(state, build_hamiltonian(window, scalers), 1.3)
         oracle = scipy.linalg.expm(-1j * 1.3 * kron_hamiltonian(window, scalers)) @ state
         assert np.max(np.abs(out - oracle)) < 1e-10
+
+    @pytest.mark.parametrize("t", [1.7, -0.6])
+    def test_batch_of_states_matches_taylor_oracle(self, t):
+        # leading axes (2, 3): each state evolves under its own window's H
+        rng = np.random.default_rng(31)
+        windows = rng.normal(0, 0.5, size=(2, 3, 4))
+        scalers = (-1.3, 0.8, 1.1)
+        states = np.stack([[random_state(rng, 4) for _ in range(3)] for _ in range(2)])
+        out = evolve(states, build_hamiltonian(windows, scalers), t)
+        assert out.shape == states.shape
+        for j, k in itertools.product(range(2), range(3)):
+            oracle = taylor_expm(-1j * t * kron_hamiltonian(windows[j, k], scalers)) @ states[j, k]
+            assert np.max(np.abs(out[j, k] - oracle)) < 1e-8
+
+    @pytest.mark.parametrize("scalers, window", [
+        ((1e6, 1.0, 0.5), (0.1, 0.2)),       # a_x * t far beyond the guard
+        ((1.0, 1e308, 0.5), (10.0, -10.0)),  # the diagonal overflows to +-inf
+    ])
+    def test_phase_guard_allocates_nothing_large(self, scalers, window):
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = build_hamiltonian(window, scalers)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError):
+                evolve(zero_state(2), h, t=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestMeasureFeatures:
@@ -194,8 +244,25 @@ class TestQuantumEmbed:
         fv = quantum_embed(np.linspace(-0.1, 0.1, 9))
         assert len(fv.values) == 45
 
+    def test_batch_rows_match_single_windows(self):
+        # 300 windows span several evolve blocks of quantum.BLOCK windows
+        windows = np.random.default_rng(37).normal(0, 0.3, size=(300, 6))
+        batch = quantum_embed(windows, 1.4, 0.9, 0.6, 1.3)
+        assert batch.values.shape == (300, 21)
+        single = np.stack([quantum_embed(w, 1.4, 0.9, 0.6, 1.3).values for w in windows])
+        assert np.max(np.abs(batch.values - single)) < 1e-13
+
     def test_determinism(self):
         window = np.random.default_rng(29).normal(size=5)
         a = quantum_embed(window, 1.1, 0.9, 0.4, 1.7)
         b = quantum_embed(window, 1.1, 0.9, 0.4, 1.7)
         assert np.array_equal(a.values, b.values)
+
+
+def test_cli_import_does_not_load_scipy():
+    import qrcvol
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qrcvol.__file__)))
+    code = "import sys, qrcvol.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
