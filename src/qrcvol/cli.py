@@ -198,6 +198,8 @@ def cmd_run(args) -> int:
             inputs=[args.config] + dataset_paths,
             artifacts=sorted(paths.values()),
             seed=grid.seed,
+            **{key: sorted({getattr(ds, attr) for ds in datasets.values()})
+               for key, attr in (("window", "w"), ("lambda", "lam"), ("stride", "stride"))},
         )
     print(f"evaluated {len(report.cells)} grid cell(s) over {len(datasets)} ticker(s)")
     print(f"report written to {paths['text']}")

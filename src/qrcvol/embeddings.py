@@ -7,7 +7,9 @@ rows without touching labels, row order or the split index.
   across windows) and measured into n + n(n-1)/2 Z/ZZ expectations.
 * classical_esn: windows are run in chronological order through one
   stateful leaky-tanh reservoir; the feature row is the reservoir state
-  after the window's last element.
+  after the window's last element.  The datasets of one call are
+  stepped together, each with its own state: one stacked matrix-vector
+  product per time step for all of them.
 * raw: the window itself.
 """
 
@@ -143,6 +145,52 @@ class EchoStateReservoir:
     def initial_state(self) -> np.ndarray:
         return np.zeros(self.params.reservoir_size)
 
+    def window_states(self, windows: list) -> list:
+        """The state after each window's last element, for each (m_j, w_j) array.
+
+        Each array runs through its own state from zero.  Arrays of equal
+        w are stepped together: their states form a (T, size) stack, and
+        np.matmul(W[None], S[:, :, None]) does for every row the same gemv
+        as `W @ state` (a plain S @ W.T gemm does not), so each row equals
+        the one-array loop of `step` bit for bit.  Array j's rows are a
+        C-contiguous view into one (T, m_max, size) block.
+        """
+        p = self.params
+        leak = p.leak_rate
+        states = [None] * len(windows)
+        groups = {}
+        for j, win in enumerate(windows):
+            groups.setdefault(win.shape[1], []).append(j)
+        for w, members in groups.items():
+            # longest first, so the arrays still running are a leading slice
+            members.sort(key=lambda j: -len(windows[j]))
+            lengths = [len(windows[j]) for j in members]
+            drive_in = np.zeros((len(members), lengths[0], w))
+            for pos, j in enumerate(members):
+                drive_in[pos, : lengths[pos]] = windows[j]
+            drive_in *= p.input_scaling
+            out = np.empty((len(members), lengths[0], p.reservoir_size))
+            state = np.zeros((len(members), p.reservoir_size))
+            pre = np.empty_like(state)
+            drive = np.empty((len(members), w, p.reservoir_size))
+            active = len(members)
+            for i in range(lengths[0]):
+                while lengths[active - 1] <= i:
+                    active -= 1
+                s, pre_s, drive_s = state[:active], pre[:active], drive[:active]
+                np.multiply(drive_in[:active, i, :, None], self.w_in, out=drive_s)
+                for k in range(w):
+                    np.matmul(self.w[None], s[:, :, None], out=pre_s[:, :, None])
+                    pre_s += drive_s[:, k]
+                    np.tanh(pre_s, out=pre_s)
+                    pre_s *= leak
+                    s *= 1.0 - leak
+                    s += pre_s
+                out[:active, i] = s
+            for pos, j in enumerate(members):
+                states[j] = out[pos, : lengths[pos]]
+        return states
+
 
 def esn_step(state, value, w, w_in, params: EsnParams) -> np.ndarray:
     """Leaky echo-state update:
@@ -153,33 +201,38 @@ def esn_step(state, value, w, w_in, params: EsnParams) -> np.ndarray:
     return (1.0 - leak) * state + leak * np.tanh(pre)
 
 
-def embed_dataset(ds: WindowedDataset, cfg: EmbeddingConfig) -> EmbeddedDataset:
-    """Map every window of a dataset to its feature row."""
-    cfg.validate(w=ds.w)
-    if len(ds.labels) == 0:
-        raise ConfigError("cannot embed an empty dataset")
+def embed_dataset(ds, cfg: EmbeddingConfig):
+    """Map every window of a dataset to its feature row.
+
+    ds is one WindowedDataset, giving one EmbeddedDataset, or a list of
+    them, giving a list in the same order.  A dataset's rows do not
+    depend on which datasets share the call.
+    """
+    batch = ds if isinstance(ds, list) else [ds]
+    for d in batch:
+        cfg.validate(w=d.w)
+        if len(d.labels) == 0:
+            raise ConfigError("cannot embed an empty dataset")
     if cfg.kind == "raw":
-        feats = ds.windows.copy()
+        feats = [d.windows.copy() for d in batch]
     elif cfg.kind == "quantum":
         q = cfg.quantum
-        feats = quantum.quantum_embed(ds.windows, q.a_x, q.a_z, q.a_zz, q.t).values
+        feats = [quantum.quantum_embed(d.windows, q.a_x, q.a_z, q.a_zz, q.t).values
+                 for d in batch]
     else:
-        reservoir = EchoStateReservoir(cfg.esn)
-        state = reservoir.initial_state()
-        rows = []
-        for win in ds.windows:
-            for value in win:
-                state = reservoir.step(state, value)
-            rows.append(state)
-        feats = np.stack(rows)
-    return EmbeddedDataset(
-        ticker=ds.ticker,
-        features=feats,
-        labels=ds.labels.copy(),
-        split_index=ds.split_index,
-        config=cfg,
-        dataset_sha256=dataset_sha256(ds),
-    )
+        feats = EchoStateReservoir(cfg.esn).window_states([d.windows for d in batch])
+    embedded = [
+        EmbeddedDataset(
+            ticker=d.ticker,
+            features=f,
+            labels=d.labels.copy(),
+            split_index=d.split_index,
+            config=cfg,
+            dataset_sha256=dataset_sha256(d),
+        )
+        for d, f in zip(batch, feats)
+    ]
+    return embedded if isinstance(ds, list) else embedded[0]
 
 
 # --- embedding cache: one pipeline.save_arrays file per (ticker, cfg hash) ---

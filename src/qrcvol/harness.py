@@ -11,6 +11,8 @@ lexicographic parameter encoding).
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import datetime
 import itertools
 import json
@@ -53,9 +55,11 @@ DEFAULT_GRID_READOUTS = [
 class GridSpec:
     embeddings: list  # templates: {"kind": ..., param: [values...]}
     readouts: list  # templates: {"kind": ..., "regularization": [values...]}
-    w: int = 9
-    lam: float = 1.0
-    stride: int = 1
+    # the window, lambda and stride every dataset must have been
+    # prepared with; None accepts any value
+    w: int = None
+    lam: float = None
+    stride: int = None
     seed: int = 0
     workers: int = 1
 
@@ -78,10 +82,12 @@ class GridSpec:
                 problems.append(f"readout {kind!r} has no regularization values")
             if kind == "ridge" and any(r <= 0 for r in regs):
                 problems.append("ridge regularization values must be > 0")
-        if self.w < 2:
+        if self.w is not None and self.w < 2:
             problems.append("window size must be >= 2")
-        if self.stride < 1:
+        if self.stride is not None and self.stride < 1:
             problems.append("stride must be >= 1")
+        if self.workers < 1:
+            problems.append("workers must be >= 1")
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -146,21 +152,33 @@ def _fit(kind: str, reg: float, x, y):
     return fit_ridge(x, y, alpha=reg)
 
 
-def _embed_one(args):
-    ds, cfg = args
-    return embed_dataset(ds, cfg)
+def _chunks(items: list, n: int) -> list:
+    """items split into at most n contiguous, non-empty chunks of near-equal size."""
+    k = min(n, len(items))
+    bounds = [len(items) * i // k for i in range(k + 1)] if k else []
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport:
     """Evaluate every grid cell on every usable ticker.
 
-    datasets maps ticker -> WindowedDataset.  Tickers with fewer than 2
-    training or 1 test windows are excluded with a diagnostic.  Fitting
-    only ever sees training rows.
+    datasets maps ticker -> WindowedDataset.  A dataset whose window,
+    lambda or stride differs from one the grid sets is a ConfigError.
+    Tickers with fewer than 2 training or 1 test windows are excluded
+    with a diagnostic.  Fitting only ever sees training rows.
     """
     grid.validate()
     if not datasets:
         raise ConfigError("no tickers to evaluate")
+    mismatches = [
+        f"ticker {ticker}: dataset {key} {have} differs from config {key} {want}"
+        for ticker, ds in sorted(datasets.items())
+        for key, want, have in (("window", grid.w, ds.w), ("lambda", grid.lam, ds.lam),
+                                ("stride", grid.stride, ds.stride))
+        if want is not None and have != want
+    ]
+    if mismatches:
+        raise ConfigError("; ".join(mismatches))
     usable = {}
     excluded = {}
     for ticker in sorted(datasets):
@@ -172,7 +190,8 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
                 f"needs >= 2 train and >= 1 test windows, has {n_train}/{n_test}"
             )
         else:
-            usable[ticker] = ds
+            # cache files are named after the key, whatever ds.ticker says
+            usable[ticker] = dataclasses.replace(ds, ticker=ticker)
     if not usable:
         raise ConfigError("every ticker is degenerate: " + "; ".join(excluded.values()))
 
@@ -180,29 +199,34 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
     readouts = grid.expand_readouts()
 
     # embed each (config, ticker) once and reuse across readout cells; a
-    # cache file embedded from other dataset contents is a miss
+    # cache file embedded from other dataset contents is a miss.  The
+    # missing tickers of one config are embedded in at most `workers`
+    # batches; rows do not depend on the batch, so any split gives the
+    # same bytes.
     fingerprints = {ticker: dataset_sha256(ds) for ticker, ds in usable.items()}
     embedded = {}
-    tasks = []
-    keys = []
+    jobs = []  # (cfg, tickers)
     for cfg in embed_cfgs:
-        for ticker, ds in usable.items():
+        missing = []
+        for ticker in usable:
             cached = read_embedded(ticker, cfg, cache_dir) if cache_dir else None
             if cached is not None and cached.dataset_sha256 == fingerprints[ticker]:
                 embedded[(cfg.cfg_hash(), ticker)] = cached
             else:
-                tasks.append((ds, cfg))
-                keys.append((cfg.cfg_hash(), ticker))
-    if grid.workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=grid.workers) as pool:
-            results = list(pool.map(_embed_one, tasks))
-    else:
-        results = [_embed_one(task) for task in tasks]
-    for (hash_ticker, (ds, cfg), emb) in zip(keys, tasks, results):
-        embedded[hash_ticker] = emb
-        if cache_dir:
-            emb.ticker = hash_ticker[1]
-            write_embedded(emb, cache_dir)
+                missing.append(ticker)
+        jobs += [(cfg, chunk) for chunk in _chunks(missing, grid.workers)]
+    batches = ([usable[t] for t in chunk] for _, chunk in jobs)
+    cfgs = [cfg for cfg, _ in jobs]
+    pool = None
+    if grid.workers > 1 and len(jobs) > 1:
+        pool = ProcessPoolExecutor(max_workers=min(grid.workers, len(jobs)))
+    with pool or contextlib.nullcontext():
+        results = (pool.map if pool else map)(embed_dataset, batches, cfgs)
+        for (cfg, chunk), batch in zip(jobs, results):
+            for ticker, emb in zip(chunk, batch):
+                embedded[(cfg.cfg_hash(), ticker)] = emb
+                if cache_dir:
+                    write_embedded(emb, cache_dir)
 
     cells = []
     for cfg in embed_cfgs:
@@ -395,9 +419,9 @@ def load_grid_config(path) -> GridSpec:
     grid = GridSpec(
         embeddings=raw.get("embeddings", DEFAULT_GRID_EMBEDDINGS),
         readouts=raw.get("readouts", DEFAULT_GRID_READOUTS),
-        w=int(raw.get("window", 9)),
-        lam=float(raw.get("lambda", 1.0)),
-        stride=int(raw.get("stride", 1)),
+        w=int(raw["window"]) if "window" in raw else None,
+        lam=float(raw["lambda"]) if "lambda" in raw else None,
+        stride=int(raw["stride"]) if "stride" in raw else None,
         seed=int(raw.get("seed", 0)),
         workers=int(raw.get("workers", 1)),
     )

@@ -160,6 +160,29 @@ class TestRun:
         err = capsys.readouterr().err
         assert "warp" in err and "readout" in err
 
+    @pytest.mark.parametrize("key,value", [("window", 9), ("lambda", 2.0), ("stride", 2)])
+    def test_config_must_match_datasets(self, workspace, capsys, key, value):
+        tmp_path, _, data, _ = workspace
+        config = tmp_path / "other.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, key: value}))
+        rc = main(["run", "--data", str(data), "--config", str(config),
+                   "--out", str(tmp_path / "z")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "SYNTH" in err and f"config {key} {value}" in err
+        assert not (tmp_path / "z" / "cells.csv").exists()
+
+    def test_manifest_records_dataset_params(self, workspace):
+        tmp_path, _, data, _ = workspace
+        config = tmp_path / "unset.json"
+        unset = {k: v for k, v in SMALL_CONFIG.items() if k not in ("window", "lambda", "stride")}
+        config.write_text(json.dumps(unset))
+        out = tmp_path / "unset"
+        assert main(["run", "--data", str(data), "--config", str(config),
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["window"], manifest["lambda"], manifest["stride"]) == ([5], [1.0], [1])
+
     def test_locked_output_dir(self, workspace):
         tmp_path, _, data, config = workspace
         out = tmp_path / "locked"

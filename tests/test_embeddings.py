@@ -106,6 +106,30 @@ class TestEmbedDataset:
         alone = embed_dataset(single, cfg).features[0]
         assert np.array_equal(full[2], alone)
 
+    def test_esn_rows_do_not_depend_on_batch(self):
+        # unequal lengths and mixed w; the reference steps one dataset alone
+        shapes = [(30, 9), (12, 9), (30, 5), (1, 9), (7, 5), (25, 9)]
+        datasets = [make_dataset(n, w, seed) for seed, (n, w) in enumerate(shapes)]
+        cfg = EmbeddingConfig.make("classical_esn", reservoir_size=30, leak_rate=0.5,
+                                   input_scaling=1.5, seed=4)
+        reservoir = EchoStateReservoir(cfg.esn)
+        expected = []
+        for ds in datasets:
+            state, rows = reservoir.initial_state(), []
+            for win in ds.windows:
+                for value in win:
+                    state = reservoir.step(state, value)
+                rows.append(state)
+            expected.append(np.stack(rows))
+        assert np.array_equal(embed_dataset(datasets[0], cfg).features, expected[0])
+        for size in (1, 2, len(datasets)):
+            for start in range(0, len(datasets), size):
+                batch = embed_dataset(datasets[start : start + size], cfg)
+                for emb, want in zip(batch, expected[start : start + size]):
+                    assert emb.features.dtype == np.float64
+                    assert emb.features.flags.c_contiguous
+                    assert np.array_equal(emb.features, want)
+
     def test_esn_same_seed_identical(self):
         ds = make_dataset()
         cfg = EmbeddingConfig.make("classical_esn", seed=42)

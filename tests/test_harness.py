@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qrcvol import harness
 from qrcvol.embeddings import EmbeddingConfig, dataset_sha256, read_embedded
 from qrcvol.errors import ConfigError, IngestionError
 from qrcvol.harness import (
@@ -15,7 +16,7 @@ from qrcvol.harness import (
     run_grid,
     synth_regime_series,
 )
-from qrcvol.pipeline import log_returns, prepare_dataset, rolling_volatility
+from qrcvol.pipeline import load_arrays, log_returns, prepare_dataset, rolling_volatility
 
 
 def small_grid(**overrides):
@@ -186,6 +187,29 @@ class TestRunGrid:
         with pytest.raises(ConfigError):
             small_grid(readouts=[{"kind": "ridge", "regularization": [-1.0]}]).validate()
 
+    def test_workers_below_one_rejected(self, tmp_path):
+        for workers in (0, -3):
+            with pytest.raises(ConfigError, match="workers"):
+                small_grid(workers=workers).validate()
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "workers": 0,
+            "embeddings": [{"kind": "warp"}],
+            "readouts": [{"kind": "ridge", "regularization": [1.0]}],
+        }))
+        with pytest.raises(ConfigError) as err:
+            load_grid_config(path)
+        assert "workers" in str(err.value) and "warp" in str(err.value)
+
+    def test_dataset_params_must_match_grid(self):
+        ds = synth_dataset(0)  # w=5, lam=1.0, stride=1
+        for key, value in (("w", 9), ("lam", 2.0), ("stride", 2)):
+            with pytest.raises(ConfigError, match="ticker A"):
+                run_grid({"A": ds}, small_grid(**{key: value}))
+        unset = small_grid(w=None)
+        mixed = {"A": ds, "B": synth_dataset(1, w=7)}
+        assert set(run_grid(mixed, unset).cells[0].per_ticker) == {"A", "B"}
+
     def test_expand_embeddings_cartesian(self):
         grid = small_grid(
             embeddings=[
@@ -196,6 +220,55 @@ class TestRunGrid:
         cfgs = grid.expand_embeddings()
         assert len(cfgs) == 5
         assert {c.kind for c in cfgs} == {"quantum", "raw"}
+
+
+ESN_RAW_QUANTUM = [
+    {"kind": "classical_esn", "reservoir_size": [20], "seed": [0, 1]},
+    {"kind": "raw"},
+    {"kind": "quantum", "a_x": [1.0], "t": [1.0]},
+]
+
+
+class TestWorkers:
+    def run_to(self, out, workers):
+        datasets = {f"S{k}": synth_dataset(k) for k in range(3)}
+        datasets["S1"] = synth_dataset(1, regimes=((40, 0.005), (30, 0.05), (40, 0.005)))
+        grid = small_grid(embeddings=ESN_RAW_QUANTUM, workers=workers)
+        (out / "cache").mkdir(parents=True)
+        emit_report(run_grid(datasets, grid, cache_dir=out / "cache"), out)
+        return {p.name: load_arrays(p)["features"] for p in (out / "cache").glob("*.emb.npz")}
+
+    def test_two_workers_match_one(self, tmp_path):
+        one = self.run_to(tmp_path / "one", workers=1)
+        two = self.run_to(tmp_path / "two", workers=2)
+        for name in ("cells.csv", "per_ticker.csv"):
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+        assert len(one) == 12 and one.keys() == two.keys()
+        for name in one:
+            assert np.array_equal(one[name], two[name])
+
+    def test_pool_capped_at_number_of_batches(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        datasets = {"A": synth_dataset(0), "B": synth_dataset(1)}
+        run_grid(datasets, small_grid(workers=5000))
+        run_grid(datasets, small_grid(embeddings=ESN_RAW_QUANTUM, workers=5000))
+        run_grid(datasets, small_grid(embeddings=ESN_RAW_QUANTUM, workers=3))
+        assert started == [2, 8, 3]
 
 
 class TestEmitReport:
