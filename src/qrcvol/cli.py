@@ -99,6 +99,8 @@ class _OutputLock:
 
 
 def cmd_synth(args) -> int:
+    if not pipeline.plain_ticker(args.ticker):
+        raise ConfigError(f"ticker {args.ticker!r} cannot name a file or CSV field")
     regimes = harness.parse_regime_spec(args.regimes)
     series = harness.synth_regime_series(
         regimes, seed=args.seed, ticker=args.ticker, start_price=args.start_price
@@ -197,7 +199,6 @@ def cmd_run(args) -> int:
             {"data": args.data, "config": args.config, "embeddings": args.embeddings},
             inputs=[args.config] + dataset_paths,
             artifacts=sorted(paths.values()),
-            seed=grid.seed,
             **{key: sorted({getattr(ds, attr) for ds in datasets.values()})
                for key, attr in (("window", "w"), ("lambda", "lam"), ("stride", "stride"))},
         )

@@ -16,6 +16,8 @@ import dataclasses
 import datetime
 import itertools
 import json
+import logging
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -25,6 +27,8 @@ import numpy as np
 from .embeddings import (
     KINDS,
     EmbeddingConfig,
+    EsnParams,
+    QuantumParams,
     dataset_sha256,
     embed_dataset,
     read_embedded,
@@ -33,6 +37,8 @@ from .embeddings import (
 from .errors import ConfigError
 from .pipeline import PriceSeries
 from .readout import fit_logistic, fit_ridge, predict_scores, evaluate
+
+log = logging.getLogger(__name__)
 
 READOUT_KINDS = ("logistic", "ridge")
 
@@ -51,6 +57,37 @@ DEFAULT_GRID_READOUTS = [
 ]
 
 
+def _is_a(types, value) -> bool:
+    """isinstance(value, types) for a finite value; false for a bool, which
+    JSON keeps apart from numbers."""
+    return isinstance(value, types) and not isinstance(value, bool) and abs(value) < math.inf
+
+
+# the parameters each embedding kind takes, with the type of their values
+_PARAM_TYPES = {
+    kind: {f.name: int if f.type in (int, "int") else (int, float) for f in dataclasses.fields(params)}
+    for kind, params in (("quantum", QuantumParams), ("classical_esn", EsnParams))
+}
+_PARAM_TYPES["raw"] = {}
+
+
+def _template_problems(tpl: dict, types: dict, where: str) -> list:
+    """Problems of a template's parameters: each must be named in types and
+    hold a non-empty list of values of its type."""
+    problems = []
+    for name, values in tpl.items():
+        if name == "kind":
+            continue
+        if name not in types:
+            problems.append(f"{where} takes no parameter {name!r}")
+        elif not isinstance(values, list) or not values:
+            problems.append(f"{where} {name} must be a non-empty list")
+        elif not all(_is_a(types[name], v) for v in values):
+            what = "integers" if types[name] is int else "finite numbers"
+            problems.append(f"{where} {name} values must be {what}, got {values!r}")
+    return problems
+
+
 @dataclass
 class GridSpec:
     embeddings: list  # templates: {"kind": ..., param: [values...]}
@@ -60,48 +97,48 @@ class GridSpec:
     w: int = None
     lam: float = None
     stride: int = None
-    seed: int = 0
     workers: int = 1
 
     def validate(self) -> None:
         problems = []
-        if not self.embeddings:
-            problems.append("grid has no embedding templates")
-        if not self.readouts:
-            problems.append("grid has no readout templates")
+        for name, templates in (("embedding", self.embeddings), ("readout", self.readouts)):
+            if not isinstance(templates, list) or not all(isinstance(t, dict) for t in templates):
+                raise ConfigError(f"{name} templates must be a list of objects")
+            if not templates:
+                problems.append(f"grid has no {name} templates")
         for tpl in self.embeddings:
             kind = tpl.get("kind")
             if kind not in KINDS:
                 problems.append(f"unknown embedding kind {kind!r}")
+            else:
+                problems += _template_problems(tpl, _PARAM_TYPES[kind], f"embedding {kind!r}")
         for tpl in self.readouts:
             kind = tpl.get("kind")
             if kind not in READOUT_KINDS:
                 problems.append(f"unknown readout kind {kind!r}")
-            regs = tpl.get("regularization", [])
-            if not regs:
+            found = _template_problems(tpl, {"regularization": (int, float)}, f"readout {kind!r}")
+            problems += found
+            if "regularization" not in tpl:
                 problems.append(f"readout {kind!r} has no regularization values")
-            if kind == "ridge" and any(r <= 0 for r in regs):
+            elif kind == "ridge" and not found and any(r <= 0 for r in tpl["regularization"]):
                 problems.append("ridge regularization values must be > 0")
-        if self.w is not None and self.w < 2:
-            problems.append("window size must be >= 2")
-        if self.stride is not None and self.stride < 1:
-            problems.append("stride must be >= 1")
-        if self.workers < 1:
-            problems.append("workers must be >= 1")
+        for key, value, least in (("window", self.w, 2), ("stride", self.stride, 1)):
+            if value is not None and not (_is_a(int, value) and value >= least):
+                problems.append(f"{key} must be an integer >= {least}, got {value!r}")
+        if self.lam is not None and not _is_a((int, float), self.lam):
+            problems.append(f"lambda must be a finite number, got {self.lam!r}")
+        if not (_is_a(int, self.workers) and self.workers >= 1):
+            problems.append(f"workers must be an integer >= 1, got {self.workers!r}")
         if problems:
             raise ConfigError("; ".join(problems))
 
     def expand_embeddings(self) -> list:
         configs = []
         for tpl in self.embeddings:
-            kind = tpl["kind"]
-            if kind == "raw":
-                configs.append(EmbeddingConfig.make("raw"))
-                continue
             params = {k: v for k, v in tpl.items() if k != "kind"}
             keys = sorted(params)
             for combo in itertools.product(*(params[k] for k in keys)):
-                configs.append(EmbeddingConfig.make(kind, **dict(zip(keys, combo))))
+                configs.append(EmbeddingConfig.make(tpl["kind"], **dict(zip(keys, combo))))
         return configs
 
     def expand_readouts(self) -> list:
@@ -256,6 +293,17 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
     return report
 
 
+def _check_regimes(regimes) -> None:
+    """ConfigError unless every segment has length >= 1 and a finite sigma >= 0."""
+    if not regimes:
+        raise ConfigError("empty regime schedule")
+    for pos, (length, sigma) in enumerate(regimes, start=1):
+        if int(length) < 1:
+            raise ConfigError(f"regime segment {pos}: length must be >= 1, got {length}")
+        if not np.isfinite(sigma) or sigma < 0:
+            raise ConfigError(f"regime segment {pos}: sigma must be finite and >= 0, got {sigma}")
+
+
 def synth_regime_series(
     regimes, seed, ticker="SYNTH", start_price=100.0, start_date="2015-01-02"
 ) -> PriceSeries:
@@ -264,13 +312,7 @@ def synth_regime_series(
     regimes is a list of (length, sigma) segments; the series has
     sum(lengths) returns and one extra initial price row.
     """
-    if not regimes:
-        raise ConfigError("empty regime schedule")
-    for k, (length, sigma) in enumerate(regimes):
-        if int(length) < 1:
-            raise ConfigError(f"regime {k}: length must be >= 1, got {length}")
-        if not np.isfinite(sigma) or sigma < 0:
-            raise ConfigError(f"regime {k}: sigma must be finite and >= 0")
+    _check_regimes(regimes)
     rng = np.random.default_rng(seed)
     rets = np.concatenate(
         [rng.normal(0.0, sigma, size=int(length)) for length, sigma in regimes]
@@ -293,29 +335,25 @@ def parse_regime_spec(spec: str):
             sigma = float(parts[1])
         except ValueError as exc:
             raise ConfigError(f"regime segment {pos} ({chunk!r}): {exc}") from exc
-        if length < 1:
-            raise ConfigError(f"regime segment {pos}: length must be >= 1")
-        if sigma < 0:
-            raise ConfigError(f"regime segment {pos}: sigma must be >= 0")
         regimes.append((length, sigma))
+    _check_regimes(regimes)
     return regimes
 
 
-CSV_COLUMNS = [
-    "embedding_kind",
-    "embedding_params",
-    "readout_kind",
-    "regularization",
-    "n_tickers",
-    "mean_accuracy",
-    "mean_average_precision",
-]
+# leading columns of cells.csv and per_ticker.csv: the grid cell
+CELL_COLUMNS = ["embedding_kind", "embedding_params", "readout_kind", "regularization"]
 
 
 def _params_json(cfg: EmbeddingConfig) -> str:
     d = cfg.to_dict()
     d.pop("kind")
     return json.dumps(d, sort_keys=True)
+
+
+def _write_csv(path, columns: list, rows) -> None:
+    """Header and rows of already formatted fields, joined by commas."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.writelines(",".join(row) + "\n" for row in itertools.chain([columns], rows))
 
 
 def emit_report(report: ExperimentReport, out_dir) -> dict:
@@ -331,50 +369,27 @@ def emit_report(report: ExperimentReport, out_dir) -> dict:
     text_path = os.path.join(str(out_dir), "report.txt")
 
     ordered = sorted(report.cells, key=GridCell.sort_key)
-    with open(cells_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for cell in ordered:
-            fh.write(
-                ",".join(
-                    [
-                        cell.embedding.kind,
-                        '"' + _params_json(cell.embedding).replace('"', '""') + '"',
-                        cell.readout_kind,
-                        f"{cell.regularization:.17g}",
-                        str(len(cell.per_ticker)),
-                        f"{cell.mean_accuracy:.6f}",
-                        f"{cell.mean_average_precision:.6f}",
-                    ]
-                )
-                + "\n"
-            )
-    with open(per_ticker_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(
-            "embedding_kind,embedding_params,readout_kind,regularization,"
-            "ticker,accuracy,average_precision,tp,fp,tn,fn\n"
-        )
-        for cell in ordered:
-            for ticker in sorted(cell.per_ticker):
-                res = cell.per_ticker[ticker]
-                tp, fp, tn, fn = res.confusion
-                fh.write(
-                    ",".join(
-                        [
-                            cell.embedding.kind,
-                            '"' + _params_json(cell.embedding).replace('"', '""') + '"',
-                            cell.readout_kind,
-                            f"{cell.regularization:.17g}",
-                            ticker,
-                            f"{res.accuracy:.6f}",
-                            f"{res.average_precision:.6f}",
-                            str(tp),
-                            str(fp),
-                            str(tn),
-                            str(fn),
-                        ]
-                    )
-                    + "\n"
-                )
+    # params JSON is always quoted, "{}" too, so csv.writer would not match
+    prefixes = [
+        [cell.embedding.kind, '"' + _params_json(cell.embedding).replace('"', '""') + '"',
+         cell.readout_kind, f"{cell.regularization:.17g}"]
+        for cell in ordered
+    ]
+    _write_csv(
+        cells_path,
+        CELL_COLUMNS + ["n_tickers", "mean_accuracy", "mean_average_precision"],
+        (prefix + [str(len(cell.per_ticker)), f"{cell.mean_accuracy:.6f}",
+                   f"{cell.mean_average_precision:.6f}"]
+         for prefix, cell in zip(prefixes, ordered)),
+    )
+    _write_csv(
+        per_ticker_path,
+        CELL_COLUMNS + ["ticker", "accuracy", "average_precision", "tp", "fp", "tn", "fn"],
+        (prefix + [ticker, f"{res.accuracy:.6f}", f"{res.average_precision:.6f}",
+                   *map(str, res.confusion)]
+         for prefix, cell in zip(prefixes, ordered)
+         for ticker, res in sorted(cell.per_ticker.items())),
+    )
 
     lines = ["Embedding comparison (mean over tickers, test split)", ""]
     for kind in KINDS:
@@ -391,10 +406,8 @@ def emit_report(report: ExperimentReport, out_dir) -> dict:
             )
         lines.append("")
     if report.excluded:
-        lines.append("Excluded tickers:")
-        for ticker in sorted(report.excluded):
-            lines.append(f"  {ticker}: {report.excluded[ticker]}")
-        lines.append("")
+        excluded = [f"  {ticker}: {reason}" for ticker, reason in sorted(report.excluded.items())]
+        lines += ["Excluded tickers:", *excluded, ""]
     with open(text_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
     return {"cells": cells_path, "per_ticker": per_ticker_path, "text": text_path}
@@ -409,21 +422,19 @@ def load_grid_config(path) -> GridSpec:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    problems = []
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     known = {"embeddings", "readouts", "window", "lambda", "stride", "seed", "workers"}
-    for key in raw:
-        if key not in known:
-            problems.append(f"unknown config key {key!r}")
+    problems = [f"unknown config key {key!r}" for key in raw if key not in known]
+    if "seed" in raw:
+        log.warning("config key 'seed' is ignored: ESN seeds come from the embedding templates")
     grid = GridSpec(
         embeddings=raw.get("embeddings", DEFAULT_GRID_EMBEDDINGS),
         readouts=raw.get("readouts", DEFAULT_GRID_READOUTS),
-        w=int(raw["window"]) if "window" in raw else None,
-        lam=float(raw["lambda"]) if "lambda" in raw else None,
-        stride=int(raw["stride"]) if "stride" in raw else None,
-        seed=int(raw.get("seed", 0)),
-        workers=int(raw.get("workers", 1)),
+        w=raw.get("window"),
+        lam=raw.get("lambda"),
+        stride=raw.get("stride"),
+        workers=raw.get("workers", 1),
     )
     try:
         grid.validate()

@@ -25,6 +25,7 @@ from .errors import IngestionError, InsufficientDataError, InputShapeError
 log = logging.getLogger(__name__)
 
 DEGENERATE_SCALE = 1e-12
+TRAIN_FRACTION = 0.8  # leading share of a ticker's windows used for training
 
 
 @dataclass
@@ -56,7 +57,6 @@ class VolatilitySeries:
     raw: np.ndarray
     start_index: int
     normalized: np.ndarray = None
-    stats: tuple = None  # (mu_raw, scale, mu_norm, std_norm)
 
 
 @dataclass
@@ -74,20 +74,19 @@ class WindowedDataset:
     def w(self) -> int:
         return self.windows.shape[1]
 
-    def train_rows(self):
-        return self.windows[: self.split_index], self.labels[: self.split_index]
 
-    def test_rows(self):
-        return self.windows[self.split_index :], self.labels[self.split_index :]
+def plain_ticker(ticker: str) -> bool:
+    """True if ticker can name a file and stand unquoted in a CSV field."""
+    return ticker not in ("", ".", "..") and not any(c in ticker for c in '/\\,"\r\n')
 
 
 def load_prices(path, tickers=None) -> list:
     """Read a `date,ticker,adj_close` CSV into per-ticker series.
 
     Rows with missing fields, non-positive/unparseable prices or a ticker
-    that is not a plain file name (it names output files) are rejected
-    with a logged row-level diagnostic.  Out-of-order dates are sorted
-    with a warning.
+    that fails plain_ticker (it names output files and fills CSV fields)
+    are rejected with a logged row-level diagnostic.  Out-of-order dates
+    are sorted with a warning.
     """
     wanted = set(tickers) if tickers else None
     rows_by_ticker = {}
@@ -110,8 +109,8 @@ def load_prices(path, tickers=None) -> list:
             if not date or not ticker or not raw_price:
                 log.warning("%s row %d: missing field, row rejected", path, lineno)
                 continue
-            if "/" in ticker or "\\" in ticker or ticker in (".", ".."):
-                log.warning("%s row %d: ticker %r is not a plain file name, row rejected",
+            if not plain_ticker(ticker):
+                log.warning("%s row %d: ticker %r cannot name a file or CSV field, row rejected",
                             path, lineno, ticker)
                 continue
             if wanted is not None and ticker not in wanted:
@@ -168,7 +167,7 @@ def rolling_volatility(r: ReturnSeries, w: int) -> VolatilitySeries:
 def normalize_and_label(v: VolatilitySeries, lam: float):
     """Z-normalize rolling vols and threshold at tau = mu~ + lam * std~.
 
-    Returns (labels, tau).  Fills v.normalized and v.stats in place.
+    Returns (labels, tau).  Fills v.normalized in place.
     A degenerate series (scale below 1e-12) yields all-zero normalized
     values and all-zero labels rather than an exception.
     """
@@ -177,7 +176,6 @@ def normalize_and_label(v: VolatilitySeries, lam: float):
     scale = float(raw.std(ddof=1)) if len(raw) > 1 else 0.0
     if scale < DEGENERATE_SCALE:
         v.normalized = np.zeros_like(raw)
-        v.stats = (mu, scale, 0.0, 0.0)
         return np.zeros(len(raw), dtype=int), float(lam)
     norm = (raw - mu) / scale
     mu_n = float(norm.mean())
@@ -185,7 +183,6 @@ def normalize_and_label(v: VolatilitySeries, lam: float):
     tau = mu_n + lam * std_n
     labels = (norm > tau).astype(int)
     v.normalized = norm
-    v.stats = (mu, scale, mu_n, std_n)
     return labels, float(tau)
 
 
@@ -196,12 +193,11 @@ def windowize(
     stride: int = 1,
     threshold: float = None,
     lam: float = 1.0,
-    train_fraction: float = 0.8,
 ) -> WindowedDataset:
     """Pair each return window with the regime label at its final index.
 
     labels[k] must correspond to return index w-1+k (where rolling vol is
-    defined).  The chronological split index is floor(train_fraction * m)
+    defined).  The chronological split index is floor(TRAIN_FRACTION * m)
     over the m emitted windows.
     """
     if stride < 1:
@@ -216,7 +212,7 @@ def windowize(
         raise InsufficientDataError("no complete windows")
     windows = np.stack([r.returns[t - w + 1 : t + 1] for t in t_index])
     lab = labels[t_index - (w - 1)]
-    split = int(np.floor(train_fraction * len(t_index)))
+    split = int(np.floor(TRAIN_FRACTION * len(t_index)))
     return WindowedDataset(
         ticker=r.ticker,
         windows=windows,

@@ -201,25 +201,14 @@ def average_precision(scores, labels) -> tuple:
     if n_pos == 0:
         return 0.0, False
     order = np.argsort(-scores, kind="stable")
-    s_sorted = scores[order]
-    l_sorted = labels[order]
-    ap = 0.0
-    tp = fp = 0
-    prev_recall = 0.0
-    i = 0
-    m = len(scores)
-    while i < m:
-        j = i
-        while j < m and s_sorted[j] == s_sorted[i]:
-            j += 1
-        tp += int(l_sorted[i:j].sum())
-        fp += (j - i) - int(l_sorted[i:j].sum())
-        recall = tp / n_pos
-        precision = tp / (tp + fp)
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j
-    return float(ap), True
+    s = scores[order]
+    # last row of each block of equal scores
+    ends = np.flatnonzero(np.append(s[1:] != s[:-1], True))
+    tp = np.cumsum(labels[order])[ends]
+    recall = tp / n_pos
+    # cumsum adds in row order, as a running sum does; np.sum's pairwise order may not
+    terms = np.diff(recall, prepend=0.0) * (tp / (ends + 1))
+    return float(np.cumsum(terms)[-1]), True
 
 
 def evaluate(scores, labels, threshold) -> EvalResult:
@@ -230,6 +219,8 @@ def evaluate(scores, labels, threshold) -> EvalResult:
         raise EvaluationError("scores and labels must be equal-length and non-empty")
     if not set(np.unique(labels)) <= {0, 1}:
         raise EvaluationError("labels must be binary")
+    if not np.all(np.isfinite(scores)):
+        raise EvaluationError("scores must be finite")
     preds = (scores > threshold).astype(int)
     tp = int(np.sum((preds == 1) & (labels == 1)))
     fp = int(np.sum((preds == 1) & (labels == 0)))

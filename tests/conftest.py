@@ -82,3 +82,31 @@ def zero_state(n):
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = 1.0
     return amps
+
+
+def reference_average_precision(scores, labels):
+    """Step-wise AP by an explicit walk over blocks of equal scores, in
+    descending score order: the running sum of (R_k - R_{k-1}) * P_k."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    n_pos = int(labels.sum())
+    order = np.argsort(-scores, kind="stable")
+    s_sorted = scores[order]
+    l_sorted = labels[order]
+    ap = 0.0
+    tp = fp = 0
+    prev_recall = 0.0
+    i = 0
+    m = len(scores)
+    while i < m:
+        j = i
+        while j < m and s_sorted[j] == s_sorted[i]:
+            j += 1
+        tp += int(l_sorted[i:j].sum())
+        fp += (j - i) - int(l_sorted[i:j].sum())
+        recall = tp / n_pos
+        precision = tp / (tp + fp)
+        ap += (recall - prev_recall) * precision
+        prev_recall = recall
+        i = j
+    return float(ap)

@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import json
+import logging
 import os
 import shutil
 import signal
@@ -15,7 +17,6 @@ from qrcvol import cli
 from qrcvol.cli import main
 
 SMALL_CONFIG = {
-    "seed": 0,
     "window": 5,
     "lambda": 1.0,
     "stride": 1,
@@ -59,6 +60,14 @@ class TestSynth:
         rc = main(["synth", "--regimes", "0:0.1", "--out", str(tmp_path / "p.csv")])
         assert rc == 1
         assert "segment" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ticker", ["A,B", 'A"B', "A\nB", "A\rB", "../x", ""])
+    def test_ticker_that_breaks_csv_rejected(self, tmp_path, capsys, ticker):
+        out = tmp_path / "p.csv"
+        rc = main(["synth", "--regimes", "50:0.01", "--ticker", ticker, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     def test_same_spec_and_seed_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -108,6 +117,19 @@ class TestPrepare:
         assert list(manifest["skipped"]) == ["SHORT"]
         assert "window size 5" in manifest["skipped"]["SHORT"]
         assert not (out / "SHORT.dataset.npz").exists()
+
+    def test_ticker_that_breaks_csv_skipped(self, workspace, tmp_path):
+        _, prices, _, config = workspace
+        rows = prices.read_text().splitlines()
+        mixed = tmp_path / "mixed.csv"
+        mixed.write_text("\n".join(rows + [r.replace(",SYNTH,", ',"A,B",') for r in rows[1:]]))
+        data, out = tmp_path / "mixed_data", tmp_path / "mixed_out"
+        assert main(["prepare", "--prices", str(mixed), "--out", str(data), "--window", "5"]) == 0
+        assert [p.name for p in data.glob("*.dataset.npz")] == ["SYNTH.dataset.npz"]
+        assert main(["run", "--data", str(data), "--config", str(config),
+                     "--out", str(out)]) == 0
+        with open(out / "per_ticker.csv", newline="", encoding="utf-8") as fh:
+            assert {len(row) for row in csv.reader(fh)} == {11}
 
 
 class TestRun:
@@ -159,6 +181,49 @@ class TestRun:
         assert rc == 1
         err = capsys.readouterr().err
         assert "warp" in err and "readout" in err
+
+    @pytest.mark.parametrize("change", [
+        {"workers": "two"},
+        {"workers": 2.7},
+        {"workers": True},
+        {"window": "5"},
+        {"stride": 1.0},
+        {"lambda": "1.0"},
+        {"lambda": True},
+        {"embeddings": ["raw"]},
+        {"embeddings": [{"kind": "quantum", "a_x": 1.0}]},
+        {"embeddings": [{"kind": "raw"}, {"kind": "quantum", "a_x": []}]},
+        {"embeddings": [{"kind": "quantum", "a_x": ["x"]}]},
+        {"embeddings": [{"kind": "quantum", "bogus": [1]}]},
+        {"embeddings": [{"kind": "raw", "a_x": [1.0]}]},
+        {"embeddings": [{"kind": "classical_esn", "reservoir_size": [20.5]}]},
+        {"embeddings": [{"kind": "classical_esn", "seed": [True]}]},
+        {"embeddings": [{"kind": "classical_esn", "leak_rate": ["0.3"]}]},
+        {"readouts": [{"kind": "ridge", "regularization": ["a"]}]},
+        {"readouts": [{"kind": "ridge", "regularization": 1.0}]},
+        {"readouts": [{"kind": "ridge", "regularization": [float("nan")]}]},
+    ])
+    def test_malformed_config_value_exit_one(self, workspace, capsys, change):
+        tmp_path, _, data, _ = workspace
+        config = tmp_path / "malformed.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, **change}))
+        rc = main(["run", "--data", str(data), "--config", str(config),
+                   "--out", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "m" / "cells.csv").exists()
+
+    def test_seed_key_ignored_with_warning(self, workspace, caplog):
+        tmp_path, _, data, _ = workspace
+        config = tmp_path / "seeded.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "seed": 7}))
+        out = tmp_path / "seeded"
+        with caplog.at_level(logging.WARNING, logger="qrcvol"):
+            assert main(["run", "--data", str(data), "--config", str(config),
+                         "--out", str(out)]) == 0
+        assert any("seed" in r.getMessage() for r in caplog.records)
+        assert json.loads((out / "manifest.json").read_text())["seed"] is None
 
     @pytest.mark.parametrize("key,value", [("window", 9), ("lambda", 2.0), ("stride", 2)])
     def test_config_must_match_datasets(self, workspace, capsys, key, value):

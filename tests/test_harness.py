@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import logging
 import re
 from pathlib import Path
 
@@ -72,6 +74,18 @@ class TestSynthSeries:
             synth_regime_series([(0, 0.1)], seed=0)
         with pytest.raises(ConfigError):
             synth_regime_series([(10, -0.1)], seed=0)
+
+    @pytest.mark.parametrize("regimes,message", [
+        ([(0, 0.1)], "regime segment 1: length"),
+        ([(10, 0.1), (10, -0.1)], "regime segment 2: sigma"),
+        ([(10, float("nan"))], "regime segment 1: sigma"),
+    ])
+    def test_schedule_checked_as_in_spec(self, regimes, message):
+        spec = ",".join(f"{length}:{sigma}" for length, sigma in regimes)
+        for check in (lambda: synth_regime_series(regimes, seed=0),
+                      lambda: parse_regime_spec(spec)):
+            with pytest.raises(ConfigError, match=message):
+                check()
 
 
 class TestParseRegimeSpec:
@@ -337,3 +351,13 @@ class TestConfigFile:
         path.write_text("{nope")
         with pytest.raises(ConfigError):
             load_grid_config(path)
+
+    def test_seed_key_ignored_with_warning(self, tmp_path, caplog):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 7, "embeddings": [{"kind": "raw"}]}))
+        with caplog.at_level(logging.WARNING, logger="qrcvol"):
+            grid = load_grid_config(path)
+        (record,) = caplog.records
+        assert record.levelno == logging.WARNING and "seed" in record.getMessage()
+        assert "seed" not in {f.name for f in dataclasses.fields(GridSpec)}
+        assert not hasattr(grid, "seed")

@@ -1,3 +1,4 @@
+import csv
 import logging
 import time
 
@@ -65,6 +66,18 @@ class TestLoadPrices:
         assert [s.ticker for s in series] == ["A.B"]
         for lineno in range(2, 2 + len(bad)):
             assert any(f"row {lineno}:" in r.getMessage() for r in caplog.records)
+
+    def test_csv_breaking_tickers_rejected_with_row_diagnostic(self, tmp_path, caplog):
+        bad = ["A,B", 'A"B', "A\nB", "A\rB"]
+        path = tmp_path / "prices.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["date", "ticker", "adj_close"])
+            writer.writerows([["2020-01-01", t, "100"] for t in bad + ["AB"]])
+        with caplog.at_level(logging.WARNING):
+            series = load_prices(path)
+        assert [s.ticker for s in series] == ["AB"]
+        assert sum("row rejected" in r.getMessage() for r in caplog.records) == len(bad)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestionError):

@@ -13,6 +13,8 @@ from qrcvol.readout import (
     ridge_solve,
 )
 
+from conftest import reference_average_precision
+
 
 def separable_1d(n=40, seed=0):
     rng = np.random.default_rng(seed)
@@ -208,6 +210,25 @@ class TestEvaluate:
     def test_empty_input(self):
         with pytest.raises(EvaluationError):
             evaluate([], [], 0.5)
+
+    def test_matches_reference_loop_bit_for_bit(self):
+        rng = np.random.default_rng(14)
+        for case in range(1200):
+            n = int(rng.integers(1, 120))
+            labels = (rng.uniform(size=n) < rng.uniform(0.05, 0.95)).astype(int)
+            labels[rng.integers(n)] = 1
+            scores = [
+                rng.normal(size=n),
+                rng.integers(0, 5, size=n).astype(float),  # many ties
+                1.0 / (1.0 + np.exp(-rng.normal(0.0, 40.0, size=n))),  # saturated at 0 and 1
+            ][case % 3]
+            ap, defined = average_precision(scores, labels)
+            assert defined and ap == reference_average_precision(scores, labels)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(EvaluationError, match="finite"):
+            evaluate([bad, 0.5], [1, 0], 0.5)
 
     def test_matches_sklearn_ap(self):
         sklearn = pytest.importorskip("sklearn.metrics")
