@@ -184,9 +184,12 @@ def cmd_run(args) -> int:
     if not dataset_paths:
         raise IngestionError(f"no *{DATASET_SUFFIX} files in {args.data}")
     datasets = {}
+    sources = {}  # ticker -> the file holding it
     for path in dataset_paths:
         ds = pipeline.read_dataset(path)
-        datasets[ds.ticker] = ds
+        if ds.ticker in sources:
+            raise IngestionError(f"{sources[ds.ticker]} and {path} both hold ticker {ds.ticker}")
+        datasets[ds.ticker], sources[ds.ticker] = ds, path
     os.makedirs(args.out, exist_ok=True)
     with _OutputLock(args.out):
         cache_dir = os.path.join(args.out, "cache")

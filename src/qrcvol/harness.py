@@ -36,11 +36,22 @@ from .embeddings import (
 )
 from .errors import ConfigError
 from .pipeline import PriceSeries
-from .readout import fit_logistic, fit_ridge, predict_scores, evaluate
+# fit_logistic and fit_ridge stay bound here: benchmarks/tracing.py wraps
+# the readout functions by their names in this module
+from .readout import (
+    evaluate,
+    fit_logistic,
+    fit_logistic_path,
+    fit_ridge,
+    fit_ridge_path,
+    predict_scores,
+)
 
 log = logging.getLogger(__name__)
 
-READOUT_KINDS = ("logistic", "ridge")
+# each readout kind fits a whole regularization path in one call
+FIT_PATH = {"logistic": fit_logistic_path, "ridge": fit_ridge_path}
+READOUT_KINDS = tuple(FIT_PATH)
 
 # Default grid; kept deliberately small enough for desk-scale runs.
 DEFAULT_GRID_EMBEDDINGS = [
@@ -122,6 +133,8 @@ class GridSpec:
                 problems.append(f"readout {kind!r} has no regularization values")
             elif kind == "ridge" and not found and any(r <= 0 for r in tpl["regularization"]):
                 problems.append("ridge regularization values must be > 0")
+            elif kind == "logistic" and not found and any(r < 0 for r in tpl["regularization"]):
+                problems.append("logistic regularization values must be >= 0")
         for key, value, least in (("window", self.w, 2), ("stride", self.stride, 1)):
             if value is not None and not (_is_a(int, value) and value >= least):
                 problems.append(f"{key} must be an integer >= {least}, got {value!r}")
@@ -141,12 +154,10 @@ class GridSpec:
                 configs.append(EmbeddingConfig.make(tpl["kind"], **dict(zip(keys, combo))))
         return configs
 
-    def expand_readouts(self) -> list:
-        out = []
-        for tpl in self.readouts:
-            for reg in tpl["regularization"]:
-                out.append((tpl["kind"], float(reg)))
-        return out
+    def readout_paths(self) -> list:
+        """(kind, [regularization values]) of each readout template."""
+        return [(tpl["kind"], [float(reg) for reg in tpl["regularization"]])
+                for tpl in self.readouts]
 
 
 @dataclass
@@ -181,12 +192,6 @@ class ExperimentReport:
         self.best = {
             key: min(cells, key=GridCell.sort_key) for key, cells in groups.items()
         }
-
-
-def _fit(kind: str, reg: float, x, y):
-    if kind == "logistic":
-        return fit_logistic(x, y, l2=reg)
-    return fit_ridge(x, y, alpha=reg)
 
 
 def _chunks(items: list, n: int) -> list:
@@ -233,7 +238,8 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
         raise ConfigError("every ticker is degenerate: " + "; ".join(excluded.values()))
 
     embed_cfgs = grid.expand_embeddings()
-    readouts = grid.expand_readouts()
+    paths = grid.readout_paths()
+    readouts = [(kind, reg) for kind, regs in paths for reg in regs]  # one per cell
 
     # embed each (config, ticker) once and reuse across readout cells; a
     # cache file embedded from other dataset contents is a miss.  The
@@ -265,17 +271,19 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
                 if cache_dir:
                     write_embedded(emb, cache_dir)
 
+    # each readout template fits its whole path per (config, ticker); the
+    # models come back in cell order
     cells = []
     for cfg in embed_cfgs:
-        for kind, reg in readouts:
-            per_ticker = {}
-            for ticker in usable:
-                emb = embedded[(cfg.cfg_hash(), ticker)]
-                x_tr, y_tr = emb.train_rows()
-                x_te, y_te = emb.test_rows()
-                model = _fit(kind, reg, x_tr, y_tr)
-                scores = predict_scores(model, x_te)
-                per_ticker[ticker] = evaluate(scores, y_te, model.threshold)
+        results = [{} for _ in readouts]  # per cell: ticker -> EvalResult
+        for ticker in usable:
+            emb = embedded[(cfg.cfg_hash(), ticker)]
+            x_tr, y_tr = emb.train_rows()
+            x_te, y_te = emb.test_rows()
+            models = [model for kind, regs in paths for model in FIT_PATH[kind](x_tr, y_tr, regs)]
+            for per_ticker, model in zip(results, models):
+                per_ticker[ticker] = evaluate(predict_scores(model, x_te), y_te, model.threshold)
+        for (kind, reg), per_ticker in zip(readouts, results):
             accs = [r.accuracy for r in per_ticker.values()]
             aps = [r.average_precision for r in per_ticker.values()]
             cells.append(

@@ -277,11 +277,15 @@ def write_dataset(ds: WindowedDataset, path) -> None:
 
 
 def read_dataset(path) -> WindowedDataset:
-    """Read a dataset file written by write_dataset."""
+    """Read a dataset file written by write_dataset; its stored ticker
+    must pass plain_ticker, since it names cache files and CSV fields."""
     arrays = load_arrays(path)
     if arrays is None:
         raise IngestionError(f"{path}: dataset file of another format version, run prepare again")
     try:
-        return WindowedDataset(**arrays)
+        ds = WindowedDataset(**arrays)
     except TypeError as exc:
         raise IngestionError(f"{path}: not a dataset file: {exc}") from exc
+    if not (isinstance(ds.ticker, str) and plain_ticker(ds.ticker)):
+        raise IngestionError(f"{path}: stored ticker {ds.ticker!r} cannot name a file or CSV field")
+    return ds

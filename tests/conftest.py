@@ -1,5 +1,7 @@
 import numpy as np
 
+from qrcvol.readout import DEGENERATE_LOGIT, Standardizer, _sigmoid
+
 
 def taylor_expm(mat: np.ndarray) -> np.ndarray:
     """Scaling-and-squaring truncated-Taylor matrix exponential.
@@ -110,3 +112,65 @@ def reference_average_precision(scores, labels):
         prev_recall = recall
         i = j
     return float(ap)
+
+
+def reference_logistic_loss_grad(wb, x, y, l2):
+    """Mean log-loss + (l2/2)*||w||^2 and its gradient for one [weights..., bias] vector."""
+    m, d = x.shape
+    w, b = wb[:d], wb[d]
+    z = x @ w + b
+    s = 2.0 * y - 1.0
+    loss = float(np.mean(np.logaddexp(0.0, -s * z))) + 0.5 * l2 * float(w @ w)
+    p = _sigmoid(z)
+    g = np.empty(d + 1)
+    g[:d] = x.T @ (p - y) / m + l2 * w
+    g[d] = float(np.mean(p - y))
+    return loss, g
+
+
+def reference_fit_logistic(x, y, l2=1e-2, max_iter=100, tol=1e-8):
+    """One logistic fit alone: Newton's method with Armijo backtracking.
+
+    Returns (weights, bias, converged, degenerate, l2) of the model.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    scaler = Standardizer.fit(x)
+    classes = np.unique(y)
+    if len(classes) < 2:
+        only = int(classes[0]) if len(classes) else 0
+        bias = DEGENERATE_LOGIT if only == 1 else -DEGENERATE_LOGIT
+        return np.zeros(x.shape[1]), bias, True, True, l2
+    xs = scaler.transform(x)
+    m, d = xs.shape
+    wb = np.zeros(d + 1)
+    loss, g = reference_logistic_loss_grad(wb, xs, y, l2)
+    converged = False
+    for _ in range(max_iter):
+        if np.linalg.norm(g) < tol:
+            converged = True
+            break
+        z = xs @ wb[:d] + wb[d]
+        p = _sigmoid(z)
+        s = np.clip(p * (1.0 - p), 1e-12, None)
+        a = np.hstack([xs, np.ones((m, 1))])
+        hess = (a * s[:, None]).T @ a / m
+        hess[:d, :d] += l2 * np.eye(d)
+        hess += 1e-12 * np.eye(d + 1)
+        step = np.linalg.solve(hess, g)
+        eta = 1.0
+        for _ in range(50):
+            cand = wb - eta * step
+            cand_loss, cand_g = reference_logistic_loss_grad(cand, xs, y, l2)
+            if cand_loss <= loss - 1e-4 * eta * float(g @ step):
+                break
+            eta *= 0.5
+        if cand_loss > loss:
+            converged = np.linalg.norm(g) < max(tol, 1e-6)
+            break
+        wb, loss, g = cand, cand_loss, cand_g
+    else:
+        converged = bool(np.linalg.norm(g) < tol)
+    weights = np.where(scaler.constant, 0.0, wb[:d])
+    return weights, float(wb[d]), bool(converged), False, l2
+

@@ -15,6 +15,7 @@ import pytest
 import qrcvol
 from qrcvol import cli
 from qrcvol.cli import main
+from qrcvol.pipeline import load_arrays, save_arrays
 
 SMALL_CONFIG = {
     "window": 5,
@@ -202,6 +203,7 @@ class TestRun:
         {"readouts": [{"kind": "ridge", "regularization": ["a"]}]},
         {"readouts": [{"kind": "ridge", "regularization": 1.0}]},
         {"readouts": [{"kind": "ridge", "regularization": [float("nan")]}]},
+        {"readouts": [{"kind": "logistic", "regularization": [0.01, -1.0]}]},
     ])
     def test_malformed_config_value_exit_one(self, workspace, capsys, change):
         tmp_path, _, data, _ = workspace
@@ -299,6 +301,29 @@ class TestRun:
                    "--out", str(tmp_path / "old")])
         assert rc == 2
         assert str(path) in capsys.readouterr().err
+
+    def test_two_dataset_files_of_one_ticker_exit_two(self, workspace, capsys):
+        tmp_path, _, data, config = workspace
+        shutil.copy(data / "SYNTH.dataset.npz", data / "COPY.dataset.npz")
+        rc = main(["run", "--data", str(data), "--config", str(config),
+                   "--out", str(tmp_path / "dup")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(data / "SYNTH.dataset.npz") in err and str(data / "COPY.dataset.npz") in err
+        assert not (tmp_path / "dup" / "cells.csv").exists()
+
+    @pytest.mark.parametrize("ticker", ["../escaped", "A,B", ""])
+    def test_stored_ticker_that_breaks_paths_exit_two(self, workspace, capsys, ticker):
+        tmp_path, _, data, config = workspace
+        path = data / "SYNTH.dataset.npz"
+        arrays = load_arrays(path)
+        arrays["ticker"] = ticker
+        save_arrays(path, **arrays)
+        out = tmp_path / "out"
+        rc = main(["run", "--data", str(data), "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert str(path) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_manifest_replay_hashes(self, workspace):
         tmp_path, _, data, config = workspace

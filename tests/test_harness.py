@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from qrcvol import harness
-from qrcvol.embeddings import EmbeddingConfig, dataset_sha256, read_embedded
+from qrcvol.embeddings import EmbeddingConfig, dataset_sha256, embed_dataset, read_embedded
 from qrcvol.errors import ConfigError, IngestionError
 from qrcvol.harness import (
+    ExperimentReport,
+    GridCell,
     GridSpec,
     emit_report,
     load_grid_config,
@@ -19,6 +21,7 @@ from qrcvol.harness import (
     synth_regime_series,
 )
 from qrcvol.pipeline import load_arrays, log_returns, prepare_dataset, rolling_volatility
+from qrcvol.readout import evaluate, fit_logistic, fit_ridge, predict_scores
 
 
 def small_grid(**overrides):
@@ -200,6 +203,9 @@ class TestRunGrid:
             small_grid(embeddings=[]).validate()
         with pytest.raises(ConfigError):
             small_grid(readouts=[{"kind": "ridge", "regularization": [-1.0]}]).validate()
+        with pytest.raises(ConfigError, match="logistic regularization"):
+            small_grid(readouts=[{"kind": "logistic", "regularization": [-1.0]}]).validate()
+        small_grid(readouts=[{"kind": "logistic", "regularization": [0.0]}]).validate()
 
     def test_workers_below_one_rejected(self, tmp_path):
         for workers in (0, -3):
@@ -223,6 +229,36 @@ class TestRunGrid:
         unset = small_grid(w=None)
         mixed = {"A": ds, "B": synth_dataset(1, w=7)}
         assert set(run_grid(mixed, unset).cells[0].per_ticker) == {"A", "B"}
+
+    def test_paths_give_the_reports_of_cell_by_cell_fits(self, tmp_path):
+        datasets = {f"S{k}": synth_dataset(k) for k in range(3)}
+        grid = small_grid(
+            embeddings=[{"kind": "raw"}, {"kind": "classical_esn", "reservoir_size": [20], "seed": [0]}],
+            readouts=[{"kind": "logistic", "regularization": [1.0, 1e-3, 1.0]},
+                      {"kind": "ridge", "regularization": [0.5, 50.0]},
+                      {"kind": "logistic", "regularization": [1e-2]}],
+        )
+        emit_report(run_grid(datasets, grid), tmp_path / "paths")
+        cells = []
+        for cfg in grid.expand_embeddings():
+            embedded = dict(zip(datasets, embed_dataset(list(datasets.values()), cfg)))
+            for tpl in grid.readouts:
+                for reg in tpl["regularization"]:
+                    per_ticker = {}
+                    for ticker, emb in embedded.items():
+                        (x_tr, y_tr), (x_te, y_te) = emb.train_rows(), emb.test_rows()
+                        if tpl["kind"] == "logistic":
+                            model = fit_logistic(x_tr, y_tr, l2=reg)
+                        else:
+                            model = fit_ridge(x_tr, y_tr, alpha=reg)
+                        per_ticker[ticker] = evaluate(predict_scores(model, x_te), y_te, model.threshold)
+                    cells.append(GridCell(
+                        cfg, tpl["kind"], float(reg), per_ticker,
+                        float(np.mean([r.accuracy for r in per_ticker.values()])),
+                        float(np.mean([r.average_precision for r in per_ticker.values()]))))
+        emit_report(ExperimentReport(cells, excluded={}), tmp_path / "cells")
+        for name in ("cells.csv", "per_ticker.csv", "report.txt"):
+            assert (tmp_path / "paths" / name).read_bytes() == (tmp_path / "cells" / name).read_bytes()
 
     def test_expand_embeddings_cartesian(self):
         grid = small_grid(

@@ -7,13 +7,15 @@ from qrcvol.readout import (
     average_precision,
     evaluate,
     fit_logistic,
+    fit_logistic_path,
     fit_ridge,
+    fit_ridge_path,
     logistic_loss_grad,
     predict_scores,
     ridge_solve,
 )
 
-from conftest import reference_average_precision
+from conftest import reference_average_precision, reference_fit_logistic
 
 
 def separable_1d(n=40, seed=0):
@@ -81,6 +83,84 @@ class TestLogistic:
         x = np.hstack([x, np.full((len(x), 1), 3.7)])
         model = fit_logistic(x, y, l2=1e-4)
         assert model.weights[1] == 0.0
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: -0.0 differs from 0.0 and NaN equals itself."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def random_path_case(rng, case):
+    """Seeded features, labels, a regularization path of 1-12 values and
+    a max_iter.  Every fourth case holds one class, every third a constant
+    column, every fifth separable classes, and every seventh labels -1/+1:
+    on those the Newton direction disagrees with the loss, so line
+    searches run out of halvings and fail."""
+    m = int(rng.integers(2, 70))
+    d = int(rng.integers(1, 56))
+    x = rng.normal(size=(m, d)) * rng.uniform(0.1, 5.0, size=d)
+    y = (rng.uniform(size=m) < rng.uniform(0.1, 0.9)).astype(float)
+    y[: 1 + m // 4] = rng.integers(0, 2)
+    if case % 4 == 0:
+        y[:] = case % 8 // 4
+    if case % 3 == 0:
+        x[:, rng.integers(d)] = rng.normal()
+    if case % 5 == 0:
+        x[:, 0] += 4.0 * (2.0 * y - 1.0)
+    values = [0.0, 1e-8, 1e-4, 1e-2, 0.3, 1.0, 100.0, float(rng.uniform(0, 2))]
+    if case % 7 == 0:
+        y = 2.0 * y - 1.0
+    path = [values[k] for k in rng.integers(0, len(values), size=int(rng.integers(1, 13)))]
+    return x, y, path, int(rng.choice([0, 1, 3, 100, 100]))
+
+
+class TestLogisticPath:
+    def test_each_model_equals_its_own_fit_bit_for_bit(self):
+        rng = np.random.default_rng(15)
+        flags = set()  # (converged, degenerate) seen, so the cases keep every branch
+        for case in range(1000):
+            x, y, path, max_iter = random_path_case(rng, case)
+            models = fit_logistic_path(x, y, path, max_iter=max_iter)
+            assert len(models) == len(path)
+            for model, l2 in zip(models, path):
+                weights, bias, converged, degenerate, reg = reference_fit_logistic(
+                    x, y, l2=l2, max_iter=max_iter)
+                assert same_bits(model.weights, weights), (case, l2)
+                assert same_bits(model.bias, bias), (case, l2)
+                assert (model.converged, model.degenerate) == (converged, degenerate), (case, l2)
+                assert model.regularization == reg and model.kind == "logistic"
+                flags.add((converged, degenerate))
+        assert flags == {(True, False), (False, False), (True, True)}
+
+    @pytest.mark.parametrize("l2", [-1.0, -1e-12, float("nan")])
+    def test_negative_or_nan_l2_rejected(self, l2):
+        x, y = separable_1d()
+        with pytest.raises(InputShapeError, match="l2"):
+            fit_logistic_path(x, y, [1.0, l2])
+        with pytest.raises(InputShapeError, match="l2"):
+            fit_logistic(x, y, l2=l2)
+
+
+class TestRidgePath:
+    def test_each_model_equals_ridge_solve_bit_for_bit(self):
+        rng = np.random.default_rng(16)
+        for case in range(1000):
+            x, y, path, _ = random_path_case(rng, case)
+            alphas = [a for a in path if a > 0] or [1.0]
+            models = fit_ridge_path(x, y, alphas)
+            scaler = Standardizer.fit(x)
+            xs = scaler.transform(x)
+            for model, alpha in zip(models, alphas):
+                weights = np.where(scaler.constant, 0.0, ridge_solve(xs, 2.0 * y - 1.0, alpha))
+                assert same_bits(model.weights, weights), (case, alpha)
+                assert model.bias == float(np.mean(2.0 * y - 1.0))
+                assert model.regularization == alpha and model.kind == "ridge"
+            assert len(models) == len(alphas)
+
+    def test_nonpositive_alpha_anywhere_rejected(self):
+        with pytest.raises(InputShapeError):
+            fit_ridge_path(np.eye(2), np.array([0, 1]), [1.0, 0.0])
 
 
 class TestRidge:
