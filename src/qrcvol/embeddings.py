@@ -1,7 +1,9 @@
 """Window embeddings: quantum reservoir, classical echo-state, raw.
 
-All three backends map a WindowedDataset to fixed-length real feature
-rows without touching labels, row order or the split index.
+All three backends map each window of a WindowedDataset to one
+fixed-length real feature row, in row order.  The embedding is that
+(m, d) array alone: the dataset stays the one source of its ticker,
+labels, split index and fingerprint.
 
 * quantum: each window is encoded independently from |0...0> (stateless
   across windows) and measured into n + n(n-1)/2 Z/ZZ expectations.
@@ -107,18 +109,12 @@ class EmbeddingConfig:
 
 @dataclass
 class EmbeddedDataset:
+    """One embedding cache record: a dataset's feature rows under a config."""
+
     ticker: str
     features: np.ndarray  # (m, d)
-    labels: np.ndarray  # (m,)
-    split_index: int
     config: EmbeddingConfig
-    dataset_sha256: str = ""  # dataset_sha256() of the source dataset
-
-    def train_rows(self):
-        return self.features[: self.split_index], self.labels[: self.split_index]
-
-    def test_rows(self):
-        return self.features[self.split_index :], self.labels[self.split_index :]
+    dataset_sha256: str  # dataset_sha256() of the source dataset
 
 
 class EchoStateReservoir:
@@ -139,12 +135,6 @@ class EchoStateReservoir:
         self.w = w * (params.spectral_radius / radius)
         self.w_in = rng.uniform(-0.5, 0.5, size)
 
-    def step(self, state: np.ndarray, value: float) -> np.ndarray:
-        return esn_step(state, value, self.w, self.w_in, self.params)
-
-    def initial_state(self) -> np.ndarray:
-        return np.zeros(self.params.reservoir_size)
-
     def window_states(self, windows: list) -> list:
         """The state after each window's last element, for each (m_j, w_j) array.
 
@@ -152,8 +142,8 @@ class EchoStateReservoir:
         w are stepped together: their states form a (T, size) stack, and
         np.matmul(W[None], S[:, :, None]) does for every row the same gemv
         as `W @ state` (a plain S @ W.T gemm does not), so each row equals
-        the one-array loop of `step` bit for bit.  Array j's rows are a
-        C-contiguous view into one (T, m_max, size) block.
+        a loop of esn_step over the array alone bit for bit.  Array j's
+        rows are a C-contiguous view into one (T, m_max, size) block.
         """
         p = self.params
         leak = p.leak_rate
@@ -201,38 +191,22 @@ def esn_step(state, value, w, w_in, params: EsnParams) -> np.ndarray:
     return (1.0 - leak) * state + leak * np.tanh(pre)
 
 
-def embed_dataset(ds, cfg: EmbeddingConfig):
-    """Map every window of a dataset to its feature row.
+def embed_dataset(datasets: list, cfg: EmbeddingConfig) -> list:
+    """The (m, d) feature rows of each dataset, in order, one row per window.
 
-    ds is one WindowedDataset, giving one EmbeddedDataset, or a list of
-    them, giving a list in the same order.  A dataset's rows do not
-    depend on which datasets share the call.
+    A dataset's rows do not depend on which datasets share the call.
     """
-    batch = ds if isinstance(ds, list) else [ds]
-    for d in batch:
+    for d in datasets:
         cfg.validate(w=d.w)
         if len(d.labels) == 0:
             raise ConfigError("cannot embed an empty dataset")
     if cfg.kind == "raw":
-        feats = [d.windows.copy() for d in batch]
-    elif cfg.kind == "quantum":
+        return [d.windows.copy() for d in datasets]
+    if cfg.kind == "quantum":
         q = cfg.quantum
-        feats = [quantum.quantum_embed(d.windows, q.a_x, q.a_z, q.a_zz, q.t).values
-                 for d in batch]
-    else:
-        feats = EchoStateReservoir(cfg.esn).window_states([d.windows for d in batch])
-    embedded = [
-        EmbeddedDataset(
-            ticker=d.ticker,
-            features=f,
-            labels=d.labels.copy(),
-            split_index=d.split_index,
-            config=cfg,
-            dataset_sha256=dataset_sha256(d),
-        )
-        for d, f in zip(batch, feats)
-    ]
-    return embedded if isinstance(ds, list) else embedded[0]
+        return [quantum.quantum_embed(d.windows, q.a_x, q.a_z, q.a_zz, q.t).values
+                for d in datasets]
+    return EchoStateReservoir(cfg.esn).window_states([d.windows for d in datasets])
 
 
 # --- embedding cache: one pipeline.save_arrays file per (ticker, cfg hash) ---
@@ -253,18 +227,20 @@ def cache_filename(ticker: str, cfg: EmbeddingConfig) -> str:
 
 def write_embedded(emb: EmbeddedDataset, directory) -> str:
     path = os.path.join(str(directory), cache_filename(emb.ticker, emb.config))
-    save_arrays(path, features=emb.features, labels=emb.labels,
-                split_index=emb.split_index, dataset_sha256=emb.dataset_sha256)
+    save_arrays(path, features=emb.features, dataset_sha256=emb.dataset_sha256)
     return path
 
 
 def read_embedded(ticker: str, cfg: EmbeddingConfig, directory) -> EmbeddedDataset:
-    """The cached embedding, or None when there is no file of this format version."""
+    """The cached embedding, or None when there is no file of this format version.
+
+    Only the features and dataset_sha256 entries are read; files of
+    earlier versions also hold the dataset's labels and split index.
+    """
     path = os.path.join(str(directory), cache_filename(ticker, cfg))
     arrays = load_arrays(path) if os.path.exists(path) else None
     if arrays is None:
         return None
-    try:
-        return EmbeddedDataset(ticker=ticker, config=cfg, **arrays)
-    except TypeError as exc:
-        raise IngestionError(f"{path}: not an embedding cache file: {exc}") from exc
+    if "features" not in arrays or "dataset_sha256" not in arrays:
+        raise IngestionError(f"{path}: not an embedding cache file: no features or dataset_sha256")
+    return EmbeddedDataset(ticker, arrays["features"], cfg, arrays["dataset_sha256"])

@@ -26,6 +26,7 @@ import numpy as np
 
 from .embeddings import (
     KINDS,
+    EmbeddedDataset,
     EmbeddingConfig,
     EsnParams,
     QuantumParams,
@@ -232,12 +233,16 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
                 f"needs >= 2 train and >= 1 test windows, has {n_train}/{n_test}"
             )
         else:
-            # cache files are named after the key, whatever ds.ticker says
-            usable[ticker] = dataclasses.replace(ds, ticker=ticker)
+            usable[ticker] = ds
     if not usable:
         raise ConfigError("every ticker is degenerate: " + "; ".join(excluded.values()))
 
     embed_cfgs = grid.expand_embeddings()
+    # a config that cannot embed some dataset fails before any cache file is touched
+    windows = sorted({ds.w for ds in usable.values()})
+    for cfg in embed_cfgs:
+        for w in windows:
+            cfg.validate(w=w)
     paths = grid.readout_paths()
     readouts = [(kind, reg) for kind, regs in paths for reg in regs]  # one per cell
 
@@ -247,14 +252,14 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
     # batches; rows do not depend on the batch, so any split gives the
     # same bytes.
     fingerprints = {ticker: dataset_sha256(ds) for ticker, ds in usable.items()}
-    embedded = {}
+    features = {}  # (cfg, ticker) -> (m, d) feature rows
     jobs = []  # (cfg, tickers)
     for cfg in embed_cfgs:
         missing = []
         for ticker in usable:
             cached = read_embedded(ticker, cfg, cache_dir) if cache_dir else None
             if cached is not None and cached.dataset_sha256 == fingerprints[ticker]:
-                embedded[(cfg.cfg_hash(), ticker)] = cached
+                features[cfg, ticker] = cached.features
             else:
                 missing.append(ticker)
         jobs += [(cfg, chunk) for chunk in _chunks(missing, grid.workers)]
@@ -266,20 +271,19 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
     with pool or contextlib.nullcontext():
         results = (pool.map if pool else map)(embed_dataset, batches, cfgs)
         for (cfg, chunk), batch in zip(jobs, results):
-            for ticker, emb in zip(chunk, batch):
-                embedded[(cfg.cfg_hash(), ticker)] = emb
+            for ticker, rows in zip(chunk, batch):
+                features[cfg, ticker] = rows
                 if cache_dir:
-                    write_embedded(emb, cache_dir)
+                    write_embedded(EmbeddedDataset(ticker, rows, cfg, fingerprints[ticker]), cache_dir)
 
     # each readout template fits its whole path per (config, ticker); the
     # models come back in cell order
     cells = []
     for cfg in embed_cfgs:
         results = [{} for _ in readouts]  # per cell: ticker -> EvalResult
-        for ticker in usable:
-            emb = embedded[(cfg.cfg_hash(), ticker)]
-            x_tr, y_tr = emb.train_rows()
-            x_te, y_te = emb.test_rows()
+        for ticker, ds in usable.items():
+            x, y, k = features[cfg, ticker], ds.labels, ds.split_index
+            x_tr, y_tr, x_te, y_te = x[:k], y[:k], x[k:], y[k:]
             models = [model for kind, regs in paths for model in FIT_PATH[kind](x_tr, y_tr, regs)]
             for per_ticker, model in zip(results, models):
                 per_ticker[ticker] = evaluate(predict_scores(model, x_te), y_te, model.threshold)

@@ -102,6 +102,20 @@ def _loss_grad_rows(wb: np.ndarray, x: np.ndarray, y: np.ndarray, l2: np.ndarray
     return loss, g, p
 
 
+def _features_and_labels(x, y):
+    """x and y as float arrays; InputShapeError unless x is 2-D, y holds one
+    value per row of x, and both are finite."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2:
+        raise InputShapeError(f"features must be 2-D, got shape {x.shape}")
+    if y.shape != (len(x),):
+        raise InputShapeError(f"{len(x)} feature rows, labels of shape {y.shape}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise InputShapeError("features and labels must be finite")
+    return x, y
+
+
 def logistic_loss_grad(wb: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float):
     """Mean log-loss + (l2/2)*||w||^2 (bias unregularized) and gradient.
 
@@ -123,8 +137,7 @@ def fit_logistic_path(x, y, l2s, max_iter=100, tol=1e-8) -> list:
     lam = np.array(l2s, dtype=float)
     if not np.all(lam >= 0):
         raise InputShapeError("logistic l2 must be >= 0")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _features_and_labels(x, y)
     scaler = Standardizer.fit(x)
     classes = np.unique(y)
     if len(classes) < 2:
@@ -208,8 +221,7 @@ def fit_ridge_path(x, y, alphas) -> list:
     alphas = list(alphas)
     if any(alpha <= 0 for alpha in alphas):
         raise InputShapeError("ridge alpha must be > 0")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _features_and_labels(x, y)
     scaler = Standardizer.fit(x)
     xs = scaler.transform(x)
     targets = 2.0 * y - 1.0
@@ -271,11 +283,13 @@ def average_precision(scores, labels) -> tuple:
 def evaluate(scores, labels, threshold) -> EvalResult:
     """Accuracy at the given score threshold plus step-wise AP."""
     scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    labels = np.asarray(labels)
     if len(scores) == 0 or len(scores) != len(labels):
         raise EvaluationError("scores and labels must be equal-length and non-empty")
+    # checked before the cast, which would truncate a fractional label
     if not np.all((labels == 0) | (labels == 1)):
         raise EvaluationError("labels must be binary")
+    labels = labels.astype(int)
     if not np.all(np.isfinite(scores)):
         raise EvaluationError("scores must be finite")
     # counts of (prediction, label) = (0, 0), (0, 1), (1, 0), (1, 1)

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from qrcvol.embeddings import (
     EchoStateReservoir,
+    EmbeddedDataset,
     EmbeddingConfig,
     EsnParams,
     QuantumParams,
@@ -11,8 +14,8 @@ from qrcvol.embeddings import (
     read_embedded,
     write_embedded,
 )
-from qrcvol.errors import ConfigError
-from qrcvol.pipeline import WindowedDataset
+from qrcvol.errors import ConfigError, IngestionError
+from qrcvol.pipeline import WindowedDataset, load_arrays, save_arrays
 
 
 def make_dataset(n_rows=12, w=9, seed=1):
@@ -63,48 +66,46 @@ class TestConfig:
 class TestEmbedDataset:
     def test_raw_passthrough(self):
         ds = make_dataset()
-        emb = embed_dataset(ds, EmbeddingConfig.make("raw"))
-        assert emb.features.shape == (12, 9)
-        assert np.array_equal(emb.features, ds.windows)
+        (rows,) = embed_dataset([ds], EmbeddingConfig.make("raw"))
+        assert rows.shape == (12, 9)
+        assert np.array_equal(rows, ds.windows)
 
     def test_quantum_dimension(self):
         ds = make_dataset(n_rows=3)
-        emb = embed_dataset(ds, EmbeddingConfig.make("quantum"))
-        assert emb.features.shape == (3, 45)
-        assert np.all(np.abs(emb.features) <= 1.0 + 1e-12)
+        (rows,) = embed_dataset([ds], EmbeddingConfig.make("quantum"))
+        assert rows.shape == (3, 45)
+        assert np.all(np.abs(rows) <= 1.0 + 1e-12)
 
     def test_esn_dimension(self):
         ds = make_dataset()
-        emb = embed_dataset(ds, EmbeddingConfig.make("classical_esn", reservoir_size=50))
-        assert emb.features.shape == (12, 50)
+        (rows,) = embed_dataset([ds], EmbeddingConfig.make("classical_esn", reservoir_size=50))
+        assert rows.shape == (12, 50)
 
     def test_labels_and_order_preserved(self):
         ds = make_dataset()
         for kind in ("raw", "classical_esn"):
-            emb = embed_dataset(ds, EmbeddingConfig.make(kind))
-            assert np.array_equal(emb.labels, ds.labels)
-            assert emb.split_index == ds.split_index
+            (rows,) = embed_dataset([ds], EmbeddingConfig.make(kind))
+            assert len(rows) == len(ds.labels)
 
     def test_quantum_window_reversal_changes_embedding(self):
         ds = make_dataset(n_rows=1, seed=3)
         rev = make_dataset(n_rows=1, seed=3)
         rev.windows = rev.windows[:, ::-1].copy()
         cfg = EmbeddingConfig.make("quantum")
-        a = embed_dataset(ds, cfg).features[0]
-        b = embed_dataset(rev, cfg).features[0]
-        assert not np.allclose(a, b)
+        a, b = embed_dataset([ds, rev], cfg)
+        assert not np.allclose(a[0], b[0])
 
     def test_quantum_stateless_across_windows(self):
         ds = make_dataset(n_rows=4)
         cfg = EmbeddingConfig.make("quantum")
-        full = embed_dataset(ds, cfg).features
+        (full,) = embed_dataset([ds], cfg)
         single = make_dataset(n_rows=4)
         single.windows = ds.windows[2:3]
         single.labels = ds.labels[2:3]
         single.t_index = ds.t_index[2:3]
         single.split_index = 1
-        alone = embed_dataset(single, cfg).features[0]
-        assert np.array_equal(full[2], alone)
+        (alone,) = embed_dataset([single], cfg)
+        assert np.array_equal(full[2], alone[0])
 
     def test_esn_rows_do_not_depend_on_batch(self):
         # unequal lengths and mixed w; the reference steps one dataset alone
@@ -112,31 +113,29 @@ class TestEmbedDataset:
         datasets = [make_dataset(n, w, seed) for seed, (n, w) in enumerate(shapes)]
         cfg = EmbeddingConfig.make("classical_esn", reservoir_size=30, leak_rate=0.5,
                                    input_scaling=1.5, seed=4)
-        reservoir = EchoStateReservoir(cfg.esn)
+        r = EchoStateReservoir(cfg.esn)
         expected = []
         for ds in datasets:
-            state, rows = reservoir.initial_state(), []
+            state, rows = np.zeros(cfg.esn.reservoir_size), []
             for win in ds.windows:
                 for value in win:
-                    state = reservoir.step(state, value)
+                    state = esn_step(state, value, r.w, r.w_in, cfg.esn)
                 rows.append(state)
             expected.append(np.stack(rows))
-        assert np.array_equal(embed_dataset(datasets[0], cfg).features, expected[0])
         for size in (1, 2, len(datasets)):
             for start in range(0, len(datasets), size):
                 batch = embed_dataset(datasets[start : start + size], cfg)
-                for emb, want in zip(batch, expected[start : start + size]):
-                    assert emb.features.dtype == np.float64
-                    assert emb.features.flags.c_contiguous
-                    assert np.array_equal(emb.features, want)
+                for rows, want in zip(batch, expected[start : start + size]):
+                    assert rows.dtype == np.float64
+                    assert rows.flags.c_contiguous
+                    assert np.array_equal(rows, want)
 
     def test_esn_same_seed_identical(self):
         ds = make_dataset()
         cfg = EmbeddingConfig.make("classical_esn", seed=42)
-        a = embed_dataset(ds, cfg).features
-        b = embed_dataset(ds, cfg).features
+        (a,), (b,) = embed_dataset([ds], cfg), embed_dataset([ds], cfg)
         assert np.array_equal(a, b)
-        other = embed_dataset(ds, EmbeddingConfig.make("classical_esn", seed=43)).features
+        (other,) = embed_dataset([ds], EmbeddingConfig.make("classical_esn", seed=43))
         assert not np.array_equal(a, other)
 
     def test_empty_dataset_rejected(self):
@@ -144,7 +143,7 @@ class TestEmbedDataset:
         ds.windows = ds.windows[:0]
         ds.labels = ds.labels[:0]
         with pytest.raises(ConfigError):
-            embed_dataset(ds, EmbeddingConfig.make("raw"))
+            embed_dataset([ds], EmbeddingConfig.make("raw"))
 
 
 class TestEsnStep:
@@ -193,8 +192,8 @@ class TestEsnStep:
         d0 = np.linalg.norm(s1 - s2)
         for _ in range(200):
             u = float(rng.normal())
-            s1 = res.step(s1, u)
-            s2 = res.step(s2, u)
+            s1 = esn_step(s1, u, res.w, res.w_in, p)
+            s2 = esn_step(s2, u, res.w, res.w_in, p)
         assert np.linalg.norm(s1 - s2) < d0 / 10.0
 
 
@@ -202,13 +201,21 @@ class TestCache:
     def test_roundtrip(self, tmp_path):
         ds = make_dataset()
         cfg = EmbeddingConfig.make("classical_esn", seed=1)
-        emb = embed_dataset(ds, cfg)
-        write_embedded(emb, tmp_path)
+        (rows,) = embed_dataset([ds], cfg)
+        write_embedded(EmbeddedDataset("T", rows, cfg, "abc"), tmp_path)
         back = read_embedded("T", cfg, tmp_path)
-        assert back is not None
-        assert np.array_equal(back.features, emb.features)
-        assert np.array_equal(back.labels, emb.labels)
-        assert back.split_index == emb.split_index
+        assert (back.ticker, back.config, back.dataset_sha256) == ("T", cfg, "abc")
+        assert np.array_equal(back.features, rows)
 
     def test_miss_returns_none(self, tmp_path):
         assert read_embedded("T", EmbeddingConfig.make("raw"), tmp_path) is None
+
+    @pytest.mark.parametrize("entry", ["features", "dataset_sha256"])
+    def test_file_without_entry_raises_naming_it(self, tmp_path, entry):
+        cfg = EmbeddingConfig.make("raw")
+        path = write_embedded(EmbeddedDataset("T", np.eye(2), cfg, "abc"), tmp_path)
+        arrays = load_arrays(path)
+        del arrays[entry]
+        save_arrays(path, **arrays)
+        with pytest.raises(IngestionError, match=re.escape(path)):
+            read_embedded("T", cfg, tmp_path)

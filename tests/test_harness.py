@@ -20,7 +20,7 @@ from qrcvol.harness import (
     run_grid,
     synth_regime_series,
 )
-from qrcvol.pipeline import load_arrays, log_returns, prepare_dataset, rolling_volatility
+from qrcvol.pipeline import load_arrays, log_returns, prepare_dataset, rolling_volatility, save_arrays
 from qrcvol.readout import evaluate, fit_logistic, fit_ridge, predict_scores
 
 
@@ -188,6 +188,38 @@ class TestRunGrid:
         cached = read_embedded("S", EmbeddingConfig.make("raw"), tmp_path)
         assert np.array_equal(cached.features, ds.windows)
 
+    def test_cache_of_earlier_layout_is_reused(self, tmp_path, monkeypatch):
+        # earlier versions also stored the dataset's labels and split index
+        ds = synth_dataset(6)
+        grid = small_grid(embeddings=[{"kind": "raw"}, {"kind": "classical_esn", "reservoir_size": [20]}])
+        report = run_grid({"S": ds}, grid, cache_dir=tmp_path)
+        for path in tmp_path.glob("*.emb.npz"):
+            save_arrays(path, **load_arrays(path), labels=ds.labels, split_index=ds.split_index)
+        before = {path: path.read_bytes() for path in tmp_path.glob("*.emb.npz")}
+        assert len(before) == 2
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("cache hit expected")
+
+        monkeypatch.setattr(harness, "embed_dataset", forbidden)
+        monkeypatch.setattr(harness, "write_embedded", forbidden)
+        again = run_grid({"S": ds}, grid, cache_dir=tmp_path)
+        assert [c.per_ticker for c in again.cells] == [c.per_ticker for c in report.cells]
+        assert {path: path.read_bytes() for path in tmp_path.glob("*.emb.npz")} == before
+
+    def test_cache_files_named_after_the_dataset_key(self, tmp_path):
+        ds = dataclasses.replace(synth_dataset(2), ticker="X")
+        run_grid({"A": ds, "B": ds}, small_grid(), cache_dir=tmp_path)
+        names = sorted(path.name.split("__")[0] for path in tmp_path.glob("*.emb.npz"))
+        assert names == ["A", "B"]
+
+    def test_config_that_cannot_embed_a_dataset_fails_before_any_cache_file(self, tmp_path):
+        ds = synth_dataset(2, w=9)
+        grid = small_grid(w=9, embeddings=[{"kind": "raw"}, {"kind": "classical_esn", "reservoir_size": [5]}])
+        with pytest.raises(ConfigError, match="reservoir_size 5 < window size 9"):
+            run_grid({"A": ds}, grid, cache_dir=tmp_path)
+        assert not list(tmp_path.glob("*.emb.npz"))
+
     def test_unreadable_cache_file_raises(self, tmp_path):
         ds = synth_dataset(6)
         run_grid({"S": ds}, small_grid(), cache_dir=tmp_path)
@@ -241,12 +273,13 @@ class TestRunGrid:
         emit_report(run_grid(datasets, grid), tmp_path / "paths")
         cells = []
         for cfg in grid.expand_embeddings():
-            embedded = dict(zip(datasets, embed_dataset(list(datasets.values()), cfg)))
+            features = dict(zip(datasets, embed_dataset(list(datasets.values()), cfg)))
             for tpl in grid.readouts:
                 for reg in tpl["regularization"]:
                     per_ticker = {}
-                    for ticker, emb in embedded.items():
-                        (x_tr, y_tr), (x_te, y_te) = emb.train_rows(), emb.test_rows()
+                    for ticker, x in features.items():
+                        y, k = datasets[ticker].labels, datasets[ticker].split_index
+                        x_tr, y_tr, x_te, y_te = x[:k], y[:k], x[k:], y[k:]
                         if tpl["kind"] == "logistic":
                             model = fit_logistic(x_tr, y_tr, l2=reg)
                         else:

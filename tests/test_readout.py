@@ -163,6 +163,29 @@ class TestRidgePath:
             fit_ridge_path(np.eye(2), np.array([0, 1]), [1.0, 0.0])
 
 
+def unusable_inputs():
+    x, y = separable_1d()
+    nan_x, inf_x, nan_y = x.copy(), x.copy(), y.copy()
+    nan_x[3, 0], inf_x[5, 0], nan_y[7] = np.nan, np.inf, np.nan
+    return {
+        "1-D x": (x[:, 0], y),
+        "3-D x": (x[None], y),
+        "fewer labels": (x, y[:-1]),
+        "more labels": (x[:-1], y),
+        "NaN feature": (nan_x, y),
+        "inf feature": (inf_x, y),
+        "NaN label": (x, nan_y),
+    }
+
+
+@pytest.mark.parametrize("fit_path, reg", [(fit_logistic_path, 1e-2), (fit_ridge_path, 1.0)])
+@pytest.mark.parametrize("case", list(unusable_inputs()))
+def test_fit_paths_reject_unusable_input(fit_path, reg, case):
+    x, y = unusable_inputs()[case]
+    with pytest.raises(InputShapeError):
+        fit_path(x, y, [reg])
+
+
 class TestRidge:
     def test_identity_small_alpha(self):
         w = ridge_solve(np.eye(2), np.array([1.0, -1.0]), alpha=1e-10)
@@ -304,6 +327,12 @@ class TestEvaluate:
             ][case % 3]
             ap, defined = average_precision(scores, labels)
             assert defined and ap == reference_average_precision(scores, labels)
+
+    @pytest.mark.parametrize("labels", [[1, 0, 2], [1, 0, -1], [1.7, 0.2, 0.9]])
+    def test_non_binary_labels_rejected(self, labels):
+        # a fractional label is rejected, not truncated to an integer
+        with pytest.raises(EvaluationError, match="binary"):
+            evaluate([0.9, 0.1, 0.8], labels, 0.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_score_rejected(self, bad):
