@@ -21,7 +21,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -32,12 +32,24 @@ from .pipeline import WindowedDataset, load_arrays, save_arrays
 KINDS = ("quantum", "classical_esn", "raw")
 
 
+def _store_floats(params) -> None:
+    """Store an int given for a float-typed field as a float, so that 1 and
+    1.0 make one config with one cfg_hash."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if f.type in (float, "float") and isinstance(value, int) and not isinstance(value, bool):
+            object.__setattr__(params, f.name, float(value))
+
+
 @dataclass(frozen=True)
 class QuantumParams:
     a_x: float = 1.0
     a_z: float = 1.0
     a_zz: float = 0.5
     t: float = 1.0
+
+    def __post_init__(self):
+        _store_floats(self)
 
 
 @dataclass(frozen=True)
@@ -47,6 +59,9 @@ class EsnParams:
     leak_rate: float = 0.3
     input_scaling: float = 1.0
     seed: int = 0
+
+    def __post_init__(self):
+        _store_floats(self)
 
 
 @dataclass(frozen=True)

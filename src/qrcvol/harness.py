@@ -19,7 +19,6 @@ import json
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,10 +36,13 @@ from .embeddings import (
 )
 from .errors import ConfigError
 from .pipeline import PriceSeries
-# fit_logistic and fit_ridge stay bound here: benchmarks/tracing.py wraps
-# the readout functions by their names in this module
+# fit_logistic, fit_ridge, predict_scores and evaluate stay bound here:
+# benchmarks/tracing.py wraps the readout functions by their names in
+# this module
 from .readout import (
+    Standardizer,
     evaluate,
+    evaluate_path,
     fit_logistic,
     fit_logistic_path,
     fit_ridge,
@@ -147,13 +149,14 @@ class GridSpec:
             raise ConfigError("; ".join(problems))
 
     def expand_embeddings(self) -> list:
-        configs = []
+        """Each distinct config of the templates once, in first-seen order."""
+        configs = {}
         for tpl in self.embeddings:
             params = {k: v for k, v in tpl.items() if k != "kind"}
             keys = sorted(params)
             for combo in itertools.product(*(params[k] for k in keys)):
-                configs.append(EmbeddingConfig.make(tpl["kind"], **dict(zip(keys, combo))))
-        return configs
+                configs.setdefault(EmbeddingConfig.make(tpl["kind"], **dict(zip(keys, combo))))
+        return list(configs)
 
     def readout_paths(self) -> list:
         """(kind, [regularization values]) of each readout template."""
@@ -200,6 +203,14 @@ def _chunks(items: list, n: int) -> list:
     k = min(n, len(items))
     bounds = [len(items) * i // k for i in range(k + 1)] if k else []
     return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def ProcessPoolExecutor(max_workers):
+    """concurrent.futures.ProcessPoolExecutor, imported on first use: the
+    import pulls in multiprocessing, which a run at workers=1 never needs."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport:
@@ -276,17 +287,27 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
                 if cache_dir:
                     write_embedded(EmbeddedDataset(ticker, rows, cfg, fingerprints[ticker]), cache_dir)
 
-    # each readout template fits its whole path per (config, ticker); the
-    # models come back in cell order
+    # per (config, ticker) the rows are standardized once; each readout
+    # template then fits and evaluates its whole path as one batch, and
+    # the results come back in cell order
     cells = []
+    undefined_ap = set()  # tickers without a positive test label
     for cfg in embed_cfgs:
         results = [{} for _ in readouts]  # per cell: ticker -> EvalResult
         for ticker, ds in usable.items():
             x, y, k = features[cfg, ticker], ds.labels, ds.split_index
-            x_tr, y_tr, x_te, y_te = x[:k], y[:k], x[k:], y[k:]
-            models = [model for kind, regs in paths for model in FIT_PATH[kind](x_tr, y_tr, regs)]
-            for per_ticker, model in zip(results, models):
-                per_ticker[ticker] = evaluate(predict_scores(model, x_te), y_te, model.threshold)
+            scaler = Standardizer.fit(x[:k])
+            x_tr, x_te = scaler.transform(x[:k]), scaler.transform(x[k:])
+            evals = [
+                res
+                for kind, regs in paths
+                for res in evaluate_path(FIT_PATH[kind](x_tr, y[:k], regs, scaler=scaler),
+                                         x_te, y[k:], scaler=scaler)
+            ]
+            for per_ticker, res in zip(results, evals):
+                per_ticker[ticker] = res
+            if not evals[0].ap_defined:
+                undefined_ap.add(ticker)
         for (kind, reg), per_ticker in zip(readouts, results):
             accs = [r.accuracy for r in per_ticker.values()]
             aps = [r.average_precision for r in per_ticker.values()]
@@ -300,6 +321,9 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
                     mean_average_precision=float(np.mean(aps)),
                 )
             )
+    for ticker in sorted(undefined_ap):
+        log.warning("ticker %s has no positive label in its test split: "
+                    "its average precision counts as 0 in every mean", ticker)
     report = ExperimentReport(cells=cells, excluded=excluded)
     report.select_best()
     return report

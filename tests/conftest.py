@@ -1,6 +1,6 @@
 import numpy as np
 
-from qrcvol.readout import DEGENERATE_LOGIT, Standardizer, _sigmoid
+from qrcvol.readout import DEGENERATE_LOGIT, Standardizer
 
 
 def taylor_expm(mat: np.ndarray) -> np.ndarray:
@@ -114,6 +114,17 @@ def reference_average_precision(scores, labels):
     return float(ap)
 
 
+def reference_sigmoid(z):
+    """Logistic sigmoid, each sign on its own branch: 1/(1+exp(-z)) for
+    z >= 0 and exp(z)/(1+exp(z)) below, neither of which overflows."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def reference_logistic_loss_grad(wb, x, y, l2):
     """Mean log-loss + (l2/2)*||w||^2 and its gradient for one [weights..., bias] vector."""
     m, d = x.shape
@@ -121,7 +132,7 @@ def reference_logistic_loss_grad(wb, x, y, l2):
     z = x @ w + b
     s = 2.0 * y - 1.0
     loss = float(np.mean(np.logaddexp(0.0, -s * z))) + 0.5 * l2 * float(w @ w)
-    p = _sigmoid(z)
+    p = reference_sigmoid(z)
     g = np.empty(d + 1)
     g[:d] = x.T @ (p - y) / m + l2 * w
     g[d] = float(np.mean(p - y))
@@ -151,7 +162,7 @@ def reference_fit_logistic(x, y, l2=1e-2, max_iter=100, tol=1e-8):
             converged = True
             break
         z = xs @ wb[:d] + wb[d]
-        p = _sigmoid(z)
+        p = reference_sigmoid(z)
         s = np.clip(p * (1.0 - p), 1e-12, None)
         a = np.hstack([xs, np.ones((m, 1))])
         hess = (a * s[:, None]).T @ a / m

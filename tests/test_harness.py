@@ -293,6 +293,42 @@ class TestRunGrid:
         for name in ("cells.csv", "per_ticker.csv", "report.txt"):
             assert (tmp_path / "paths" / name).read_bytes() == (tmp_path / "cells" / name).read_bytes()
 
+    def test_duplicate_embedding_configs_embedded_once(self, tmp_path, monkeypatch):
+        # 1 and 1.0 name one config; each distinct config is embedded once
+        jobs = []
+
+        def recording_embed(datasets, cfg):
+            jobs.append(cfg)
+            return embed_dataset(datasets, cfg)
+
+        monkeypatch.setattr(harness, "embed_dataset", recording_embed)
+        grid = small_grid(embeddings=[{"kind": "quantum", "a_x": [1.0, 1.0, 1]}])
+        assert len(grid.expand_embeddings()) == 1
+        report = run_grid({"S": synth_dataset(0)}, grid, cache_dir=tmp_path)
+        assert len(jobs) == 1
+        assert len(list(tmp_path.glob("*.emb.npz"))) == 1
+        assert len(report.cells) == 1
+
+    def test_integer_and_float_params_hash_alike(self):
+        # float-written configs keep the hashes of earlier versions
+        esn = dict(reservoir_size=20, spectral_radius=0.9, leak_rate=1.0, input_scaling=1.0, seed=0)
+        assert EmbeddingConfig.make("classical_esn", **esn).cfg_hash() == "98dd969e9297de51"
+        assert EmbeddingConfig.make("classical_esn", **dict(esn, leak_rate=1)).cfg_hash() == "98dd969e9297de51"
+        quantum = dict(a_x=2.0, a_z=1.0, a_zz=0.5, t=1.0)
+        assert EmbeddingConfig.make("quantum", **quantum).cfg_hash() == "7fc2b52ae99bc5fd"
+        assert EmbeddingConfig.make("quantum", **dict(quantum, a_x=2, t=1)).cfg_hash() == "7fc2b52ae99bc5fd"
+
+    def test_ticker_without_positive_test_label_warned_once(self, caplog):
+        no_positive = synth_dataset(1)  # the test split is all calm
+        grid = small_grid(embeddings=[{"kind": "raw"}, {"kind": "classical_esn", "reservoir_size": [20]}],
+                          readouts=[{"kind": "ridge", "regularization": [0.5, 2.0]}])
+        with caplog.at_level(logging.WARNING, logger="qrcvol.harness"):
+            good = synth_dataset(0, regimes=((60, 0.005), (30, 0.05), (60, 0.005), (30, 0.05)))
+            report = run_grid({"GOOD": good, "NOPOS": no_positive}, grid)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "NOPOS" in warnings[0] and "GOOD" not in warnings[0]
+        assert all(not cell.per_ticker["NOPOS"].ap_defined for cell in report.cells)
+
     def test_expand_embeddings_cartesian(self):
         grid = small_grid(
             embeddings=[

@@ -4,8 +4,12 @@ import pytest
 from qrcvol.errors import EvaluationError, InputShapeError
 from qrcvol.readout import (
     Standardizer,
+    _path_scores,
+    _rownorm,
+    _sigmoid,
     average_precision,
     evaluate,
+    evaluate_path,
     fit_logistic,
     fit_logistic_path,
     fit_ridge,
@@ -15,7 +19,7 @@ from qrcvol.readout import (
     ridge_solve,
 )
 
-from conftest import reference_average_precision, reference_fit_logistic
+from conftest import reference_average_precision, reference_fit_logistic, reference_sigmoid
 
 
 def separable_1d(n=40, seed=0):
@@ -161,6 +165,26 @@ class TestRidgePath:
     def test_nonpositive_alpha_anywhere_rejected(self):
         with pytest.raises(InputShapeError):
             fit_ridge_path(np.eye(2), np.array([0, 1]), [1.0, 0.0])
+
+
+def test_sigmoid_of_a_batch_equals_reference_bit_for_bit():
+    edges = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0]
+    rng = np.random.default_rng(17)
+    z = np.concatenate([edges, rng.normal(0.0, 30.0, size=400), rng.normal(0.0, 1e-3, size=100)])
+    assert same_bits(_sigmoid(z), reference_sigmoid(z))
+    batch = z[rng.permutation(len(z))].reshape(4, -1)
+    assert same_bits(_sigmoid(batch), np.array([reference_sigmoid(row) for row in batch]))
+
+
+def test_row_norms_of_a_batch_equal_linalg_norm():
+    rng = np.random.default_rng(18)
+    for case in range(300):
+        g = rng.normal(size=(int(rng.integers(1, 12)), int(rng.integers(1, 70))))
+        g *= 10.0 ** rng.uniform(-150, 150, size=(len(g), 1))
+        g[rng.random(g.shape) < 0.1] = 0.0
+        norms = _rownorm(g)
+        for row, norm in zip(g, norms):
+            assert same_bits(norm, np.linalg.norm(row)), case
 
 
 def unusable_inputs():
@@ -347,6 +371,93 @@ class TestEvaluate:
             labels = (rng.uniform(size=40) > 0.5).astype(int)
             ap, _ = average_precision(scores, labels)
             assert abs(ap - sklearn.average_precision_score(labels, scores)) < 1e-10
+
+
+def random_evaluation_case(rng, case):
+    """Training and test rows of one (embedding, ticker) and a path of each
+    readout kind.  Integer-valued test features tie scores; every fifth case
+    has scaled separable classes and l2 = 0, so sigmoid scores saturate at
+    exactly 0 and 1; every sixth has only constant training features and
+    balanced labels, so ridge margins are exactly 0; every fourth test split
+    has no positive label, every third holds one row, and every seventh has
+    a constant column."""
+    m, n, d = int(rng.integers(4, 60)), int(rng.integers(1, 40)), int(rng.integers(1, 30))
+    if case % 3 == 0:
+        n = 1
+    x = rng.normal(size=(m + n, d))
+    if case % 2:
+        x = np.round(x)
+    y = (rng.uniform(size=m + n) < rng.uniform(0.1, 0.9)).astype(float)
+    y[: m // 2] = np.arange(m // 2) % 2
+    if case % 5 == 0:
+        x[:, 0] = 50.0 * (2.0 * y - 1.0) + rng.normal(size=m + n)
+    if case % 6 == 0:
+        x[:m] = rng.normal(size=d)
+        y[:m] = np.arange(m) % 2
+        m -= m % 2
+        x, y = np.vstack([x[:m], x[-n:]]), np.concatenate([y[:m], y[-n:]])
+    if case % 7 == 0:
+        x[:, rng.integers(d)] = 2.5
+    if case % 4 == 0:
+        y[m:] = 0.0
+    l2s = [0.0 if case % 5 == 0 else float(v) for v in rng.choice([1e-4, 1e-2, 1.0, 30.0], size=3)]
+    alphas = [float(v) for v in rng.choice([1e-3, 1.0, 1e3], size=int(rng.integers(1, 4)))]
+    return x[:m], y[:m], x[m:], y[m:], l2s, alphas
+
+
+def reference_evaluation(model, x, labels):
+    """(accuracy, AP or None, confusion) of one model by plain loops."""
+    z = model.scaler.transform(x) @ model.weights + model.bias
+    scores = reference_sigmoid(z) if model.kind == "logistic" else z
+    counts = {(p, t): 0 for p in (0, 1) for t in (0, 1)}
+    for score, label in zip(scores, labels):
+        counts[int(score > model.threshold), int(label)] += 1
+    tp, fp, tn, fn = counts[1, 1], counts[1, 0], counts[0, 0], counts[0, 1]
+    ap = reference_average_precision(scores, labels) if labels.any() else None
+    return (tp + tn) / len(labels), ap, (tp, fp, tn, fn), scores
+
+
+class TestEvaluatePath:
+    def test_batch_equals_per_model_evaluation_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        seen = set()
+        for case in range(1200):
+            x_tr, y_tr, x_te, y_te, l2s, alphas = random_evaluation_case(rng, case)
+            for models in (fit_logistic_path(x_tr, y_tr, l2s), fit_ridge_path(x_tr, y_tr, alphas)):
+                batch = evaluate_path(models, x_te, y_te)
+                scaler = models[0].scaler
+                assert evaluate_path(models, scaler.transform(x_te), y_te, scaler=scaler) == batch
+                assert len(batch) == len(models)
+                batch_scores = _path_scores(models, scaler.transform(x_te))
+                for model, res, row in zip(models, batch, batch_scores):
+                    assert res == evaluate(predict_scores(model, x_te), y_te, model.threshold), case
+                    accuracy, ap, confusion, scores = reference_evaluation(model, x_te, y_te)
+                    assert same_bits(row, scores) and same_bits(predict_scores(model, x_te), scores), case
+                    assert (res.accuracy, res.confusion) == (accuracy, confusion), case
+                    assert res.ap_defined == (ap is not None), case
+                    assert same_bits(res.average_precision, 0.0 if ap is None else ap), case
+                    seen.add(("no positive", ap is None))
+                    seen.add(("one row", len(y_te) == 1))
+                    seen.add(("tie", len(np.unique(scores)) < len(scores)))
+                    if model.kind == "logistic":
+                        seen.add(("saturated", bool(np.any((scores == 0.0) | (scores == 1.0)))))
+                    else:
+                        seen.add(("zero margin", bool(np.any(scores == 0.0))))
+        assert {what for what, hit in seen if hit} == {
+            "no positive", "one row", "tie", "saturated", "zero margin"}
+
+    def test_models_must_share_one_scaler(self):
+        x, y = separable_1d()
+        models = [fit_ridge(x, y, alpha=1.0), fit_ridge(x, y, alpha=2.0)]
+        with pytest.raises(InputShapeError, match="Standardizer"):
+            evaluate_path(models, x, y)
+        assert evaluate_path([], x, y) == []
+
+    def test_feature_count_checked(self):
+        x, y = separable_1d()
+        models = fit_logistic_path(x, y, [1e-2, 1.0])
+        with pytest.raises(InputShapeError):
+            evaluate_path(models, np.zeros((3, 2)), [0, 1, 0])
 
 
 class TestStandardizer:
