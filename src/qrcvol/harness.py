@@ -40,7 +40,6 @@ from .pipeline import PriceSeries
 # benchmarks/tracing.py wraps the readout functions by their names in
 # this module
 from .readout import (
-    Standardizer,
     evaluate,
     evaluate_path,
     fit_logistic,
@@ -287,22 +286,19 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
                 if cache_dir:
                     write_embedded(EmbeddedDataset(ticker, rows, cfg, fingerprints[ticker]), cache_dir)
 
-    # per (config, ticker) the rows are standardized once; each readout
-    # template then fits and evaluates its whole path as one batch, and
-    # the results come back in cell order
+    # each readout template fits and evaluates its whole path as one batch
+    # per (config, ticker); the results come back in cell order
     cells = []
     undefined_ap = set()  # tickers without a positive test label
     for cfg in embed_cfgs:
         results = [{} for _ in readouts]  # per cell: ticker -> EvalResult
         for ticker, ds in usable.items():
             x, y, k = features[cfg, ticker], ds.labels, ds.split_index
-            scaler = Standardizer.fit(x[:k])
-            x_tr, x_te = scaler.transform(x[:k]), scaler.transform(x[k:])
+            x_tr, y_tr, x_te, y_te = x[:k], y[:k], x[k:], y[k:]
             evals = [
                 res
                 for kind, regs in paths
-                for res in evaluate_path(FIT_PATH[kind](x_tr, y[:k], regs, scaler=scaler),
-                                         x_te, y[k:], scaler=scaler)
+                for res in evaluate_path(FIT_PATH[kind](x_tr, y_tr, regs), x_te, y_te)
             ]
             for per_ticker, res in zip(results, evals):
                 per_ticker[ticker] = res

@@ -89,21 +89,20 @@ def _loss_grad_rows(wb: np.ndarray, x: np.ndarray, y: np.ndarray, l2: np.ndarray
     l2[i], plus the (B, m) probabilities sigmoid(z).
 
     Every product is a stacked matmul, which calls the BLAS kernel of the
-    one-row product once per row, and every mean runs along a row (a sum
-    divided by the count, as np.mean computes it), so each row equals its
-    one-row result bit for bit.
+    one-row product once per row, and every mean runs along a row, so each
+    row equals its one-row result bit for bit.
     """
     m, d = x.shape
     w, b = wb[:, :d], wb[:, d]
     z = np.matmul(x[None], w[:, :, None])[:, :, 0] + b[:, None]
     # log(1 + exp(-s*z)) computed stably
     s = 2.0 * y - 1.0
-    loss = np.logaddexp(0.0, -s * z).sum(axis=1) / m + 0.5 * l2 * _rowdot(w, w)
+    loss = np.mean(np.logaddexp(0.0, -s * z), axis=1) + 0.5 * l2 * _rowdot(w, w)
     p = _sigmoid(z)
     r = p - y
     g = np.empty((len(wb), d + 1))
     g[:, :d] = np.matmul(x.T[None], r[:, :, None])[:, :, 0] / m + l2[:, None] * w
-    g[:, d] = r.sum(axis=1) / m
+    g[:, d] = np.mean(r, axis=1)
     return loss, g, p
 
 
@@ -130,24 +129,20 @@ def logistic_loss_grad(wb: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float):
     return float(loss[0]), g[0]
 
 
-def fit_logistic_path(x, y, l2s, max_iter=100, tol=1e-8, scaler=None) -> list:
+def fit_logistic_path(x, y, l2s, max_iter=100, tol=1e-8) -> list:
     """One model per value of l2s: Newton's method with backtracking on the
     regularized mean log-loss, every value stepped together as one batch.
 
     Each model equals fit_logistic with its own l2 bit for bit: a row
     keeps its own step length and leaves the batch when it converges or
-    its line search fails.  With a scaler, x holds rows it has already
-    standardized (so several paths share one standardization); without
-    one, the Standardizer of x is fitted here.
+    its line search fails.
     """
     l2s = list(l2s)
     lam = np.array(l2s, dtype=float)
     if not np.all(lam >= 0):
         raise InputShapeError("logistic l2 must be >= 0")
     x, y = _features_and_labels(x, y)
-    if scaler is None:
-        scaler = Standardizer.fit(x)
-        x = scaler.transform(x)
+    scaler = Standardizer.fit(x)
     classes = np.unique(y)
     if len(classes) < 2:
         only = int(classes[0]) if len(classes) else 0
@@ -156,13 +151,13 @@ def fit_logistic_path(x, y, l2s, max_iter=100, tol=1e-8, scaler=None) -> list:
             LinearModel("logistic", np.zeros(x.shape[1]), bias, l2, scaler, degenerate=True)
             for l2 in l2s
         ]
-    m, d = x.shape
-    a = np.hstack([x, np.ones((m, 1))])
+    xs = scaler.transform(x)
+    m, d = xs.shape
+    a = np.hstack([xs, np.ones((m, 1))])
     wb = np.zeros((len(lam), d + 1))
-    loss, g, p = _loss_grad_rows(wb, x, y, lam)
+    loss, g, p = _loss_grad_rows(wb, xs, y, lam)
     converged = np.zeros(len(lam), dtype=bool)
     active = np.arange(len(lam))  # rows still iterating
-    diag, jitter = np.arange(d), 1e-12 * np.eye(d + 1)
     for _ in range(max_iter):
         # a row's own norm: norm(g, axis=1) sums in another order
         norm = _rownorm(g[active])
@@ -175,10 +170,8 @@ def fit_logistic_path(x, y, l2s, max_iter=100, tol=1e-8, scaler=None) -> list:
         # are stacked forms of the one-row products, as in _loss_grad_rows
         s = np.clip(p[active] * (1.0 - p[active]), 1e-12, None)
         hess = np.matmul((a[None] * s[:, :, None]).transpose(0, 2, 1), a[None]) / m
-        # += l2 * eye(d) on the diagonal alone: off it, that adds 0.0, and
-        # adding the jitter's 0.0 there gives the same bits
-        hess[:, diag, diag] += lam[active, None]
-        hess += jitter
+        hess[:, :d, :d] += lam[active, None, None] * np.eye(d)
+        hess += 1e-12 * np.eye(d + 1)
         step = np.linalg.solve(hess, g[active, :, None])[:, :, 0]
         slope = _rowdot(g[active], step)
         # Armijo backtracking keeps the loss non-increasing; each row
@@ -193,7 +186,7 @@ def fit_logistic_path(x, y, l2s, max_iter=100, tol=1e-8, scaler=None) -> list:
             rows = active[search]
             cand[search] = wb[rows] - eta[search, None] * step[search]
             cand_loss[search], cand_g[search], cand_p[search] = _loss_grad_rows(
-                cand[search], x, y, lam[rows])
+                cand[search], xs, y, lam[rows])
             done = cand_loss[search] <= loss[rows] - 1e-4 * eta[search] * slope[search]
             search = search[~done]
             if not len(search):
@@ -225,22 +218,20 @@ def ridge_solve(x: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
     return np.linalg.solve(x.T @ x + alpha * np.eye(d), x.T @ y)
 
 
-def fit_ridge_path(x, y, alphas, scaler=None) -> list:
+def fit_ridge_path(x, y, alphas) -> list:
     """One ridge classifier per value of alphas, on standardized features
     with {-1,+1} targets; X^T X and X^T y are formed once, and one stacked
-    solve gives every alpha's weights.  The scaler is as in
-    fit_logistic_path.
+    solve gives every alpha's weights.
     """
     alphas = list(alphas)
     if any(alpha <= 0 for alpha in alphas):
         raise InputShapeError("ridge alpha must be > 0")
     x, y = _features_and_labels(x, y)
-    if scaler is None:
-        scaler = Standardizer.fit(x)
-        x = scaler.transform(x)
+    scaler = Standardizer.fit(x)
+    xs = scaler.transform(x)
     targets = 2.0 * y - 1.0
-    d = x.shape[1]
-    gram, rhs = x.T @ x, x.T @ targets
+    d = xs.shape[1]
+    gram, rhs = xs.T @ xs, xs.T @ targets
     # the same gesv per alpha as ridge_solve
     lhs = gram + np.array(alphas, dtype=float)[:, None, None] * np.eye(d)
     solved = np.linalg.solve(lhs, np.broadcast_to(rhs[:, None], (len(alphas), d, 1)))[:, :, 0]
@@ -352,12 +343,11 @@ def evaluate(scores, labels, threshold) -> EvalResult:
     return _evaluate_rows(np.asarray(scores, dtype=float)[None], labels, [threshold])[0]
 
 
-def evaluate_path(models, x, labels, scaler=None) -> list:
+def evaluate_path(models, x, labels) -> list:
     """evaluate(predict_scores(model, x), labels, model.threshold) of each
     model, bit for bit, with every model scored and evaluated as one batch.
 
     The models share one Standardizer, as the models of a fitted path do.
-    With a scaler, x holds test rows it has already standardized.
     """
     models = list(models)
     if not models:
@@ -365,9 +355,7 @@ def evaluate_path(models, x, labels, scaler=None) -> list:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or any(len(model.weights) != x.shape[1] for model in models):
         raise InputShapeError(f"features of shape {x.shape}, models expect {len(models[0].weights)} columns")
-    if scaler is None:
-        scaler = models[0].scaler
-        if any(model.scaler is not scaler for model in models):
-            raise InputShapeError("the models of a path share one Standardizer")
-        x = scaler.transform(x)
-    return _evaluate_rows(_path_scores(models, x), labels, [model.threshold for model in models])
+    scaler = models[0].scaler
+    if any(model.scaler is not scaler for model in models):
+        raise InputShapeError("the models of a path share one Standardizer")
+    return _evaluate_rows(_path_scores(models, scaler.transform(x)), labels, [model.threshold for model in models])
