@@ -206,6 +206,9 @@ def cmd_run(args) -> int:
                for key, attr in (("window", "w"), ("lambda", "lam"), ("stride", "stride"))},
         )
     print(f"evaluated {len(report.cells)} grid cell(s) over {len(datasets)} ticker(s)")
+    print("cache: " + " and ".join(f"{reused} of {reused + recomputed} {name}"
+                                   for name, (reused, recomputed) in report.cache_counts.items())
+          + " reused")
     print(f"report written to {paths['text']}")
     return EXIT_OK
 

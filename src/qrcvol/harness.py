@@ -7,6 +7,14 @@ Per-ticker results are averaged into the Table-style comparison; the
 best cell per (embedding kind, readout kind) is selected by mean test
 accuracy with deterministic tie-breaks (then mean AP, then the
 lexicographic parameter encoding).
+
+With a cache directory, each (ticker, embedding config) has two files:
+its feature rows (`.emb.npz`, see embeddings) and the results of every
+readout cell on them (`.fit.npz`).  Both record the dataset_sha256 of
+the dataset they were computed from; the fit file also records the
+readout paths, and is served only when both match, so a warm run with
+the same grid fits no readout.  The report counts how many of each were
+reused and how many recomputed.
 """
 
 from __future__ import annotations
@@ -34,12 +42,13 @@ from .embeddings import (
     read_embedded,
     write_embedded,
 )
-from .errors import ConfigError
-from .pipeline import PriceSeries
+from .errors import ConfigError, IngestionError
+from .pipeline import PriceSeries, load_arrays, save_arrays
 # fit_logistic, fit_ridge, predict_scores and evaluate stay bound here:
 # benchmarks/tracing.py wraps the readout functions by their names in
 # this module
 from .readout import (
+    EvalResult,
     evaluate,
     evaluate_path,
     fit_logistic,
@@ -187,6 +196,8 @@ class ExperimentReport:
     cells: list  # [GridCell]
     excluded: dict  # ticker -> reason
     best: dict = field(default_factory=dict)  # (embed_kind, readout_kind) -> cell
+    # "embeddings" and "readout results" -> (reused from the cache, recomputed)
+    cache_counts: dict = field(default_factory=dict)
 
     def select_best(self) -> None:
         groups = {}
@@ -210,6 +221,41 @@ def ProcessPoolExecutor(max_workers):
     from concurrent.futures import ProcessPoolExecutor as pool
 
     return pool(max_workers=max_workers)
+
+
+# --- readout-result cache: one pipeline.save_arrays file per (ticker, cfg
+# hash) next to the embedding file, holding the accuracy, AP and confusion
+# counts of every readout cell in cell order.  It is served only to a run
+# of the same dataset contents and readout paths.
+
+def _fit_path(cache_dir, ticker: str, cfg: EmbeddingConfig) -> str:
+    return os.path.join(str(cache_dir), f"{ticker}__{cfg.cfg_hash()}.fit.npz")
+
+
+def _write_fit(path, sha: str, readouts: str, evals: list) -> None:
+    results = [[r.accuracy, r.average_precision, *r.confusion] for r in evals]
+    save_arrays(path, dataset_sha256=sha, readouts=readouts,
+                results=np.array(results, dtype=np.float64), ap_defined=evals[0].ap_defined)
+
+
+def _read_fit(path, sha: str, readouts: str, n_cells: int):
+    """The stored EvalResults in cell order, or None when there is no file
+    of this format version or it holds other dataset contents or readout
+    paths; an unreadable or malformed file raises IngestionError."""
+    arrays = load_arrays(path) if os.path.exists(path) else None
+    if arrays is None:
+        return None
+    try:
+        stored_sha, stored_readouts = arrays["dataset_sha256"], arrays["readouts"]
+        results, defined = arrays["results"], arrays["ap_defined"]
+    except KeyError as exc:
+        raise IngestionError(f"{path}: not a readout result file: no {exc.args[0]}") from None
+    if (stored_sha, stored_readouts) != (sha, readouts):
+        return None
+    if np.shape(results) != (n_cells, 6):
+        raise IngestionError(f"{path}: results of shape {np.shape(results)}, expected ({n_cells}, 6)")
+    return [EvalResult(acc, ap, (int(tp), int(fp), int(tn), int(fn)), bool(defined))
+            for acc, ap, tp, fp, tn, fn in results.tolist()]
 
 
 def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport:
@@ -264,12 +310,14 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
     fingerprints = {ticker: dataset_sha256(ds) for ticker, ds in usable.items()}
     features = {}  # (cfg, ticker) -> (m, d) feature rows
     jobs = []  # (cfg, tickers)
+    embeddings_reused = 0
     for cfg in embed_cfgs:
         missing = []
         for ticker in usable:
             cached = read_embedded(ticker, cfg, cache_dir) if cache_dir else None
             if cached is not None and cached.dataset_sha256 == fingerprints[ticker]:
                 features[cfg, ticker] = cached.features
+                embeddings_reused += 1
             else:
                 missing.append(ticker)
         jobs += [(cfg, chunk) for chunk in _chunks(missing, grid.workers)]
@@ -287,19 +335,29 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
                     write_embedded(EmbeddedDataset(ticker, rows, cfg, fingerprints[ticker]), cache_dir)
 
     # each readout template fits and evaluates its whole path as one batch
-    # per (config, ticker); the results come back in cell order
+    # per (config, ticker); the results come back in cell order.  A fit file
+    # of the same dataset contents and readout paths serves them instead.
+    paths_key = json.dumps(paths)
     cells = []
     undefined_ap = set()  # tickers without a positive test label
+    fits_reused = 0
     for cfg in embed_cfgs:
         results = [{} for _ in readouts]  # per cell: ticker -> EvalResult
         for ticker, ds in usable.items():
-            x, y, k = features[cfg, ticker], ds.labels, ds.split_index
-            x_tr, y_tr, x_te, y_te = x[:k], y[:k], x[k:], y[k:]
-            evals = [
-                res
-                for kind, regs in paths
-                for res in evaluate_path(FIT_PATH[kind](x_tr, y_tr, regs), x_te, y_te)
-            ]
+            fit_path = _fit_path(cache_dir, ticker, cfg) if cache_dir else None
+            evals = _read_fit(fit_path, fingerprints[ticker], paths_key, len(readouts)) if fit_path else None
+            if evals is not None:
+                fits_reused += 1
+            else:
+                x, y, k = features[cfg, ticker], ds.labels, ds.split_index
+                x_tr, y_tr, x_te, y_te = x[:k], y[:k], x[k:], y[k:]
+                evals = [
+                    res
+                    for kind, regs in paths
+                    for res in evaluate_path(FIT_PATH[kind](x_tr, y_tr, regs), x_te, y_te)
+                ]
+                if cache_dir:
+                    _write_fit(fit_path, fingerprints[ticker], paths_key, evals)
             for per_ticker, res in zip(results, evals):
                 per_ticker[ticker] = res
             if not evals[0].ap_defined:
@@ -320,7 +378,11 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
     for ticker in sorted(undefined_ap):
         log.warning("ticker %s has no positive label in its test split: "
                     "its average precision counts as 0 in every mean", ticker)
-    report = ExperimentReport(cells=cells, excluded=excluded)
+    pairs = len(embed_cfgs) * len(usable)
+    report = ExperimentReport(cells=cells, excluded=excluded, cache_counts={
+        "embeddings": (embeddings_reused, pairs - embeddings_reused),
+        "readout results": (fits_reused, pairs - fits_reused),
+    })
     report.select_best()
     return report
 

@@ -12,6 +12,7 @@ and tested as an invariant.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import logging
 import os
@@ -245,14 +246,19 @@ def save_arrays(path, **arrays) -> None:
     """Write arrays and FORMAT_VERSION as an uncompressed `.npz` at path.
 
     The file is written next to path and renamed into place, so path
-    never holds a partial file.
+    never holds a partial file; a write that fails removes it again.
     """
     tmp = f"{path}.tmp"
-    with zipfile.ZipFile(tmp, "w") as zf:
-        for name, value in {"format": FORMAT_VERSION, **arrays}.items():
-            with zf.open(zipfile.ZipInfo(name + ".npy", _ZIP_DATE), "w", force_zip64=True) as fh:
-                np.lib.format.write_array(fh, np.asarray(value, order="C"), allow_pickle=False)
-    os.replace(tmp, path)
+    try:
+        with zipfile.ZipFile(tmp, "w") as zf:
+            for name, value in {"format": FORMAT_VERSION, **arrays}.items():
+                with zf.open(zipfile.ZipInfo(name + ".npy", _ZIP_DATE), "w", force_zip64=True) as fh:
+                    np.lib.format.write_array(fh, np.asarray(value, order="C"), allow_pickle=False)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_arrays(path):

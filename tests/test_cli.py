@@ -172,6 +172,72 @@ class TestRun:
                            file_hash(out / "report.txt")))
         assert hashes[0] == hashes[1]
 
+    def test_warm_run_byte_identical_and_touches_no_cache_file(self, workspace):
+        tmp_path, _, data, config = workspace
+        out = tmp_path / "warm"
+        argv = ["run", "--data", str(data), "--config", str(config), "--out", str(out)]
+        assert main(argv) == 0
+        reports = {name: (out / name).read_bytes() for name in ("cells.csv", "per_ticker.csv", "report.txt")}
+
+        def cache_files():
+            return {p.name: (p.read_bytes(), p.stat().st_mtime_ns, p.stat().st_ino)
+                    for p in (out / "cache").iterdir()}
+
+        cache = cache_files()
+        assert sorted(name.split(".", 1)[1] for name in cache) == ["emb.npz"] * 2 + ["fit.npz"] * 2
+        assert main(argv) == 0
+        assert {name: (out / name).read_bytes() for name in reports} == reports
+        assert cache_files() == cache
+
+    def test_cache_reuse_counted_on_stdout(self, workspace, capsys):
+        tmp_path, _, data, config = workspace
+        argv = ["run", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "counted")]
+        capsys.readouterr()
+        for reused in (0, 2):
+            assert main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert f"cache: {reused} of 2 embeddings and {reused} of 2 readout results reused" in lines
+
+    def test_blas_threads_change_no_report_or_cache_byte(self, workspace):
+        # a cache written under one BLAS thread count is served under another
+        tmp_path, prices, _, _ = workspace
+        config = tmp_path / "blas.json"
+        config.write_text(json.dumps(dict(
+            SMALL_CONFIG,
+            embeddings=SMALL_CONFIG["embeddings"] + [{"kind": "quantum", "a_x": [1.0], "t": [1.0]}],
+            readouts=[{"kind": "logistic", "regularization": [1e-2, 1.0]},
+                      {"kind": "ridge", "regularization": [0.5, 2.0]}],
+        )))
+        src = os.path.dirname(os.path.dirname(qrcvol.__file__))
+
+        def cli_run(threads, *argv):
+            env = dict(os.environ, PYTHONPATH=src)
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run([sys.executable, "-m", "qrcvol.cli", *map(str, argv)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        def outputs(root):
+            return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*"))
+                    if p.is_file() and p.name not in ("manifest.json", ".qrcvol.lock")}
+
+        roots = {threads: tmp_path / f"threads-{threads}" for threads in ("1", None)}
+        for threads, root in roots.items():
+            cli_run(threads, "prepare", "--prices", prices, "--out", root / "data", "--window", 5)
+            cli_run(threads, "run", "--data", root / "data", "--config", config, "--out", root / "out")
+        written = outputs(roots["1"])
+        assert sum(name.endswith(".fit.npz") for name in written) == 3
+        assert outputs(roots[None]) == written
+        # each setting's warm run serves the other's cache files unchanged
+        for threads, other in (("1", None), (None, "1")):
+            out = roots[other] / "out"
+            stdout = cli_run(threads, "run", "--data", roots[other] / "data", "--config", config, "--out", out)
+            assert "cache: 3 of 3 embeddings and 3 of 3 readout results reused" in stdout.splitlines()
+            assert outputs(roots[other]) == written
+
     def test_bad_config_exit_one(self, workspace, capsys):
         tmp_path, _, data, _ = workspace
         bad = tmp_path / "bad.json"

@@ -341,6 +341,109 @@ class TestRunGrid:
         assert {c.kind for c in cfgs} == {"quantum", "raw"}
 
 
+SWEEP = [{"kind": "logistic", "regularization": [1e-2, 1.0]},
+         {"kind": "ridge", "regularization": [0.5, 2.0]}]
+
+
+def cache_bytes(directory):
+    return {path.name: path.read_bytes() for path in sorted(Path(directory).glob("*.npz"))}
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("readout results should have come from the cache")
+
+
+class TestFitCache:
+    def grid(self, **overrides):
+        return small_grid(**{"embeddings": [{"kind": "raw"}, {"kind": "classical_esn", "reservoir_size": [20]}],
+                             "readouts": SWEEP, **overrides})
+
+    def datasets(self):
+        return {f"S{k}": synth_dataset(k) for k in (0, 2)}
+
+    def test_warm_run_fits_nothing_and_rewrites_no_file(self, tmp_path, monkeypatch):
+        datasets, grid = self.datasets(), self.grid()
+        cold = run_grid(datasets, grid, cache_dir=tmp_path)
+        before = cache_bytes(tmp_path)
+        assert sorted(name.split(".", 1)[1] for name in before) == ["emb.npz"] * 4 + ["fit.npz"] * 4
+        assert cold.cache_counts == {"embeddings": (0, 4), "readout results": (0, 4)}
+        assert run_grid(datasets, grid).cache_counts == cold.cache_counts  # no cache dir: all computed
+        for kind in harness.FIT_PATH:
+            monkeypatch.setitem(harness.FIT_PATH, kind, forbidden)
+        monkeypatch.setattr(harness, "evaluate_path", forbidden)
+        warm = run_grid(datasets, grid, cache_dir=tmp_path)
+        assert warm.cells == cold.cells
+        assert warm.cache_counts == {"embeddings": (4, 0), "readout results": (4, 0)}
+        assert cache_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize("change", ["dataset contents", "added lambda", "swapped templates"])
+    def test_other_dataset_or_readouts_refit_and_rewrite(self, tmp_path, change):
+        datasets, grid = self.datasets(), self.grid()
+        run_grid(datasets, grid, cache_dir=tmp_path)
+        before = cache_bytes(tmp_path)
+        if change == "dataset contents":
+            datasets["S2"] = synth_dataset(5)
+        elif change == "added lambda":
+            grid = self.grid(readouts=[SWEEP[0], {"kind": "ridge", "regularization": [0.5, 2.0, 8.0]}])
+        else:
+            grid = self.grid(readouts=SWEEP[::-1])
+        report = run_grid(datasets, grid, cache_dir=tmp_path)
+        assert report.cells == run_grid(datasets, grid).cells
+        after = cache_bytes(tmp_path)
+        rewritten = sorted(name for name in after if name.endswith(".fit.npz") and after[name] != before[name])
+        refit = ["S2"] if change == "dataset contents" else ["S0", "S2"]
+        assert [name.split("__")[0] for name in rewritten] == sorted(refit * 2)
+        assert report.cache_counts["readout results"] == (4 - len(rewritten), len(rewritten))
+        for name in rewritten:
+            arrays = load_arrays(tmp_path / name)
+            ticker = name.split("__")[0]
+            assert arrays["dataset_sha256"] == dataset_sha256(datasets[ticker])
+            assert arrays["readouts"] == json.dumps(grid.readout_paths())
+            assert arrays["results"].shape == (len(report.cells) // 2, 6)
+
+    def test_fit_file_of_other_format_version_is_rewritten(self, tmp_path):
+        datasets, grid = self.datasets(), self.grid()
+        cold = run_grid(datasets, grid, cache_dir=tmp_path)
+        path = min(tmp_path.glob("*.fit.npz"))
+        written = path.read_bytes()
+        with np.load(path) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        arrays["format"] = np.array(0)
+        np.savez(path, **arrays)
+        assert load_arrays(path) is None
+        warm = run_grid(datasets, grid, cache_dir=tmp_path)
+        assert warm.cells == cold.cells
+        assert warm.cache_counts["readout results"] == (3, 1)
+        assert path.read_bytes() == written
+
+    @pytest.mark.parametrize("damage", ["truncated", "dataset_sha256", "readouts", "results", "ap_defined"])
+    def test_unreadable_fit_file_raises(self, tmp_path, damage):
+        datasets, grid = self.datasets(), self.grid()
+        run_grid(datasets, grid, cache_dir=tmp_path)
+        path = min(tmp_path.glob("*.fit.npz"))
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:100])
+        else:
+            arrays = load_arrays(path)
+            del arrays[damage]
+            save_arrays(path, **arrays)
+        with pytest.raises(IngestionError, match=re.escape(str(path))):
+            run_grid(datasets, grid, cache_dir=tmp_path)
+
+    def test_warm_run_still_warns_of_ticker_without_positive_test_label(self, tmp_path, caplog):
+        good = synth_dataset(0, regimes=((60, 0.005), (30, 0.05), (60, 0.005), (30, 0.05)))
+        datasets, grid = {"GOOD": good, "NOPOS": synth_dataset(1)}, self.grid()
+        run_grid(datasets, grid, cache_dir=tmp_path)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="qrcvol.harness"):
+            report = run_grid(datasets, grid, cache_dir=tmp_path)
+        assert report.cache_counts["readout results"] == (4, 0)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "NOPOS" in warnings[0] and "GOOD" not in warnings[0]
+        assert all(not cell.per_ticker["NOPOS"].ap_defined and cell.per_ticker["GOOD"].ap_defined
+                   for cell in report.cells)
+
+
 ESN_RAW_QUANTUM = [
     {"kind": "classical_esn", "reservoir_size": [20], "seed": [0, 1]},
     {"kind": "raw"},
@@ -365,6 +468,8 @@ class TestWorkers:
         assert len(one) == 12 and one.keys() == two.keys()
         for name in one:
             assert np.array_equal(one[name], two[name])
+        cache = [cache_bytes(tmp_path / name / "cache") for name in ("one", "two")]
+        assert sum(name.endswith(".fit.npz") for name in cache[0]) == 12 and cache[0] == cache[1]
 
     def test_pool_capped_at_number_of_batches(self, monkeypatch):
         started = []

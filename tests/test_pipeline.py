@@ -15,6 +15,7 @@ from qrcvol.pipeline import (
     prepare_dataset,
     read_dataset,
     rolling_volatility,
+    save_arrays,
     windowize,
     write_dataset,
 )
@@ -269,3 +270,12 @@ class TestPrepareDataset:
             write_dataset(ds, path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.dataset.npz", "b.dataset.npz"]
+
+    def test_failed_write_leaves_no_stray_file(self, tmp_path):
+        path = tmp_path / "x.npz"
+        save_arrays(path, a=np.arange(3))
+        written = path.read_bytes()
+        with pytest.raises(ValueError):
+            save_arrays(path, a=np.array([object()], dtype=object))
+        assert [p.name for p in tmp_path.iterdir()] == ["x.npz"]
+        assert path.read_bytes() == written
