@@ -13,8 +13,11 @@ its feature rows (`.emb.npz`, see embeddings) and the results of every
 readout cell on them (`.fit.npz`).  Both record the dataset_sha256 of
 the dataset they were computed from; the fit file also records the
 readout paths, and is served only when both match, so a warm run with
-the same grid fits no readout.  The report counts how many of each were
-reused and how many recomputed.
+the same grid fits no readout.  Fit files are looked up first: only a
+(ticker, config) whose fit file misses reads, or computes, its
+embedding, so a warm run opens no `.emb.npz`.  The report counts how
+many of each were reused and how many recomputed; an embedding a served
+fit file made unnecessary counts as reused.
 """
 
 from __future__ import annotations
@@ -302,18 +305,34 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
     paths = grid.readout_paths()
     readouts = [(kind, reg) for kind, regs in paths for reg in regs]  # one per cell
 
-    # embed each (config, ticker) once and reuse across readout cells; a
-    # cache file embedded from other dataset contents is a miss.  The
-    # missing tickers of one config are embedded in at most `workers`
+    # a fit file of the same dataset contents and readout paths serves a
+    # (config, ticker)'s results in cell order; only the pairs it misses
+    # need their feature rows
+    fingerprints = {ticker: dataset_sha256(ds) for ticker, ds in usable.items()}
+    paths_key = json.dumps(paths)
+    evals = {}  # (cfg, ticker) -> EvalResults in cell order
+    if cache_dir:
+        for cfg in embed_cfgs:
+            for ticker in usable:
+                cached = _read_fit(_fit_path(cache_dir, ticker, cfg), fingerprints[ticker],
+                                   paths_key, len(readouts))
+                if cached is not None:
+                    evals[cfg, ticker] = cached
+    fits_reused = len(evals)
+
+    # embed each missing (config, ticker) once and reuse across readout
+    # cells; a cache file embedded from other dataset contents is a miss.
+    # The missing tickers of one config are embedded in at most `workers`
     # batches; rows do not depend on the batch, so any split gives the
     # same bytes.
-    fingerprints = {ticker: dataset_sha256(ds) for ticker, ds in usable.items()}
     features = {}  # (cfg, ticker) -> (m, d) feature rows
     jobs = []  # (cfg, tickers)
-    embeddings_reused = 0
+    embeddings_reused = fits_reused  # a served fit file needs no embedding
     for cfg in embed_cfgs:
         missing = []
         for ticker in usable:
+            if (cfg, ticker) in evals:
+                continue
             cached = read_embedded(ticker, cfg, cache_dir) if cache_dir else None
             if cached is not None and cached.dataset_sha256 == fingerprints[ticker]:
                 features[cfg, ticker] = cached.features
@@ -335,32 +354,26 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
                     write_embedded(EmbeddedDataset(ticker, rows, cfg, fingerprints[ticker]), cache_dir)
 
     # each readout template fits and evaluates its whole path as one batch
-    # per (config, ticker); the results come back in cell order.  A fit file
-    # of the same dataset contents and readout paths serves them instead.
-    paths_key = json.dumps(paths)
+    # per (config, ticker); the results come back in cell order
     cells = []
     undefined_ap = set()  # tickers without a positive test label
-    fits_reused = 0
     for cfg in embed_cfgs:
         results = [{} for _ in readouts]  # per cell: ticker -> EvalResult
         for ticker, ds in usable.items():
-            fit_path = _fit_path(cache_dir, ticker, cfg) if cache_dir else None
-            evals = _read_fit(fit_path, fingerprints[ticker], paths_key, len(readouts)) if fit_path else None
-            if evals is not None:
-                fits_reused += 1
-            else:
+            pair_evals = evals.get((cfg, ticker))
+            if pair_evals is None:
                 x, y, k = features[cfg, ticker], ds.labels, ds.split_index
                 x_tr, y_tr, x_te, y_te = x[:k], y[:k], x[k:], y[k:]
-                evals = [
+                pair_evals = [
                     res
                     for kind, regs in paths
                     for res in evaluate_path(FIT_PATH[kind](x_tr, y_tr, regs), x_te, y_te)
                 ]
                 if cache_dir:
-                    _write_fit(fit_path, fingerprints[ticker], paths_key, evals)
-            for per_ticker, res in zip(results, evals):
+                    _write_fit(_fit_path(cache_dir, ticker, cfg), fingerprints[ticker], paths_key, pair_evals)
+            for per_ticker, res in zip(results, pair_evals):
                 per_ticker[ticker] = res
-            if not evals[0].ap_defined:
+            if not pair_evals[0].ap_defined:
                 undefined_ap.add(ticker)
         for (kind, reg), per_ticker in zip(readouts, results):
             accs = [r.accuracy for r in per_ticker.values()]

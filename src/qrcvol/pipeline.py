@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
+import io
 import logging
+import math
 import os
 import zipfile
 from dataclasses import dataclass
@@ -261,15 +264,55 @@ def save_arrays(path, **arrays) -> None:
         raise
 
 
+# the `.npy` header versions save_arrays and np.savez write, by reader
+_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                   (2, 0): np.lib.format.read_array_header_2_0}
+
+
+@functools.lru_cache(maxsize=1024)
+def _npy_header(header: bytes):
+    """(shape, fortran_order, dtype) of a `.npy` header: magic, version,
+    length and dict.  Files of one kind repeat a few headers, so each
+    distinct one is parsed once."""
+    fp = io.BytesIO(header)
+    read = _HEADER_READERS.get(np.lib.format.read_magic(fp))
+    if read is None:
+        raise ValueError("unsupported .npy format version")
+    return read(fp)
+
+
+def _npy_array(data: bytes) -> np.ndarray:
+    """The writable array of one `.npy` entry's bytes, as np.load gives it
+    with allow_pickle=False."""
+    if not data.startswith(np.lib.format.MAGIC_PREFIX):
+        raise ValueError("not a .npy entry")
+    size = 2 if data[6:7] == b"\x01" else 4  # of the header length field
+    end = 8 + size + int.from_bytes(data[8 : 8 + size], "little")
+    shape, fortran_order, dtype = _npy_header(data[:end])
+    if dtype.hasobject:
+        raise ValueError("object arrays cannot be loaded when allow_pickle=False")
+    count = math.prod(shape)
+    if len(data) - end < count * dtype.itemsize:
+        raise ValueError(f"array data of {len(data) - end} bytes, expected {count * dtype.itemsize}")
+    flat = np.frombuffer(data, dtype, count, end).copy()
+    return flat.reshape(shape[::-1]).T if fortran_order else flat.reshape(shape)
+
+
 def load_arrays(path):
     """Arrays of a file written by save_arrays by name, 0-d ones as Python scalars.
 
+    The file is read in one call, each entry is built with np.frombuffer,
+    and its header is parsed by numpy's np.lib.format readers, once per
+    distinct header.
+
     Returns None for a file of another format version; a file that is
-    not a readable `.npz` raises IngestionError naming path.
+    not a readable `.npz` of `.npy` entries (a bad zip, a CRC error, an
+    object array, short array data) raises IngestionError naming path.
     """
     try:
-        with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh, allow_pickle=False) as npz:
-            arrays = {name: npz[name] for name in npz.files}
+        with open(path, "rb") as fh, zipfile.ZipFile(io.BytesIO(fh.read())) as zf:
+            arrays = {info.filename.removesuffix(".npy"): _npy_array(zf.read(info))
+                      for info in zf.infolist()}
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
     if not np.array_equal(arrays.pop("format", None), FORMAT_VERSION):
@@ -282,9 +325,30 @@ def write_dataset(ds: WindowedDataset, path) -> None:
     save_arrays(path, **vars(ds))
 
 
+def _dataset_problem(ds: WindowedDataset):
+    """What makes ds no dataset write_dataset could have written, or None."""
+    windows = np.asarray(ds.windows)
+    if windows.ndim != 2 or windows.dtype.kind != "f":
+        return f"windows must be a 2-D float array, got {windows.dtype} of shape {windows.shape}"
+    rows = len(windows)
+    for name in ("labels", "t_index"):
+        if np.shape(getattr(ds, name)) != (rows,):
+            return f"{name} of shape {np.shape(getattr(ds, name))}, expected ({rows},)"
+    for name, types in (("split_index", int), ("stride", int), ("lam", float), ("threshold", float)):
+        value = getattr(ds, name)
+        if not isinstance(value, types) or isinstance(value, bool):
+            return f"{name} must be {types.__name__}, got {value!r}"
+    if not 0 <= ds.split_index <= rows:
+        return f"split_index {ds.split_index} outside [0, {rows}]"
+    if not (isinstance(ds.ticker, str) and plain_ticker(ds.ticker)):
+        return f"stored ticker {ds.ticker!r} cannot name a file or CSV field"
+    return None
+
+
 def read_dataset(path) -> WindowedDataset:
-    """Read a dataset file written by write_dataset; its stored ticker
-    must pass plain_ticker, since it names cache files and CSV fields."""
+    """Read a dataset file written by write_dataset, checking the shape and
+    type of every field; its stored ticker must pass plain_ticker, since it
+    names cache files and CSV fields."""
     arrays = load_arrays(path)
     if arrays is None:
         raise IngestionError(f"{path}: dataset file of another format version, run prepare again")
@@ -292,6 +356,7 @@ def read_dataset(path) -> WindowedDataset:
         ds = WindowedDataset(**arrays)
     except TypeError as exc:
         raise IngestionError(f"{path}: not a dataset file: {exc}") from exc
-    if not (isinstance(ds.ticker, str) and plain_ticker(ds.ticker)):
-        raise IngestionError(f"{path}: stored ticker {ds.ticker!r} cannot name a file or CSV field")
+    problem = _dataset_problem(ds)
+    if problem:
+        raise IngestionError(f"{path}: {problem}")
     return ds

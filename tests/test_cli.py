@@ -391,6 +391,34 @@ class TestRun:
         assert str(path) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, change", [
+        ("windows", lambda a: a.ravel()),
+        ("windows", lambda a: a.astype(np.int64)),
+        ("labels", lambda a: a[:-5]),
+        ("labels", lambda a: a[:, None]),
+        ("t_index", lambda a: a[1:]),
+        ("split_index", lambda a: 10**6),
+        ("split_index", lambda a: -1),
+        ("split_index", lambda a: 2.0),
+        ("stride", lambda a: 1.0),
+        ("lam", lambda a: "1.0"),
+        ("threshold", lambda a: True),
+    ], ids=["windows-1d", "windows-int", "labels-short", "labels-2d", "t_index-short",
+            "split_index-huge", "split_index-negative", "split_index-float", "stride-float",
+            "lam-str", "threshold-bool"])
+    def test_malformed_dataset_field_exit_two(self, workspace, capsys, field, change):
+        tmp_path, _, data, config = workspace
+        path = data / "SYNTH.dataset.npz"
+        arrays = load_arrays(path)
+        arrays[field] = change(arrays[field])
+        save_arrays(path, **arrays)
+        out = tmp_path / "out"
+        rc = main(["run", "--data", str(data), "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and field in err
+        assert not out.exists()
+
     def test_manifest_replay_hashes(self, workspace):
         tmp_path, _, data, config = workspace
         out1, out2 = tmp_path / "m1", tmp_path / "m2"

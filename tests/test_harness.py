@@ -183,6 +183,8 @@ class TestRunGrid:
         arrays["format"] = np.array(0)
         np.savez(path, **arrays)
         assert read_embedded("S", EmbeddingConfig.make("raw"), tmp_path) is None
+        (fit,) = tmp_path.glob("*.fit.npz")
+        fit.unlink()  # a served fit file would leave the embedding unread
         report = run_grid({"S": ds}, grid, cache_dir=tmp_path)
         assert report.cells[0].per_ticker == run_grid({"S": ds}, grid).cells[0].per_ticker
         cached = read_embedded("S", EmbeddingConfig.make("raw"), tmp_path)
@@ -225,6 +227,8 @@ class TestRunGrid:
         run_grid({"S": ds}, small_grid(), cache_dir=tmp_path)
         (path,) = tmp_path.glob("*.emb.npz")
         path.write_bytes(path.read_bytes()[:100])
+        (fit,) = tmp_path.glob("*.fit.npz")
+        fit.unlink()  # a served fit file would leave the embedding unread
         with pytest.raises(IngestionError, match=re.escape(str(path))):
             run_grid({"S": ds}, small_grid(), cache_dir=tmp_path)
 
@@ -375,6 +379,28 @@ class TestFitCache:
         assert warm.cells == cold.cells
         assert warm.cache_counts == {"embeddings": (4, 0), "readout results": (4, 0)}
         assert cache_bytes(tmp_path) == before
+
+    def test_warm_run_reads_no_embedding(self, tmp_path, monkeypatch):
+        datasets, grid = self.datasets(), self.grid()
+        cold = run_grid(datasets, grid, cache_dir=tmp_path)
+
+        def read_embedded(*args):
+            raise AssertionError("a served fit file needs no embedding")
+
+        monkeypatch.setattr(harness, "read_embedded", read_embedded)
+        warm = run_grid(datasets, grid, cache_dir=tmp_path)
+        assert warm.cells == cold.cells
+        assert warm.cache_counts == {"embeddings": (4, 0), "readout results": (4, 0)}
+
+    def test_damaged_embedding_next_to_valid_fit_file_is_served(self, tmp_path):
+        datasets, grid = self.datasets(), self.grid()
+        cold = run_grid(datasets, grid, cache_dir=tmp_path)
+        path = min(tmp_path.glob("*.emb.npz"))
+        path.write_bytes(path.read_bytes()[:100])
+        damaged = path.read_bytes()
+        warm = run_grid(datasets, grid, cache_dir=tmp_path)
+        assert warm.cells == cold.cells
+        assert path.read_bytes() == damaged
 
     @pytest.mark.parametrize("change", ["dataset contents", "added lambda", "swapped templates"])
     def test_other_dataset_or_readouts_refit_and_rewrite(self, tmp_path, change):

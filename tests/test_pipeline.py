@@ -1,14 +1,21 @@
+import ast
 import csv
+import io
 import logging
+import re
 import time
+import zipfile
 
 import numpy as np
 import pytest
 
+from qrcvol import pipeline
 from qrcvol.errors import IngestionError, InputShapeError, InsufficientDataError
 from qrcvol.pipeline import (
+    FORMAT_VERSION,
     PriceSeries,
     ReturnSeries,
+    load_arrays,
     load_prices,
     log_returns,
     normalize_and_label,
@@ -279,3 +286,106 @@ class TestPrepareDataset:
             save_arrays(path, a=np.array([object()], dtype=object))
         assert [p.name for p in tmp_path.iterdir()] == ["x.npz"]
         assert path.read_bytes() == written
+
+
+def npy_bytes(array, **kwargs):
+    fh = io.BytesIO()
+    np.lib.format.write_array(fh, array, **kwargs)
+    return fh.getvalue()
+
+
+def write_zip(path, entries):
+    """A `.npz` of the given entry names and raw bytes, one format entry first."""
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr("format.npy", npy_bytes(np.array(FORMAT_VERSION)))
+        for name, data in entries.items():
+            zf.writestr(name, data)
+
+
+VARIETY = {
+    "f8": np.linspace(-1.0, 1.0, 12).reshape(3, 4),
+    "i8": np.arange(-5, 5, dtype="<i8"),
+    "flags": np.array([True, False, True]),
+    "names": np.array(["alpha", "b" * 64], dtype="<U64"),
+    "scalar_f": np.array(2.5),
+    "scalar_i": np.array(7, dtype="<i8"),
+    "scalar_u": np.array("SYNTH", dtype="<U64"),
+    "empty": np.zeros((0, 3)),
+}
+
+
+class TestLoadArrays:
+    def assert_like_np_load(self, path):
+        arrays = load_arrays(path)
+        with np.load(path, allow_pickle=False) as npz:
+            expected = {name: npz[name] for name in npz.files}
+        assert expected.pop("format") == FORMAT_VERSION
+        assert arrays.keys() == expected.keys()
+        for name, want in expected.items():
+            got = arrays[name]
+            if want.ndim == 0:
+                assert type(got) is type(want.item()) and got == want.item()
+            else:
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
+                assert got.flags.writeable
+                assert (got.flags.c_contiguous, got.flags.f_contiguous) == (
+                    want.flags.c_contiguous, want.flags.f_contiguous)
+        return arrays
+
+    def test_save_arrays_file_reads_as_np_load(self, tmp_path):
+        save_arrays(tmp_path / "a.npz", **VARIETY)
+        self.assert_like_np_load(tmp_path / "a.npz")
+
+    def test_np_savez_file_reads_as_np_load(self, tmp_path):
+        fortran = np.asfortranarray(np.arange(12.0).reshape(3, 4))
+        np.savez(tmp_path / "a.npz", format=FORMAT_VERSION, fortran=fortran, **VARIETY)
+        arrays = self.assert_like_np_load(tmp_path / "a.npz")
+        assert arrays["fortran"].flags.f_contiguous and not arrays["fortran"].flags.c_contiguous
+
+    def test_version_2_header(self, tmp_path):
+        values = np.arange(6, dtype="<i8").reshape(2, 3)
+        write_zip(tmp_path / "a.npz", {"values.npy": npy_bytes(values, version=(2, 0))})
+        self.assert_like_np_load(tmp_path / "a.npz")
+
+    def test_file_of_other_format_version_is_none(self, tmp_path):
+        np.savez(tmp_path / "a.npz", format=0, a=np.arange(3))
+        assert load_arrays(tmp_path / "a.npz") is None
+
+    @pytest.mark.parametrize("damage", ["object array", "truncated entry", "flipped data byte",
+                                        "non-.npy entry", "truncated file"])
+    def test_damaged_file_raises_naming_path(self, tmp_path, damage):
+        path = tmp_path / "a.npz"
+        data = np.arange(100, dtype="<i8")
+        if damage == "object array":
+            np.savez(path, format=FORMAT_VERSION, a=np.array([{}, 1], dtype=object))
+        elif damage == "truncated entry":
+            write_zip(path, {"a.npy": npy_bytes(data)[:-8]})
+        elif damage == "non-.npy entry":
+            write_zip(path, {"notes.txt": b"not an array"})
+        else:
+            save_arrays(path, a=data)
+            raw = bytearray(path.read_bytes())
+            if damage == "flipped data byte":
+                raw[raw.index(data.tobytes()) + 50] ^= 0xFF
+            else:
+                raw = raw[:-30]
+            path.write_bytes(bytes(raw))
+        with pytest.raises(IngestionError, match=re.escape(str(path))):
+            load_arrays(path)
+
+    def test_each_distinct_header_parsed_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.npz"
+        save_arrays(path, **VARIETY)
+        first = load_arrays(path)
+
+        def literal_eval(*args):
+            raise AssertionError("header parsed again")
+
+        monkeypatch.setattr(ast, "literal_eval", literal_eval)
+        second = load_arrays(path)
+        assert second.keys() == first.keys()
+        assert all(np.array_equal(second[name], first[name]) for name in first)
+        pipeline._npy_header.cache_clear()  # the patch does reach the parser
+        with pytest.raises(AssertionError, match="header parsed again"):
+            load_arrays(path)
