@@ -80,6 +80,17 @@ class EmbeddingConfig:
             for name, val in asdict(self.quantum).items():
                 if not math.isfinite(val):
                     raise ConfigError(f"quantum param {name} is not finite")
+            if w is not None:
+                q = self.quantum
+                # the spectral radius r of every window's H is at least w |a_x|
+                least_phase = w * abs(q.a_x) * abs(q.t)
+                if w > quantum.MAX_QUBITS:
+                    raise ConfigError(f"window size {w} needs {w} qubits, above the "
+                                      f"{quantum.MAX_QUBITS}-qubit guard of the quantum embedding")
+                if least_phase > quantum.MAX_PHASE:
+                    raise ConfigError(
+                        f"quantum params a_x {q.a_x} and t {q.t} at window size {w}: spectral radius "
+                        f"times |t| is at least {least_phase}, above the {quantum.MAX_PHASE} guard")
         elif self.kind == "classical_esn":
             if self.esn is None or self.quantum is not None:
                 raise ConfigError("classical_esn embedding needs exactly esn params")
@@ -94,6 +105,8 @@ class EmbeddingConfig:
                 raise ConfigError("spectral_radius must be in (0, 1.5)")
             if not 0 < e.leak_rate <= 1:
                 raise ConfigError("leak_rate must be in (0, 1]")
+            if e.seed < 0:
+                raise ConfigError(f"seed must be >= 0, got {e.seed}")
         else:  # raw
             if any(active):
                 raise ConfigError("raw embedding takes no backend params")

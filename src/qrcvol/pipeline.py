@@ -94,6 +94,7 @@ def load_prices(path, tickers=None) -> list:
     """
     wanted = set(tickers) if tickers else None
     rows_by_ticker = {}
+    plain = {}  # ticker -> plain_ticker(ticker), checked once per distinct ticker
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -113,7 +114,9 @@ def load_prices(path, tickers=None) -> list:
             if not date or not ticker or not raw_price:
                 log.warning("%s row %d: missing field, row rejected", path, lineno)
                 continue
-            if not plain_ticker(ticker):
+            if ticker not in plain:
+                plain[ticker] = plain_ticker(ticker)
+            if not plain[ticker]:
                 log.warning("%s row %d: ticker %r cannot name a file or CSV field, row rejected",
                             path, lineno, ticker)
                 continue
@@ -124,7 +127,7 @@ def load_prices(path, tickers=None) -> list:
             except ValueError:
                 log.warning("%s row %d: unparseable price %r, row rejected", path, lineno, raw_price)
                 continue
-            if not np.isfinite(price) or price <= 0:
+            if not math.isfinite(price) or price <= 0:
                 log.warning("%s row %d: non-positive price %s, row rejected", path, lineno, price)
                 continue
             rows_by_ticker.setdefault(ticker, []).append((date, price))

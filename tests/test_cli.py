@@ -282,6 +282,27 @@ class TestRun:
         assert err.startswith("error:") and "Traceback" not in err
         assert not (tmp_path / "m" / "cells.csv").exists()
 
+    @pytest.mark.parametrize("window, template, words", [
+        (16, {"kind": "quantum"}, ["window size 16", "14-qubit guard"]),
+        (9, {"kind": "quantum", "a_x": [100.0], "t": [3.0]}, ["a_x 100.0", "t 3.0", "2700.0"]),
+        (5, {"kind": "classical_esn", "reservoir_size": [20], "seed": [-1]}, ["seed", "-1"]),
+    ])
+    def test_config_that_can_never_run_exit_one(self, workspace, capsys, window, template, words):
+        tmp_path, prices, _, _ = workspace
+        data = tmp_path / f"data{window}"
+        assert main(["prepare", "--prices", str(prices), "--out", str(data),
+                     "--window", str(window)]) == 0
+        config = tmp_path / "never.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "window": window,
+                                      "embeddings": [{"kind": "raw"}, template]}))
+        out = tmp_path / "never"
+        capsys.readouterr()
+        rc = main(["run", "--data", str(data), "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and all(word in err for word in words), err
+        assert not list(out.rglob("*.npz"))
+
     def test_seed_key_ignored_with_warning(self, workspace, caplog):
         tmp_path, _, data, _ = workspace
         config = tmp_path / "seeded.json"

@@ -75,6 +75,17 @@ class TestLoadPrices:
         for lineno in range(2, 2 + len(bad)):
             assert any(f"row {lineno}:" in r.getMessage() for r in caplog.records)
 
+    def test_repeated_bad_ticker_warned_on_every_row(self, tmp_path, caplog):
+        rows = ["2020-01-01,a/b,100", "2020-01-01,A,100", "2020-01-02,a/b,101", "2020-01-03,a/b,102"]
+        path = make_csv(tmp_path, rows)
+        with caplog.at_level(logging.WARNING):
+            series = load_prices(path)
+        assert [s.ticker for s in series] == ["A"]
+        rejected = [r.getMessage() for r in caplog.records if "'a/b'" in r.getMessage()]
+        assert len(rejected) == 3
+        for message, lineno in zip(rejected, (2, 4, 5)):
+            assert f" row {lineno}: " in message
+
     def test_csv_breaking_tickers_rejected_with_row_diagnostic(self, tmp_path, caplog):
         bad = ["A,B", 'A"B', "A\nB", "A\rB"]
         path = tmp_path / "prices.csv"

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qrcvol import quantum
 from qrcvol.errors import InputShapeError, ResourceError, StateError
 from qrcvol.quantum import build_hamiltonian, evolve, measure_features, quantum_embed
 
@@ -158,6 +159,15 @@ class TestEvolve:
             oracle = taylor_expm(-1j * t * kron_hamiltonian(windows[j, k], scalers)) @ states[j, k]
             assert np.max(np.abs(out[j, k] - oracle)) < 1e-8
 
+    @pytest.mark.parametrize("complex_state", [False, True])
+    def test_one_state_evolves_like_a_block_of_copies(self, complex_state):
+        rng = np.random.default_rng(41)
+        state = random_state(rng, 5) if complex_state else zero_state(5)
+        h = build_hamiltonian(rng.normal(0, 0.4, size=(7, 5)), (1.2, 0.9, 0.5))
+        out = evolve(state, h, 1.9)
+        assert out.shape == (7, 32)
+        assert np.array_equal(out, evolve(np.tile(state, (7, 1)), h, 1.9))
+
     @pytest.mark.parametrize("scalers, window", [
         ((1e6, 1.0, 0.5), (0.1, 0.2)),       # a_x * t far beyond the guard
         ((1.0, 1e308, 0.5), (10.0, -10.0)),  # the diagonal overflows to +-inf
@@ -251,6 +261,31 @@ class TestQuantumEmbed:
         assert batch.values.shape == (300, 21)
         single = np.stack([quantum_embed(w, 1.4, 0.9, 0.6, 1.3).values for w in windows])
         assert np.max(np.abs(batch.values - single)) < 1e-13
+
+    @pytest.mark.parametrize("block", [5, 64, 128])
+    def test_rows_do_not_depend_on_block_split(self, monkeypatch, block):
+        # returns of 1e-3 next to returns of 1.0: one block holds states
+        # whose series have different lengths
+        rng = np.random.default_rng(43)
+        scale = np.where(rng.random(150) < 0.5, 1e-3, 1.0)
+        windows = rng.normal(size=(150, 6)) * scale[:, None]
+        monkeypatch.setattr(quantum, "BLOCK", 1)
+        one = quantum_embed(windows, 1.1, 1.0, 0.5, 1.4).values
+        monkeypatch.setattr(quantum, "BLOCK", block)
+        assert np.array_equal(quantum_embed(windows, 1.1, 1.0, 0.5, 1.4).values, one)
+
+    def test_working_set_bound_per_block(self):
+        # about 8 arrays of BLOCK x 2^9 float64 live at once; a copy of
+        # |0...0> or of an operand per window would break the bound
+        windows = np.random.default_rng(47).normal(0, 0.02, size=(173, 9))
+        quantum_embed(windows, 2.0, 1.0, 0.5, 2.0)  # fill the module's sign tables
+        tracemalloc.start()
+        try:
+            quantum_embed(windows, 2.0, 1.0, 0.5, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * quantum.BLOCK * 2**9 * 8
 
     def test_determinism(self):
         window = np.random.default_rng(29).normal(size=5)
