@@ -12,7 +12,7 @@ labels, split index and fingerprint.
   after the window's last element.  The datasets of one call are
   stepped together, each with its own state: one stacked matrix-vector
   product per time step for all of them.
-* raw: the window itself.
+* raw: the window itself, as a read-only view.
 """
 
 from __future__ import annotations
@@ -222,14 +222,18 @@ def esn_step(state, value, w, w_in, params: EsnParams) -> np.ndarray:
 def embed_dataset(datasets: list, cfg: EmbeddingConfig) -> list:
     """The (m, d) feature rows of each dataset, in order, one row per window.
 
-    A dataset's rows do not depend on which datasets share the call.
+    A dataset's rows do not depend on which datasets share the call.  Raw
+    rows are read-only views of the dataset's windows, not copies.
     """
     for d in datasets:
         cfg.validate(w=d.w)
         if len(d.labels) == 0:
             raise ConfigError("cannot embed an empty dataset")
     if cfg.kind == "raw":
-        return [d.windows.copy() for d in datasets]
+        views = [d.windows.view() for d in datasets]
+        for view in views:
+            view.flags.writeable = False
+        return views
     if cfg.kind == "quantum":
         q = cfg.quantum
         return [quantum.quantum_embed(d.windows, q.a_x, q.a_z, q.a_zz, q.t).values

@@ -18,6 +18,14 @@ the same grid fits no readout.  Fit files are looked up first: only a
 embedding, so a warm run opens no `.emb.npz`.  The report counts how
 many of each were reused and how many recomputed; an embedding a served
 fit file made unnecessary counts as reused.
+
+A run keeps each pair's results, not its feature rows.  A pair served by
+its `.emb.npz` is fitted right after the read.  At workers=1 each
+embedded batch is cached, fitted, evaluated and dropped before the next
+one is embedded, so a run holds the feature rows of one batch.  At
+workers > 1 finished batches queue in the parent until the pool is done,
+and only then are they fitted: a fit while the workers embed leaves the
+parent's BLAS threads spinning on the workers' cores.
 """
 
 from __future__ import annotations
@@ -320,12 +328,25 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
                     evals[cfg, ticker] = cached
     fits_reused = len(evals)
 
+    def fit(cfg, ticker, rows):
+        """Evaluate every readout cell on a pair's rows into evals and its
+        fit file; each readout template fits and evaluates its whole path
+        as one batch."""
+        ds = usable[ticker]
+        k = ds.split_index
+        evals[cfg, ticker] = [
+            res
+            for kind, regs in paths
+            for res in evaluate_path(FIT_PATH[kind](rows[:k], ds.labels[:k], regs), rows[k:], ds.labels[k:])
+        ]
+        if cache_dir:
+            _write_fit(_fit_path(cache_dir, ticker, cfg), fingerprints[ticker], paths_key, evals[cfg, ticker])
+
     # embed each missing (config, ticker) once and reuse across readout
-    # cells; a cache file embedded from other dataset contents is a miss.
-    # The missing tickers of one config are embedded in at most `workers`
-    # batches; rows do not depend on the batch, so any split gives the
-    # same bytes.
-    features = {}  # (cfg, ticker) -> (m, d) feature rows
+    # cells; an embedding file of other dataset contents is a miss, and a
+    # pair served by its file is fitted right after the read.  The missing
+    # tickers of one config are embedded in at most `workers` batches;
+    # rows do not depend on the batch, so any split gives the same bytes.
     jobs = []  # (cfg, tickers)
     embeddings_reused = fits_reused  # a served fit file needs no embedding
     for cfg in embed_cfgs:
@@ -335,42 +356,37 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
                 continue
             cached = read_embedded(ticker, cfg, cache_dir) if cache_dir else None
             if cached is not None and cached.dataset_sha256 == fingerprints[ticker]:
-                features[cfg, ticker] = cached.features
+                fit(cfg, ticker, cached.features)
                 embeddings_reused += 1
             else:
                 missing.append(ticker)
+            cached = None  # no name keeps a file's rows while batches are embedded
         jobs += [(cfg, chunk) for chunk in _chunks(missing, grid.workers)]
-    batches = ([usable[t] for t in chunk] for _, chunk in jobs)
-    cfgs = [cfg for cfg, _ in jobs]
     pool = None
     if grid.workers > 1 and len(jobs) > 1:
         pool = ProcessPoolExecutor(max_workers=min(grid.workers, len(jobs)))
     with pool or contextlib.nullcontext():
-        results = (pool.map if pool else map)(embed_dataset, batches, cfgs)
-        for (cfg, chunk), batch in zip(jobs, results):
-            for ticker, rows in zip(chunk, batch):
-                features[cfg, ticker] = rows
+        # lazy: at workers=1 each batch is cached, fitted and dropped before
+        # the next one is embedded
+        batches = (pool.map if pool else map)(
+            embed_dataset, ([usable[t] for t in chunk] for _, chunk in jobs), [cfg for cfg, _ in jobs])
+        if pool:
+            # fits wait for every batch: fitting while the workers embed
+            # leaves the parent's BLAS threads spinning on their cores
+            batches = iter(list(batches))
+        for cfg, chunk in jobs:
+            for ticker, rows in zip(chunk, next(batches)):
                 if cache_dir:
                     write_embedded(EmbeddedDataset(ticker, rows, cfg, fingerprints[ticker]), cache_dir)
+                fit(cfg, ticker, rows)
+            del rows  # else it holds the batch's last rows while the next is embedded
 
-    # each readout template fits and evaluates its whole path as one batch
-    # per (config, ticker); the results come back in cell order
     cells = []
     undefined_ap = set()  # tickers without a positive test label
     for cfg in embed_cfgs:
         results = [{} for _ in readouts]  # per cell: ticker -> EvalResult
-        for ticker, ds in usable.items():
-            pair_evals = evals.get((cfg, ticker))
-            if pair_evals is None:
-                x, y, k = features[cfg, ticker], ds.labels, ds.split_index
-                x_tr, y_tr, x_te, y_te = x[:k], y[:k], x[k:], y[k:]
-                pair_evals = [
-                    res
-                    for kind, regs in paths
-                    for res in evaluate_path(FIT_PATH[kind](x_tr, y_tr, regs), x_te, y_te)
-                ]
-                if cache_dir:
-                    _write_fit(_fit_path(cache_dir, ticker, cfg), fingerprints[ticker], paths_key, pair_evals)
+        for ticker in usable:
+            pair_evals = evals[cfg, ticker]
             for per_ticker, res in zip(results, pair_evals):
                 per_ticker[ticker] = res
             if not pair_evals[0].ap_defined:

@@ -107,16 +107,19 @@ def _loss_grad_rows(wb: np.ndarray, x: np.ndarray, y: np.ndarray, l2: np.ndarray
 
 
 def _features_and_labels(x, y):
-    """x and y as float arrays; InputShapeError unless x is 2-D, y holds one
-    value per row of x, and both are finite."""
+    """x and y as float arrays; InputShapeError unless x is 2-D and finite
+    and y holds one label of 0 or 1 per row of x.  The loss reads a label
+    as 2y - 1 and the gradient as y, which agree only on 0 and 1."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2:
         raise InputShapeError(f"features must be 2-D, got shape {x.shape}")
     if y.shape != (len(x),):
         raise InputShapeError(f"{len(x)} feature rows, labels of shape {y.shape}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise InputShapeError("features and labels must be finite")
+    if not np.all(np.isfinite(x)):
+        raise InputShapeError("features must be finite")
+    if not ((y == 0) | (y == 1)).all():
+        raise InputShapeError("labels must be 0 or 1")
     return x, y
 
 
@@ -143,10 +146,9 @@ def fit_logistic_path(x, y, l2s, max_iter=100, tol=1e-8) -> list:
         raise InputShapeError("logistic l2 must be >= 0")
     x, y = _features_and_labels(x, y)
     scaler = Standardizer.fit(x)
-    classes = np.unique(y)
-    if len(classes) < 2:
-        only = int(classes[0]) if len(classes) else 0
-        bias = DEGENERATE_LOGIT if only == 1 else -DEGENERATE_LOGIT
+    # one class; np.unique would import numpy.ma on a process's first fit
+    if not len(y) or y.min() == y.max():
+        bias = DEGENERATE_LOGIT if len(y) and y[0] == 1 else -DEGENERATE_LOGIT
         return [
             LinearModel("logistic", np.zeros(x.shape[1]), bias, l2, scaler, degenerate=True)
             for l2 in l2s

@@ -366,6 +366,24 @@ class TestRun:
         assert rc == 0
         assert (out / "cells.csv").exists()
 
+    def test_logistic_run_does_not_import_numpy_ma(self, workspace):
+        # np.unique imports numpy.ma (11 ms, about 1 MB) on first use
+        tmp_path, _, data, _ = workspace
+        config = tmp_path / "logistic.json"
+        config.write_text(json.dumps(dict(SMALL_CONFIG, readouts=[
+            {"kind": "logistic", "regularization": [1e-2, 1.0]}])))
+        code = (
+            "import sys\n"
+            "from qrcvol.cli import main\n"
+            "assert main(['run', '--data', sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3]]) == 0\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qrcvol.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code, str(data), str(config), str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "cells.csv").read_text().count("logistic") == 4
+
     def test_corrupt_dataset_file_exit_two(self, workspace, capsys):
         tmp_path, _, data, config = workspace
         bad = data / "BAD.dataset.npz"

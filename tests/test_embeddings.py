@@ -69,6 +69,9 @@ class TestEmbedDataset:
         (rows,) = embed_dataset([ds], EmbeddingConfig.make("raw"))
         assert rows.shape == (12, 9)
         assert np.array_equal(rows, ds.windows)
+        # a read-only view, not a copy; the dataset's own array stays writeable
+        assert np.shares_memory(rows, ds.windows)
+        assert not rows.flags.writeable and ds.windows.flags.writeable
 
     def test_quantum_dimension(self):
         ds = make_dataset(n_rows=3)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import logging
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -313,6 +314,41 @@ class TestRunGrid:
         assert len(list(tmp_path.glob("*.emb.npz"))) == 1
         assert len(report.cells) == 1
 
+    def test_rows_of_one_batch_alive_at_a_time(self, tmp_path, monkeypatch):
+        # at workers=1 each batch, and each pair served by its embedding
+        # file, is fitted and dropped before the next batch is embedded
+        datasets = {"A": synth_dataset(0), "B": synth_dataset(1)}
+        # the last (config, ticker) looked up is served by its embedding file
+        run_grid({"B": datasets["B"]}, small_grid(embeddings=ESN_RAW_QUANTUM[-1:]), cache_dir=tmp_path)
+        for path in tmp_path.glob("*.fit.npz"):
+            path.unlink()
+        alive = []  # a weakref to every array embed_dataset and read_embedded returned
+        embedded = []
+
+        def recording_embed(batch, cfg):
+            assert [ref() for ref in alive] == [None] * len(alive), "rows of an earlier batch are alive"
+            rows = embed_dataset(batch, cfg)
+            embedded.append(len(rows))
+            alive.extend(weakref.ref(r) for r in rows)
+            return rows
+
+        def recording_read(ticker, cfg, directory):
+            cached = read_embedded(ticker, cfg, directory)
+            if cached is not None:
+                alive.append(weakref.ref(cached.features))
+            return cached
+
+        monkeypatch.setattr(harness, "embed_dataset", recording_embed)
+        monkeypatch.setattr(harness, "read_embedded", recording_read)
+        grid = small_grid(embeddings=ESN_RAW_QUANTUM, readouts=[
+            {"kind": "logistic", "regularization": [1e-2]}, {"kind": "ridge", "regularization": [1.0]}])
+        report = run_grid(datasets, grid, cache_dir=tmp_path)
+        # quantum B comes from its file; A alone is embedded for quantum
+        assert embedded == [2, 2, 2, 1] and len(alive) == 8
+        assert [ref() for ref in alive] == [None] * 8
+        monkeypatch.undo()
+        assert [c.per_ticker for c in report.cells] == [c.per_ticker for c in run_grid(datasets, grid).cells]
+
     def test_integer_and_float_params_hash_alike(self):
         # float-written configs keep the hashes of earlier versions
         esn = dict(reservoir_size=20, spectral_radius=0.9, leak_rate=1.0, input_scaling=1.0, seed=0)
@@ -477,6 +513,19 @@ ESN_RAW_QUANTUM = [
 ]
 
 
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: maps in this process."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
 class TestWorkers:
     def run_to(self, out, workers):
         datasets = {f"S{k}": synth_dataset(k) for k in range(3)}
@@ -500,25 +549,36 @@ class TestWorkers:
     def test_pool_capped_at_number_of_batches(self, monkeypatch):
         started = []
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
+        def recording_pool(max_workers):
+            started.append(max_workers)
+            return InProcessPool()
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", recording_pool)
         datasets = {"A": synth_dataset(0), "B": synth_dataset(1)}
         run_grid(datasets, small_grid(workers=5000))
         run_grid(datasets, small_grid(embeddings=ESN_RAW_QUANTUM, workers=5000))
         run_grid(datasets, small_grid(embeddings=ESN_RAW_QUANTUM, workers=3))
         assert started == [2, 8, 3]
+
+    def test_fits_wait_for_the_pool(self, monkeypatch):
+        # fitting while the workers embed would leave the parent's BLAS
+        # threads spinning on their cores
+        events = []
+
+        def recording_embed(batch, cfg):
+            events.append("embed")
+            return embed_dataset(batch, cfg)
+
+        def recording_fit(x, y, regs):
+            events.append("fit")
+            return harness.fit_ridge_path(x, y, regs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", lambda max_workers: InProcessPool())
+        monkeypatch.setattr(harness, "embed_dataset", recording_embed)
+        monkeypatch.setitem(harness.FIT_PATH, "ridge", recording_fit)
+        datasets = {"A": synth_dataset(0), "B": synth_dataset(1)}
+        run_grid(datasets, small_grid(embeddings=ESN_RAW_QUANTUM, workers=2))
+        assert events == ["embed"] * 8 + ["fit"] * 8
 
 
 class TestEmitReport:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qrcvol import readout
 from qrcvol.errors import EvaluationError, InputShapeError
 from qrcvol.readout import (
     Standardizer,
@@ -98,9 +99,7 @@ def same_bits(a, b) -> bool:
 def random_path_case(rng, case):
     """Seeded features, labels, a regularization path of 1-12 values and
     a max_iter.  Every fourth case holds one class, every third a constant
-    column, every fifth separable classes, and every seventh labels -1/+1:
-    on those the Newton direction disagrees with the loss, so line
-    searches run out of halvings and fail."""
+    column and every fifth separable classes."""
     m = int(rng.integers(2, 70))
     d = int(rng.integers(1, 56))
     x = rng.normal(size=(m, d)) * rng.uniform(0.1, 5.0, size=d)
@@ -113,8 +112,6 @@ def random_path_case(rng, case):
     if case % 5 == 0:
         x[:, 0] += 4.0 * (2.0 * y - 1.0)
     values = [0.0, 1e-8, 1e-4, 1e-2, 0.3, 1.0, 100.0, float(rng.uniform(0, 2))]
-    if case % 7 == 0:
-        y = 2.0 * y - 1.0
     path = [values[k] for k in rng.integers(0, len(values), size=int(rng.integers(1, 13)))]
     return x, y, path, int(rng.choice([0, 1, 3, 100, 100]))
 
@@ -136,6 +133,51 @@ class TestLogisticPath:
                 assert model.regularization == reg and model.kind == "logistic"
                 flags.add((converged, degenerate))
         assert flags == {(True, False), (False, False), (True, True)}
+
+    @pytest.mark.parametrize("accepted", [0, 1, 2])
+    def test_failed_line_search_keeps_the_last_accepted_step(self, monkeypatch, accepted):
+        """A row whose candidate losses never fall runs out of halvings: it
+        leaves the batch unconverged with the weights of its last accepted
+        step, and the other rows of the path go on as their own fits."""
+        rng = np.random.default_rng(19)
+        x = rng.normal(size=(60, 4))
+        y = (x @ rng.normal(size=4) + rng.normal(size=60) > 0).astype(float)
+        path, stuck = [1e-4, 1e-2, 1.0], 1e-2
+        real = readout._loss_grad_rows
+        calls = []  # one entry per call of _loss_grad_rows that evaluates the stuck row
+
+        def counted(wb, x, y, l2):
+            calls.append(len(calls))
+            return real(wb, x, y, l2)
+
+        # the stuck row alone takes a full step in each of its accepted
+        # iterations: one call for the start and one per iteration
+        monkeypatch.setattr(readout, "_loss_grad_rows", counted)
+        last = fit_logistic_path(x, y, [stuck], max_iter=accepted)[0]
+        assert len(calls) == accepted + 1 and not last.converged
+
+        def never_falls(wb, x, y, l2):
+            loss, g, p = real(wb, x, y, l2)
+            rows = l2 == stuck
+            if rows.any():
+                calls.append(len(calls))
+                if len(calls) > accepted + 1:
+                    loss = np.where(rows, loss + 1.0, loss)
+            return loss, g, p
+
+        calls.clear()
+        monkeypatch.setattr(readout, "_loss_grad_rows", never_falls)
+        models = fit_logistic_path(x, y, path)
+        # the start, the accepted steps, then 50 halvings that all fail
+        assert len(calls) == accepted + 1 + 50
+        for model, l2 in zip(models, path):
+            if l2 == stuck:
+                assert same_bits(model.weights, last.weights) and same_bits(model.bias, last.bias)
+                assert not model.converged and not model.degenerate
+            else:
+                weights, bias, converged, _, _ = reference_fit_logistic(x, y, l2=l2)
+                assert same_bits(model.weights, weights) and same_bits(model.bias, bias)
+                assert model.converged == converged
 
     @pytest.mark.parametrize("l2", [-1.0, -1e-12, float("nan")])
     def test_negative_or_nan_l2_rejected(self, l2):
@@ -199,6 +241,8 @@ def unusable_inputs():
         "NaN feature": (nan_x, y),
         "inf feature": (inf_x, y),
         "NaN label": (x, nan_y),
+        "labels -1/+1": (x, 2.0 * y - 1.0),
+        "labels 0.2/0.7": (x, np.where(y == 1, 0.7, 0.2)),
     }
 
 
