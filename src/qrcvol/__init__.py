@@ -22,7 +22,7 @@ from .pipeline import (
     rolling_volatility,
     windowize,
 )
-from .embeddings import EmbeddedDataset, EmbeddingConfig, embed_dataset, esn_step
+from .embeddings import EmbeddedDataset, EmbeddingConfig, embed_dataset
 from .readout import (
     EvalResult,
     LinearModel,

@@ -170,7 +170,7 @@ class EchoStateReservoir:
         w are stepped together: their states form a (T, size) stack, and
         np.matmul(W[None], S[:, :, None]) does for every row the same gemv
         as `W @ state` (a plain S @ W.T gemm does not), so each row equals
-        a loop of esn_step over the array alone bit for bit.  Array j's
+        stepping the array alone bit for bit.  Array j's
         rows are a C-contiguous view into one (T, m_max, size) block.
         """
         p = self.params
@@ -208,15 +208,6 @@ class EchoStateReservoir:
             for pos, j in enumerate(members):
                 states[j] = out[pos, : lengths[pos]]
         return states
-
-
-def esn_step(state, value, w, w_in, params: EsnParams) -> np.ndarray:
-    """Leaky echo-state update:
-    state' = (1 - leak) * state + leak * tanh(W state + W_in * u * scaling).
-    """
-    leak = params.leak_rate
-    pre = w @ state + w_in * (value * params.input_scaling)
-    return (1.0 - leak) * state + leak * np.tanh(pre)
 
 
 def embed_dataset(datasets: list, cfg: EmbeddingConfig) -> list:

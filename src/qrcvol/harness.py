@@ -13,11 +13,12 @@ its feature rows (`.emb.npz`, see embeddings) and the results of every
 readout cell on them (`.fit.npz`).  Both record the dataset_sha256 of
 the dataset they were computed from; the fit file also records the
 readout paths, and is served only when both match, so a warm run with
-the same grid fits no readout.  Fit files are looked up first: only a
-(ticker, config) whose fit file misses reads, or computes, its
-embedding, so a warm run opens no `.emb.npz`.  The report counts how
-many of each were reused and how many recomputed; an embedding a served
-fit file made unnecessary counts as reused.
+the same grid fits no readout.  Each pair is looked up once, in this
+order: a matching fit file serves its results; else a matching
+embedding file is read and fitted; else the pair is embedded.  So a
+warm run opens no `.emb.npz`.  The report counts how many of each were
+reused and how many recomputed; an embedding a served fit file made
+unnecessary counts as reused.
 
 A run keeps each pair's results, not its feature rows.  A pair served by
 its `.emb.npz` is fitted right after the read.  At workers=1 each
@@ -313,20 +314,9 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
     paths = grid.readout_paths()
     readouts = [(kind, reg) for kind, regs in paths for reg in regs]  # one per cell
 
-    # a fit file of the same dataset contents and readout paths serves a
-    # (config, ticker)'s results in cell order; only the pairs it misses
-    # need their feature rows
     fingerprints = {ticker: dataset_sha256(ds) for ticker, ds in usable.items()}
     paths_key = json.dumps(paths)
     evals = {}  # (cfg, ticker) -> EvalResults in cell order
-    if cache_dir:
-        for cfg in embed_cfgs:
-            for ticker in usable:
-                cached = _read_fit(_fit_path(cache_dir, ticker, cfg), fingerprints[ticker],
-                                   paths_key, len(readouts))
-                if cached is not None:
-                    evals[cfg, ticker] = cached
-    fits_reused = len(evals)
 
     def fit(cfg, ticker, rows):
         """Evaluate every readout cell on a pair's rows into evals and its
@@ -342,20 +332,25 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
         if cache_dir:
             _write_fit(_fit_path(cache_dir, ticker, cfg), fingerprints[ticker], paths_key, evals[cfg, ticker])
 
-    # embed each missing (config, ticker) once and reuse across readout
-    # cells; an embedding file of other dataset contents is a miss, and a
-    # pair served by its file is fitted right after the read.  The missing
-    # tickers of one config are embedded in at most `workers` batches;
-    # rows do not depend on the batch, so any split gives the same bytes.
+    # one lookup per pair, in the order the module docstring gives.  The
+    # missing tickers of one config are embedded in at most `workers`
+    # batches; rows do not depend on the batch, so any split gives the
+    # same bytes.
     jobs = []  # (cfg, tickers)
-    embeddings_reused = fits_reused  # a served fit file needs no embedding
+    fits_reused = embeddings_reused = 0
     for cfg in embed_cfgs:
         missing = []
         for ticker in usable:
-            if (cfg, ticker) in evals:
-                continue
-            cached = read_embedded(ticker, cfg, cache_dir) if cache_dir else None
-            if cached is not None and cached.dataset_sha256 == fingerprints[ticker]:
+            served = cached = None
+            if cache_dir:
+                served = _read_fit(_fit_path(cache_dir, ticker, cfg), fingerprints[ticker],
+                                   paths_key, len(readouts))
+                if served is None:
+                    cached = read_embedded(ticker, cfg, cache_dir)
+            if served is not None:
+                evals[cfg, ticker] = served
+                fits_reused += 1
+            elif cached is not None and cached.dataset_sha256 == fingerprints[ticker]:
                 fit(cfg, ticker, cached.features)
                 embeddings_reused += 1
             else:
@@ -382,34 +377,20 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
             del rows  # else it holds the batch's last rows while the next is embedded
 
     cells = []
-    undefined_ap = set()  # tickers without a positive test label
     for cfg in embed_cfgs:
-        results = [{} for _ in readouts]  # per cell: ticker -> EvalResult
-        for ticker in usable:
-            pair_evals = evals[cfg, ticker]
-            for per_ticker, res in zip(results, pair_evals):
-                per_ticker[ticker] = res
-            if not pair_evals[0].ap_defined:
-                undefined_ap.add(ticker)
-        for (kind, reg), per_ticker in zip(readouts, results):
-            accs = [r.accuracy for r in per_ticker.values()]
-            aps = [r.average_precision for r in per_ticker.values()]
-            cells.append(
-                GridCell(
-                    embedding=cfg,
-                    readout_kind=kind,
-                    regularization=reg,
-                    per_ticker=per_ticker,
-                    mean_accuracy=float(np.mean(accs)),
-                    mean_average_precision=float(np.mean(aps)),
-                )
-            )
-    for ticker in sorted(undefined_ap):
+        for i, (kind, reg) in enumerate(readouts):
+            per_ticker = {ticker: evals[cfg, ticker][i] for ticker in usable}
+            cells.append(GridCell(
+                embedding=cfg, readout_kind=kind, regularization=reg, per_ticker=per_ticker,
+                mean_accuracy=float(np.mean([r.accuracy for r in per_ticker.values()])),
+                mean_average_precision=float(np.mean([r.average_precision for r in per_ticker.values()]))))
+    for ticker in sorted({ticker for (_, ticker), results in evals.items() if not results[0].ap_defined}):
         log.warning("ticker %s has no positive label in its test split: "
                     "its average precision counts as 0 in every mean", ticker)
     pairs = len(embed_cfgs) * len(usable)
     report = ExperimentReport(cells=cells, excluded=excluded, cache_counts={
-        "embeddings": (embeddings_reused, pairs - embeddings_reused),
+        # a served fit file needs no embedding
+        "embeddings": (fits_reused + embeddings_reused, pairs - fits_reused - embeddings_reused),
         "readout results": (fits_reused, pairs - fits_reused),
     })
     report.select_best()

@@ -60,7 +60,6 @@ class VolatilitySeries:
 
     raw: np.ndarray
     start_index: int
-    normalized: np.ndarray = None
 
 
 @dataclass
@@ -174,22 +173,19 @@ def rolling_volatility(r: ReturnSeries, w: int) -> VolatilitySeries:
 def normalize_and_label(v: VolatilitySeries, lam: float):
     """Z-normalize rolling vols and threshold at tau = mu~ + lam * std~.
 
-    Returns (labels, tau).  Fills v.normalized in place.
-    A degenerate series (scale below 1e-12) yields all-zero normalized
-    values and all-zero labels rather than an exception.
+    Returns (labels, tau).  A degenerate series (scale below 1e-12) yields
+    all-zero labels rather than an exception.
     """
     raw = np.asarray(v.raw, dtype=float)
     mu = float(raw.mean())
     scale = float(raw.std(ddof=1)) if len(raw) > 1 else 0.0
     if scale < DEGENERATE_SCALE:
-        v.normalized = np.zeros_like(raw)
         return np.zeros(len(raw), dtype=int), float(lam)
     norm = (raw - mu) / scale
     mu_n = float(norm.mean())
     std_n = float(norm.std(ddof=1))
     tau = mu_n + lam * std_n
     labels = (norm > tau).astype(int)
-    v.normalized = norm
     return labels, float(tau)
 
 

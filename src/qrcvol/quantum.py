@@ -87,7 +87,6 @@ class FeatureVector:
     """Z and ZZ expectation values; length n + n(n-1)/2 along the last axis."""
 
     values: np.ndarray
-    n: int
 
 
 class Hamiltonian(NamedTuple):
@@ -296,7 +295,7 @@ def measure_features(amplitudes: np.ndarray) -> FeatureVector:
     _check_normalized(np.sqrt(probs.sum(axis=-1)))
     # one (1, 2^n) @ table product per state, so a state's features do
     # not depend on how many states share the call
-    return FeatureVector((probs[..., None, :] @ _feature_signs(n))[..., 0, :], n)
+    return FeatureVector((probs[..., None, :] @ _feature_signs(n))[..., 0, :])
 
 
 def quantum_embed(windows, a_x=1.0, a_z=1.0, a_zz=0.5, t=1.0) -> FeatureVector:
@@ -316,4 +315,4 @@ def quantum_embed(windows, a_x=1.0, a_z=1.0, a_zz=0.5, t=1.0) -> FeatureVector:
         zero[0] = 1.0
         rows.append(measure_features(evolve(zero, h, t)).values)
     values = np.concatenate(rows)
-    return FeatureVector(values if windows.ndim == 2 else values[0], batch.shape[1])
+    return FeatureVector(values if windows.ndim == 2 else values[0])

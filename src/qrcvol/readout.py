@@ -12,7 +12,8 @@ fit_ridge_path forms X^T X and X^T y once and solves every alpha in one
 stacked solve.  evaluate_path scores and evaluates the models of a path
 as one batch.  Each model and result of a path equals its own single
 fit (fit_logistic, fit_ridge) and evaluation (predict_scores, evaluate)
-bit for bit; those are one-row wrappers of the batched code.
+bit for bit; those one-row wrappers of the batched code, with
+average_precision, are the public API for a single model.
 """
 
 from __future__ import annotations
@@ -85,8 +86,9 @@ def _rownorm(u: np.ndarray) -> np.ndarray:
 
 
 def _loss_grad_rows(wb: np.ndarray, x: np.ndarray, y: np.ndarray, l2: np.ndarray):
-    """logistic_loss_grad of each row of a (B, d+1) stack wb with its own
-    l2[i], plus the (B, m) probabilities sigmoid(z).
+    """Mean log-loss + (l2[i]/2)*||w||^2 (bias unregularized) and its
+    gradient for each row [weights..., bias] of a (B, d+1) stack wb, plus
+    the (B, m) probabilities sigmoid(z).
 
     Every product is a stacked matmul, which calls the BLAS kernel of the
     one-row product once per row, and every mean runs along a row, so each
@@ -107,13 +109,15 @@ def _loss_grad_rows(wb: np.ndarray, x: np.ndarray, y: np.ndarray, l2: np.ndarray
 
 
 def _features_and_labels(x, y):
-    """x and y as float arrays; InputShapeError unless x is 2-D and finite
-    and y holds one label of 0 or 1 per row of x.  The loss reads a label
-    as 2y - 1 and the gradient as y, which agree only on 0 and 1."""
+    """x and y as float arrays; InputShapeError unless x is 2-D, finite and
+    has rows, and y holds one label of 0 or 1 per row of x.  The loss reads
+    a label as 2y - 1 and the gradient as y, which agree only on 0 and 1."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2:
         raise InputShapeError(f"features must be 2-D, got shape {x.shape}")
+    if not len(x):
+        raise InputShapeError("no feature rows to fit")
     if y.shape != (len(x),):
         raise InputShapeError(f"{len(x)} feature rows, labels of shape {y.shape}")
     if not np.all(np.isfinite(x)):
@@ -121,15 +125,6 @@ def _features_and_labels(x, y):
     if not ((y == 0) | (y == 1)).all():
         raise InputShapeError("labels must be 0 or 1")
     return x, y
-
-
-def logistic_loss_grad(wb: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float):
-    """Mean log-loss + (l2/2)*||w||^2 (bias unregularized) and gradient.
-
-    wb stacks [weights..., bias].
-    """
-    loss, g, _ = _loss_grad_rows(np.asarray(wb, dtype=float)[None], x, y, np.array([l2], dtype=float))
-    return float(loss[0]), g[0]
 
 
 def fit_logistic_path(x, y, l2s, max_iter=100, tol=1e-8) -> list:
@@ -147,8 +142,8 @@ def fit_logistic_path(x, y, l2s, max_iter=100, tol=1e-8) -> list:
     x, y = _features_and_labels(x, y)
     scaler = Standardizer.fit(x)
     # one class; np.unique would import numpy.ma on a process's first fit
-    if not len(y) or y.min() == y.max():
-        bias = DEGENERATE_LOGIT if len(y) and y[0] == 1 else -DEGENERATE_LOGIT
+    if y.min() == y.max():
+        bias = DEGENERATE_LOGIT if y[0] == 1 else -DEGENERATE_LOGIT
         return [
             LinearModel("logistic", np.zeros(x.shape[1]), bias, l2, scaler, degenerate=True)
             for l2 in l2s
@@ -214,12 +209,6 @@ def fit_logistic(x, y, l2=1e-2, max_iter=100, tol=1e-8) -> LinearModel:
     return fit_logistic_path(x, y, [l2], max_iter, tol)[0]
 
 
-def ridge_solve(x: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
-    """Solve (X^T X + alpha I) w = X^T y."""
-    d = x.shape[1]
-    return np.linalg.solve(x.T @ x + alpha * np.eye(d), x.T @ y)
-
-
 def fit_ridge_path(x, y, alphas) -> list:
     """One ridge classifier per value of alphas, on standardized features
     with {-1,+1} targets; X^T X and X^T y are formed once, and one stacked
@@ -234,7 +223,7 @@ def fit_ridge_path(x, y, alphas) -> list:
     targets = 2.0 * y - 1.0
     d = xs.shape[1]
     gram, rhs = xs.T @ xs, xs.T @ targets
-    # the same gesv per alpha as ridge_solve
+    # per alpha the same gesv as solving (X^T X + alpha I) w = X^T y alone
     lhs = gram + np.array(alphas, dtype=float)[:, None, None] * np.eye(d)
     solved = np.linalg.solve(lhs, np.broadcast_to(rhs[:, None], (len(alphas), d, 1)))[:, :, 0]
     weights = np.where(scaler.constant, 0.0, solved)
@@ -309,11 +298,10 @@ def average_precision(scores, labels) -> tuple:
     Rows are ranked by descending score; equal-score rows form one block
     whose precision/recall are computed after the whole block.  Returns
     (ap, defined); ap is 0.0 and defined False when there are no
-    positive labels.
+    positive labels.  Inputs are checked as evaluate checks them.
     """
-    ap, defined = _average_precision_rows(
-        np.asarray(scores, dtype=float)[None], np.asarray(labels, dtype=int))
-    return float(ap[0]), defined
+    res = evaluate(scores, labels, 0.0)
+    return res.average_precision, res.ap_defined
 
 
 def _evaluate_rows(scores: np.ndarray, labels, thresholds) -> list:

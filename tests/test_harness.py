@@ -428,6 +428,25 @@ class TestFitCache:
         assert warm.cells == cold.cells
         assert warm.cache_counts == {"embeddings": (4, 0), "readout results": (4, 0)}
 
+    def test_each_pair_served_by_its_own_files(self, tmp_path, monkeypatch):
+        # A by its fit file, B by its embedding file, C by neither
+        datasets = {"A": synth_dataset(0), "B": synth_dataset(2), "C": synth_dataset(3)}
+        grid = self.grid(embeddings=[{"kind": "classical_esn", "reservoir_size": [20]}])
+        run_grid({t: datasets[t] for t in "AB"}, grid, cache_dir=tmp_path)
+        (fit_b,) = tmp_path.glob("B__*.fit.npz")
+        fit_b.unlink()
+        reads = []
+
+        def recording_read(ticker, cfg, directory):
+            reads.append(ticker)
+            return read_embedded(ticker, cfg, directory)
+
+        monkeypatch.setattr(harness, "read_embedded", recording_read)
+        report = run_grid(datasets, grid, cache_dir=tmp_path)
+        assert report.cache_counts == {"embeddings": (2, 1), "readout results": (1, 2)}
+        assert reads == ["B", "C"]
+        assert report.cells == run_grid(datasets, grid).cells
+
     def test_damaged_embedding_next_to_valid_fit_file_is_served(self, tmp_path):
         datasets, grid = self.datasets(), self.grid()
         cold = run_grid(datasets, grid, cache_dir=tmp_path)

