@@ -57,7 +57,6 @@ def _write_manifest(out_dir, command, args_dict, inputs, artifacts, **fields):
         "version": __version__,
         "command": command,
         "args": args_dict,
-        "seed": None,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "inputs": {str(p): _sha256(p) for p in inputs},
         "artifacts": {str(p): _sha256(p) for p in artifacts},

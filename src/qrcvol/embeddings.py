@@ -28,6 +28,7 @@ import numpy as np
 from . import quantum
 from .errors import ConfigError, IngestionError
 from .pipeline import WindowedDataset, load_arrays, save_arrays
+from .readout import EvalResult
 
 KINDS = ("quantum", "classical_esn", "raw")
 
@@ -232,9 +233,14 @@ def embed_dataset(datasets: list, cfg: EmbeddingConfig) -> list:
     return EchoStateReservoir(cfg.esn).window_states([d.windows for d in datasets])
 
 
-# --- embedding cache: one pipeline.save_arrays file per (ticker, cfg hash) ---
-# Each file also records the dataset_sha256 of the dataset it embeds, so a
-# reader can tell a file written for other contents under the same ticker.
+# --- cache: two pipeline.save_arrays files per (ticker, embedding config) ---
+# `<ticker>__<cfg hash>.emb.npz` holds the feature rows; `.fit.npz` holds
+# the results of every readout cell on them (acc, AP, tp, fp, tn, fn, in
+# cell order) and the readout paths as JSON.  Both record the
+# dataset_sha256 of their dataset.  A missing file, another FORMAT_VERSION,
+# other dataset contents or other readout paths is a miss; a file that
+# cannot be read or holds a malformed entry raises IngestionError naming
+# it.  A change that alters features or results must change FORMAT_VERSION.
 
 def dataset_sha256(ds: WindowedDataset) -> str:
     """SHA-256 of a dataset's window shape and values, labels and split index."""
@@ -244,12 +250,48 @@ def dataset_sha256(ds: WindowedDataset) -> str:
     return digest.hexdigest()
 
 
+def _cache_path(directory, ticker: str, cfg: EmbeddingConfig, suffix: str) -> str:
+    return os.path.join(str(directory), f"{ticker}__{cfg.cfg_hash()}{suffix}")
+
+
 def cache_filename(ticker: str, cfg: EmbeddingConfig) -> str:
-    return f"{ticker}__{cfg.cfg_hash()}.emb.npz"
+    return _cache_path("", ticker, cfg, ".emb.npz")
+
+
+def _floats(value) -> bool:
+    """True for a finite 2-D float array."""
+    return (isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype.kind == "f"
+            and bool(np.isfinite(value).all()))
+
+
+# what each cache entry must hold: (check, description)
+_ENTRIES = {
+    "features": (_floats, "a finite 2-D float array"),
+    "dataset_sha256": (lambda v: isinstance(v, str), "a str"),
+    "readouts": (lambda v: isinstance(v, str), "a str"),
+    "results": (lambda v: _floats(v) and v.shape[1] == 6, "a finite (n, 6) float array"),
+    "ap_defined": (lambda v: isinstance(v, bool), "a bool"),
+}
+
+
+def _load(path, names: tuple):
+    """The named entries of the cache file at path, in order, or None when
+    there is no file of this format version.  A file that cannot be read
+    or whose entry is missing or malformed raises IngestionError naming path."""
+    arrays = load_arrays(path) if os.path.exists(path) else None
+    if arrays is None:
+        return None
+    for name in names:
+        check, what = _ENTRIES[name]
+        if name not in arrays:
+            raise IngestionError(f"{path}: no {name} entry")
+        if not check(arrays[name]):
+            raise IngestionError(f"{path}: {name} must be {what}")
+    return [arrays[name] for name in names]
 
 
 def write_embedded(emb: EmbeddedDataset, directory) -> str:
-    path = os.path.join(str(directory), cache_filename(emb.ticker, emb.config))
+    path = _cache_path(directory, emb.ticker, emb.config, ".emb.npz")
     save_arrays(path, features=emb.features, dataset_sha256=emb.dataset_sha256)
     return path
 
@@ -257,13 +299,44 @@ def write_embedded(emb: EmbeddedDataset, directory) -> str:
 def read_embedded(ticker: str, cfg: EmbeddingConfig, directory) -> EmbeddedDataset:
     """The cached embedding, or None when there is no file of this format version.
 
-    Only the features and dataset_sha256 entries are read; files of
-    earlier versions also hold the dataset's labels and split index.
+    Files of earlier versions also hold the dataset's labels and split
+    index, which are not read.
     """
-    path = os.path.join(str(directory), cache_filename(ticker, cfg))
-    arrays = load_arrays(path) if os.path.exists(path) else None
-    if arrays is None:
+    entries = _load(_cache_path(directory, ticker, cfg, ".emb.npz"), ("features", "dataset_sha256"))
+    return None if entries is None else EmbeddedDataset(ticker, entries[0], cfg, entries[1])
+
+
+def cached_rows(cached: EmbeddedDataset, sha: str, n_rows: int, directory):
+    """The features of a read_embedded record of the dataset of
+    dataset_sha256 sha, which has n_rows rows, or None; features of that
+    dataset with another row count raise IngestionError."""
+    if cached is None or cached.dataset_sha256 != sha:
         return None
-    if "features" not in arrays or "dataset_sha256" not in arrays:
-        raise IngestionError(f"{path}: not an embedding cache file: no features or dataset_sha256")
-    return EmbeddedDataset(ticker, arrays["features"], cfg, arrays["dataset_sha256"])
+    if len(cached.features) != n_rows:
+        path = _cache_path(directory, cached.ticker, cached.config, ".emb.npz")
+        raise IngestionError(f"{path}: {len(cached.features)} feature rows, its dataset has {n_rows}")
+    return cached.features
+
+
+def write_fit(ticker: str, cfg: EmbeddingConfig, directory, sha: str, paths: list, evals: list) -> None:
+    """Cache the EvalResults of a pair's readout cells, in cell order, as
+    computed on the dataset of dataset_sha256 sha with these readout paths."""
+    results = [[r.accuracy, r.average_precision, *r.confusion] for r in evals]
+    save_arrays(_cache_path(directory, ticker, cfg, ".fit.npz"), dataset_sha256=sha,
+                readouts=json.dumps(paths), results=np.array(results, dtype=np.float64),
+                ap_defined=evals[0].ap_defined)
+
+
+def read_fit(ticker: str, cfg: EmbeddingConfig, directory, sha: str, paths: list):
+    """The EvalResults write_fit cached for the same dataset and readout
+    paths, in cell order, or None."""
+    path = _cache_path(directory, ticker, cfg, ".fit.npz")
+    entries = _load(path, ("dataset_sha256", "readouts", "results", "ap_defined"))
+    if entries is None or entries[:2] != [sha, json.dumps(paths)]:
+        return None
+    results, defined = entries[2:]
+    cells = sum(len(regs) for _, regs in paths)
+    if len(results) != cells:
+        raise IngestionError(f"{path}: results of {len(results)} cells, expected {cells}")
+    return [EvalResult(acc, ap, (int(tp), int(fp), int(tn), int(fn)), defined)
+            for acc, ap, tp, fp, tn, fn in results.tolist()]

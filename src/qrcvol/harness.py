@@ -8,25 +8,13 @@ best cell per (embedding kind, readout kind) is selected by mean test
 accuracy with deterministic tie-breaks (then mean AP, then the
 lexicographic parameter encoding).
 
-With a cache directory, each (ticker, embedding config) has two files:
-its feature rows (`.emb.npz`, see embeddings) and the results of every
-readout cell on them (`.fit.npz`).  Both record the dataset_sha256 of
-the dataset they were computed from; the fit file also records the
-readout paths, and is served only when both match, so a warm run with
-the same grid fits no readout.  Each pair is looked up once, in this
-order: a matching fit file serves its results; else a matching
-embedding file is read and fitted; else the pair is embedded.  So a
-warm run opens no `.emb.npz`.  The report counts how many of each were
-reused and how many recomputed; an embedding a served fit file made
-unnecessary counts as reused.
-
-A run keeps each pair's results, not its feature rows.  A pair served by
-its `.emb.npz` is fitted right after the read.  At workers=1 each
-embedded batch is cached, fitted, evaluated and dropped before the next
-one is embedded, so a run holds the feature rows of one batch.  At
-workers > 1 finished batches queue in the parent until the pool is done,
-and only then are they fitted: a fit while the workers embed leaves the
-parent's BLAS threads spinning on the workers' cores.
+A run keeps the results of each (ticker, embedding config) pair, not its
+feature rows.  A pair served by its `.emb.npz` is fitted right after the
+read.  At workers=1 each embedded batch is cached, fitted, evaluated and
+dropped before the next one is embedded, so a run holds the feature rows
+of one batch.  At workers > 1 finished batches queue in the parent until
+the pool is done, and only then are they fitted: a fit while the workers
+embed leaves the parent's BLAS threads spinning on the workers' cores.
 """
 
 from __future__ import annotations
@@ -49,18 +37,20 @@ from .embeddings import (
     EmbeddingConfig,
     EsnParams,
     QuantumParams,
+    cached_rows,
     dataset_sha256,
     embed_dataset,
     read_embedded,
+    read_fit,
     write_embedded,
+    write_fit,
 )
-from .errors import ConfigError, IngestionError
-from .pipeline import PriceSeries, load_arrays, save_arrays
+from .errors import ConfigError
+from .pipeline import PriceSeries
 # fit_logistic, fit_ridge, predict_scores and evaluate stay bound here:
 # benchmarks/tracing.py wraps the readout functions by their names in
 # this module
 from .readout import (
-    EvalResult,
     evaluate,
     evaluate_path,
     fit_logistic,
@@ -235,41 +225,6 @@ def ProcessPoolExecutor(max_workers):
     return pool(max_workers=max_workers)
 
 
-# --- readout-result cache: one pipeline.save_arrays file per (ticker, cfg
-# hash) next to the embedding file, holding the accuracy, AP and confusion
-# counts of every readout cell in cell order.  It is served only to a run
-# of the same dataset contents and readout paths.
-
-def _fit_path(cache_dir, ticker: str, cfg: EmbeddingConfig) -> str:
-    return os.path.join(str(cache_dir), f"{ticker}__{cfg.cfg_hash()}.fit.npz")
-
-
-def _write_fit(path, sha: str, readouts: str, evals: list) -> None:
-    results = [[r.accuracy, r.average_precision, *r.confusion] for r in evals]
-    save_arrays(path, dataset_sha256=sha, readouts=readouts,
-                results=np.array(results, dtype=np.float64), ap_defined=evals[0].ap_defined)
-
-
-def _read_fit(path, sha: str, readouts: str, n_cells: int):
-    """The stored EvalResults in cell order, or None when there is no file
-    of this format version or it holds other dataset contents or readout
-    paths; an unreadable or malformed file raises IngestionError."""
-    arrays = load_arrays(path) if os.path.exists(path) else None
-    if arrays is None:
-        return None
-    try:
-        stored_sha, stored_readouts = arrays["dataset_sha256"], arrays["readouts"]
-        results, defined = arrays["results"], arrays["ap_defined"]
-    except KeyError as exc:
-        raise IngestionError(f"{path}: not a readout result file: no {exc.args[0]}") from None
-    if (stored_sha, stored_readouts) != (sha, readouts):
-        return None
-    if np.shape(results) != (n_cells, 6):
-        raise IngestionError(f"{path}: results of shape {np.shape(results)}, expected ({n_cells}, 6)")
-    return [EvalResult(acc, ap, (int(tp), int(fp), int(tn), int(fn)), bool(defined))
-            for acc, ap, tp, fp, tn, fn in results.tolist()]
-
-
 def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport:
     """Evaluate every grid cell on every usable ticker.
 
@@ -315,7 +270,6 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
     readouts = [(kind, reg) for kind, regs in paths for reg in regs]  # one per cell
 
     fingerprints = {ticker: dataset_sha256(ds) for ticker, ds in usable.items()}
-    paths_key = json.dumps(paths)
     evals = {}  # (cfg, ticker) -> EvalResults in cell order
 
     def fit(cfg, ticker, rows):
@@ -330,32 +284,34 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
             for res in evaluate_path(FIT_PATH[kind](rows[:k], ds.labels[:k], regs), rows[k:], ds.labels[k:])
         ]
         if cache_dir:
-            _write_fit(_fit_path(cache_dir, ticker, cfg), fingerprints[ticker], paths_key, evals[cfg, ticker])
+            write_fit(ticker, cfg, cache_dir, fingerprints[ticker], paths, evals[cfg, ticker])
 
-    # one lookup per pair, in the order the module docstring gives.  The
-    # missing tickers of one config are embedded in at most `workers`
+    # one lookup per pair in the cache files of embeddings: a matching fit
+    # file serves its results, else a matching embedding file is read and
+    # fitted, else the pair is embedded, so a warm run opens no `.emb.npz`.
+    # The missing tickers of one config are embedded in at most `workers`
     # batches; rows do not depend on the batch, so any split gives the
     # same bytes.
     jobs = []  # (cfg, tickers)
     fits_reused = embeddings_reused = 0
     for cfg in embed_cfgs:
         missing = []
-        for ticker in usable:
-            served = cached = None
+        for ticker, ds in usable.items():
+            served = rows = None
             if cache_dir:
-                served = _read_fit(_fit_path(cache_dir, ticker, cfg), fingerprints[ticker],
-                                   paths_key, len(readouts))
+                served = read_fit(ticker, cfg, cache_dir, fingerprints[ticker], paths)
                 if served is None:
-                    cached = read_embedded(ticker, cfg, cache_dir)
+                    rows = cached_rows(read_embedded(ticker, cfg, cache_dir), fingerprints[ticker],
+                                       len(ds.labels), cache_dir)
             if served is not None:
                 evals[cfg, ticker] = served
                 fits_reused += 1
-            elif cached is not None and cached.dataset_sha256 == fingerprints[ticker]:
-                fit(cfg, ticker, cached.features)
+            elif rows is not None:
+                fit(cfg, ticker, rows)
                 embeddings_reused += 1
             else:
                 missing.append(ticker)
-            cached = None  # no name keeps a file's rows while batches are embedded
+            rows = None  # no name keeps a file's rows while batches are embedded
         jobs += [(cfg, chunk) for chunk in _chunks(missing, grid.workers)]
     pool = None
     if grid.workers > 1 and len(jobs) > 1:

@@ -213,7 +213,7 @@ def windowize(
     t_index = np.arange(w - 1, m_ret, stride)
     if len(t_index) == 0:
         raise InsufficientDataError("no complete windows")
-    windows = np.stack([r.returns[t - w + 1 : t + 1] for t in t_index])
+    windows = np.lib.stride_tricks.sliding_window_view(r.returns, w)[::stride].copy()
     lab = labels[t_index - (w - 1)]
     split = int(np.floor(TRAIN_FRACTION * len(t_index)))
     return WindowedDataset(
@@ -329,10 +329,14 @@ def _dataset_problem(ds: WindowedDataset):
     windows = np.asarray(ds.windows)
     if windows.ndim != 2 or windows.dtype.kind != "f":
         return f"windows must be a 2-D float array, got {windows.dtype} of shape {windows.shape}"
+    if not np.isfinite(windows).all():
+        return "windows must be finite"
     rows = len(windows)
     for name in ("labels", "t_index"):
         if np.shape(getattr(ds, name)) != (rows,):
             return f"{name} of shape {np.shape(getattr(ds, name))}, expected ({rows},)"
+    if not np.isin(ds.labels, (0, 1)).all():
+        return "labels must be 0 or 1"
     for name, types in (("split_index", int), ("stride", int), ("lam", float), ("threshold", float)):
         value = getattr(ds, name)
         if not isinstance(value, types) or isinstance(value, bool):

@@ -312,7 +312,7 @@ class TestRun:
             assert main(["run", "--data", str(data), "--config", str(config),
                          "--out", str(out)]) == 0
         assert any("seed" in r.getMessage() for r in caplog.records)
-        assert json.loads((out / "manifest.json").read_text())["seed"] is None
+        assert "seed" not in json.loads((out / "manifest.json").read_text())
 
     @pytest.mark.parametrize("key,value", [("window", 9), ("lambda", 2.0), ("stride", 2)])
     def test_config_must_match_datasets(self, workspace, capsys, key, value):
@@ -442,9 +442,11 @@ class TestRun:
         ("stride", lambda a: 1.0),
         ("lam", lambda a: "1.0"),
         ("threshold", lambda a: True),
+        ("windows", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 7, np.nan, a)),
+        ("labels", lambda a: np.where(np.arange(len(a)) == 3, 2, a)),
     ], ids=["windows-1d", "windows-int", "labels-short", "labels-2d", "t_index-short",
             "split_index-huge", "split_index-negative", "split_index-float", "stride-float",
-            "lam-str", "threshold-bool"])
+            "lam-str", "threshold-bool", "windows-nan", "labels-not-binary"])
     def test_malformed_dataset_field_exit_two(self, workspace, capsys, field, change):
         tmp_path, _, data, config = workspace
         path = data / "SYNTH.dataset.npz"

@@ -223,3 +223,16 @@ class TestCache:
         save_arrays(path, **arrays)
         with pytest.raises(IngestionError, match=re.escape(path)):
             read_embedded("T", cfg, tmp_path)
+
+    @pytest.mark.parametrize("entry, value", [
+        ("features", 1.0),
+        ("features", np.eye(2, dtype=np.int64)),
+        ("features", np.full((2, 2), np.nan)),
+        ("dataset_sha256", np.array(["abc", "abc"])),
+    ], ids=["features-0d", "features-int", "features-nan", "dataset_sha256-array"])
+    def test_malformed_entry_raises_naming_it(self, tmp_path, entry, value):
+        cfg = EmbeddingConfig.make("raw")
+        path = write_embedded(EmbeddedDataset("T", np.eye(2), cfg, "abc"), tmp_path)
+        save_arrays(path, **{**load_arrays(path), entry: value})
+        with pytest.raises(IngestionError, match=re.escape(path) + f".*{entry}"):
+            read_embedded("T", cfg, tmp_path)

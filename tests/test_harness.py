@@ -233,6 +233,24 @@ class TestRunGrid:
         with pytest.raises(IngestionError, match=re.escape(str(path))):
             run_grid({"S": ds}, small_grid(), cache_dir=tmp_path)
 
+    @pytest.mark.parametrize("damage", ["rows-short", "features-0d", "dataset_sha256-array"])
+    def test_malformed_cache_file_raises(self, tmp_path, damage):
+        ds = synth_dataset(6)
+        run_grid({"S": ds}, small_grid(), cache_dir=tmp_path)
+        (path,) = tmp_path.glob("*.emb.npz")
+        arrays = load_arrays(path)
+        if damage == "rows-short":
+            arrays["features"] = arrays["features"][:-5]
+        elif damage == "features-0d":
+            arrays["features"] = 1.0
+        else:
+            arrays["dataset_sha256"] = np.array([arrays["dataset_sha256"]] * 2)
+        save_arrays(path, **arrays)
+        (fit,) = tmp_path.glob("*.fit.npz")
+        fit.unlink()
+        with pytest.raises(IngestionError, match=re.escape(str(path))):
+            run_grid({"S": ds}, small_grid(), cache_dir=tmp_path)
+
     def test_grid_validation(self):
         with pytest.raises(ConfigError):
             run_grid({}, small_grid())
@@ -497,7 +515,8 @@ class TestFitCache:
         assert warm.cache_counts["readout results"] == (3, 1)
         assert path.read_bytes() == written
 
-    @pytest.mark.parametrize("damage", ["truncated", "dataset_sha256", "readouts", "results", "ap_defined"])
+    @pytest.mark.parametrize("damage", ["truncated", "dataset_sha256", "readouts", "results", "ap_defined",
+                                        "ap_defined-array", "results-nan"])
     def test_unreadable_fit_file_raises(self, tmp_path, damage):
         datasets, grid = self.datasets(), self.grid()
         run_grid(datasets, grid, cache_dir=tmp_path)
@@ -506,7 +525,12 @@ class TestFitCache:
             path.write_bytes(path.read_bytes()[:100])
         else:
             arrays = load_arrays(path)
-            del arrays[damage]
+            if damage == "ap_defined-array":
+                arrays["ap_defined"] = np.array([True, False])
+            elif damage == "results-nan":
+                arrays["results"] = np.full_like(arrays["results"], np.nan)
+            else:
+                del arrays[damage]
             save_arrays(path, **arrays)
         with pytest.raises(IngestionError, match=re.escape(str(path))):
             run_grid(datasets, grid, cache_dir=tmp_path)

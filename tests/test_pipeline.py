@@ -254,6 +254,19 @@ class TestPrepareDataset:
         ]
         assert same_mean, "expected equal-mean windows with different labels"
 
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 1.7])
+    def test_labels_are_window_vol_z_scores_above_threshold(self, lam):
+        # at stride 1 the labels follow from the windows alone
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            returns = np.concatenate([rng.normal(0, sigma, 60) for sigma in (0.005, 0.05, 0.005)])
+            prices = 100.0 * np.exp(np.concatenate([[0.0], np.cumsum(returns)]))
+            dates = [f"2020-{1 + d // 28:02d}-{1 + d % 28:02d}" for d in range(len(prices))]
+            ds = prepare_dataset(PriceSeries("T", dates, prices), w=9, lam=lam)
+            s = ds.windows.std(axis=1, ddof=1)
+            z = (s - s.mean()) / s.std(ddof=1)
+            assert np.array_equal(ds.labels, z > ds.threshold), seed
+
     def test_cache_roundtrip(self, tmp_path):
         ds = random_walk_dataset()
         path = tmp_path / "T.dataset.npz"
