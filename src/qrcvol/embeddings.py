@@ -327,9 +327,12 @@ def write_fit(ticker: str, cfg: EmbeddingConfig, directory, sha: str, paths: lis
                 ap_defined=evals[0].ap_defined)
 
 
-def read_fit(ticker: str, cfg: EmbeddingConfig, directory, sha: str, paths: list):
+def read_fit(ticker: str, cfg: EmbeddingConfig, directory, sha: str, paths: list, n_test: int):
     """The EvalResults write_fit cached for the same dataset and readout
-    paths, in cell order, or None."""
+    paths, in cell order, or None.  Results that no evaluation on n_test
+    test rows can give raise IngestionError naming the file: an AP outside
+    [0, 1], counts that are not non-negative integers summing to n_test,
+    or an accuracy other than (tp + tn) / n_test, which keeps it in [0, 1]."""
     path = _cache_path(directory, ticker, cfg, ".fit.npz")
     entries = _load(path, ("dataset_sha256", "readouts", "results", "ap_defined"))
     if entries is None or entries[:2] != [sha, json.dumps(paths)]:
@@ -338,5 +341,10 @@ def read_fit(ticker: str, cfg: EmbeddingConfig, directory, sha: str, paths: list
     cells = sum(len(regs) for _, regs in paths)
     if len(results) != cells:
         raise IngestionError(f"{path}: results of {len(results)} cells, expected {cells}")
+    acc, ap, tp, _, tn, _ = results.T
+    counts = results[:, 2:]
+    if not ((0 <= ap) & (ap <= 1) & (counts >= 0).all(axis=1) & (counts == np.floor(counts)).all(axis=1)
+            & (counts.sum(axis=1) == n_test) & (acc == (tp + tn) / n_test)).all():
+        raise IngestionError(f"{path}: results that no evaluation on {n_test} test rows gives")
     return [EvalResult(acc, ap, (int(tp), int(fp), int(tn), int(fn)), defined)
             for acc, ap, tp, fp, tn, fn in results.tolist()]

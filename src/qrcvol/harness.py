@@ -299,7 +299,8 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
         for ticker, ds in usable.items():
             served = rows = None
             if cache_dir:
-                served = read_fit(ticker, cfg, cache_dir, fingerprints[ticker], paths)
+                served = read_fit(ticker, cfg, cache_dir, fingerprints[ticker], paths,
+                                  len(ds.labels) - ds.split_index)
                 if served is None:
                     rows = cached_rows(read_embedded(ticker, cfg, cache_dir), fingerprints[ticker],
                                        len(ds.labels), cache_dir)

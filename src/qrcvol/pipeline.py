@@ -5,9 +5,9 @@ The labeling pipeline is:
   z-normalized sigma~_t -> threshold tau = mu~ + lambda * std~ ->
   binary regime label c_t = [sigma~_t > tau].
 
-Because the normalization is an exact z-score, tau equals lambda and the
-label rule is identical to "raw z-score > lambda"; both forms are kept
-and tested as an invariant.
+Because the normalization is a z-score, tau equals lambda up to rounding
+(|tau - lambda| is of order 1e-15) and the label rule is "raw z-score >
+lambda" up to rounding; both forms are kept and tested as an invariant.
 """
 
 from __future__ import annotations

@@ -6,14 +6,14 @@ A return window x_0 .. x_{n-1} is encoded into
 
 a real symmetric 2^n x 2^n operator: a_x on the entries that flip one bit
 and a window-dependent diagonal.  H is kept as that diagonal and a_x (a
-Hamiltonian pair); no 2^n x 2^n matrix is formed.  e^{-iHt}|psi> is
-applied matrix-free by a Chebyshev expansion (Tal-Ezer & Kosloff,
+Hamiltonian pair); no 2^n x 2^n matrix is formed.  e^{-iHt}|0...0> is
+computed matrix-free by a Chebyshev expansion (Tal-Ezer & Kosloff,
 J. Chem. Phys. 81, 3967, 1984): with the spectrum of H inside
 [c - r, c + r] and H' = (H - c) / r,
 
     e^{-iHt} = e^{-ict} sum_k (2 - [k = 0]) (-i)^k J_k(r t) T_k(H'),
 
-where T_k(H')|psi> follows the three-term recurrence and the Bessel
+where T_k(H')|0...0> follows the three-term recurrence and the Bessel
 coefficients are the FFT of e^{-i r t cos(theta)} (Jacobi-Anger).  Many
 windows are evolved in one pass, one state per column.
 
@@ -21,8 +21,9 @@ Conventions
 -----------
 * Qubit 0 is the least-significant bit of the basis-state index, so the
   basis state |b_{n-1} ... b_1 b_0> has index sum_i b_i 2^i.
-* States are arrays of 2^n complex amplitudes with unit norm along the
-  last axis; leading axes are a batch.
+* Every state starts as |0...0>, index 0.  States are arrays of 2^n
+  complex amplitudes along the last axis; leading axes are a batch, one
+  state per row of H's diagonal.
 * Feature vectors list <Z_0> ... <Z_{n-1}> followed by <Z_i Z_j> for all
   i < j in lexicographic (i, j) order: 45 entries when n = 9.
 
@@ -41,15 +42,13 @@ Memory
 evolve on m states of n qubits holds, at its peak, eight real arrays of
 m x 2^n float64: H's diagonal, its shifted and scaled transpose,
 T_{k-1} and T_k, two work arrays and the accumulators of the even and
-odd terms.  States with imaginary parts double the columns of the last
-seven (the scaled diagonal is then copied once).  The complex result is
-allocated after the recurrence's arrays are freed.  quantum_embed
-evolves one |0...0> vector, broadcast against the diagonals of BLOCK
-windows, so a 9-qubit block of 64 holds about 2 MiB; tracemalloc
-measured a 2.2 MiB peak over 173 windows (6.7 MiB with 128 windows per
-block and a state copy per window).  On those windows (2 vCPUs, numpy
-2.4.6) blocks of 64 took as much CPU time as blocks of 128 or 256, and
-blocks of 32 about 13% more.
+odd terms.  The complex result is allocated after the recurrence's
+arrays are freed.  quantum_embed evolves BLOCK windows per call, so a
+9-qubit block of 64 holds about 2 MiB; tracemalloc measured a 2.2 MiB
+peak over 173 windows (6.7 MiB with 128 windows per block and a state
+copy per window).  On those windows (2 vCPUs, numpy 2.4.6) blocks of 64
+took as much CPU time as blocks of 128 or 256, and blocks of 32 about
+13% more.
 
 Guards
 ------
@@ -193,24 +192,18 @@ def _sum_x(src: np.ndarray, out: np.ndarray, n: int) -> None:
             view += src.reshape(shape)[:, ::-1]
 
 
-def _chebyshev_series(states, scaled_diag, x_scale, coef, n):
-    """sum_k coef[k] T_k(H') applied to each state, H' = diag(scaled_diag) + x_scale sum_q X_q.
+def _chebyshev_series(diag, x, coef, n):
+    """sum_k coef[k] T_k(H')|0...0> per state, H' = diag(diag) + x sum_q X_q.
 
-    states (m, 2^n) complex; scaled_diag (2^n, m) C-ordered, the
-    transposed diagonals of H', which the recurrence overwrites;
-    x_scale (m,) and coef (K+1, m) real, one column per state.  H' is
-    real, so the recurrence runs in real arithmetic on a (2^n, 2m) array
-    whose columns are the real parts and then the imaginary parts of
-    the states; when every imaginary part is zero, as for |0...0>,
-    those m zero columns are left out.  Even rows of coef multiply i^0
-    and odd rows i^1.
+    diag (2^n, m) C-ordered, the transposed diagonals of H'; x (m,) and
+    coef (K+1, m) real, one column per state.  The recurrence overwrites
+    diag and x.  H' and |0...0> are real, so the recurrence runs in real
+    arithmetic on (2^n, m) arrays, one state per column: even rows of
+    coef make the real part, odd rows the imaginary part.
     """
-    m = len(states)
-    parts = [states.real, states.imag] if np.any(states.imag) else [states.real]
-    prev = np.concatenate([p.T for p in parts], axis=1)  # the one copy of the states
-    diag = scaled_diag if len(parts) == 1 else np.concatenate([scaled_diag] * 2, axis=1)
-    x = np.concatenate([x_scale] * len(parts))
-    coef = np.concatenate([coef] * len(parts), axis=1)
+    dim, m = diag.shape
+    prev = np.zeros((dim, m))  # T_0 = |0...0>
+    prev[0] = 1.0
     acc = [coef[0] * prev, np.zeros_like(prev)]
     if len(coef) > 1:
         cur, work, tmp = (np.empty_like(prev) for _ in range(3))
@@ -234,35 +227,25 @@ def _chebyshev_series(states, scaled_diag, x_scale, coef, n):
             acc[k % 2] += tmp
         del cur, work, tmp
     del prev, diag  # the recurrence's arrays go before the complex output comes
-    out = np.empty(states.shape, dtype=complex)
-    out.real = acc[0][:, :m].T
-    out.imag = acc[1][:, :m].T
-    if len(parts) == 2:
-        out.real -= acc[1][:, m:].T
-        out.imag += acc[0][:, m:].T
+    out = np.empty((m, dim), dtype=complex)
+    out.real = acc[0].T
+    out.imag = acc[1].T
     return out
 
 
-def evolve(amplitudes: np.ndarray, h: Hamiltonian, t: float) -> np.ndarray:
-    """Apply e^{-iHt} to each state by a Chebyshev expansion.
+def evolve(h: Hamiltonian, t: float) -> np.ndarray:
+    """e^{-iHt}|0...0> for each row of h.diag (..., 2^n), by a Chebyshev expansion.
 
-    amplitudes (..., 2^n) and h.diag (..., 2^n) broadcast against each
-    other over the leading axes; every state gets its own spectral
+    The result has h.diag's shape.  Every state gets its own spectral
     bounds (Gershgorin: min/max of its diagonal -/+ n|a_x|) and its own
     series length.
     """
     if not math.isfinite(t):
         raise InputShapeError("evolution time must be finite")
-    amplitudes = np.asarray(amplitudes)
     diag, a_x = h
-    dim = diag.shape[-1]
-    if amplitudes.shape[-1:] != (dim,):
-        raise InputShapeError(f"hamiltonian of dimension {dim}, states of shape {amplitudes.shape}")
-    _check_normalized(np.linalg.norm(amplitudes, axis=-1))
-    shape = np.broadcast_shapes(amplitudes.shape, diag.shape)
-    states = np.broadcast_to(amplitudes, shape).reshape(-1, dim)
-    diag = np.broadcast_to(diag, shape).reshape(-1, dim)
-    n = dim.bit_length() - 1
+    shape = diag.shape
+    diag = diag.reshape(-1, shape[-1])
+    n = shape[-1].bit_length() - 1
     lo = diag.min(axis=1) - n * abs(a_x)
     hi = diag.max(axis=1) + n * abs(a_x)
     center, radius = (hi + lo) / 2, (hi - lo) / 2
@@ -281,7 +264,7 @@ def evolve(amplitudes: np.ndarray, h: Hamiltonian, t: float) -> np.ndarray:
     # a C-ordered buffer, since the recurrence runs slower on an F-ordered one
     scaled = np.subtract(diag.T, center, out=np.empty(diag.shape[::-1]))
     scaled /= radius
-    out = _chebyshev_series(states, scaled, a_x / radius, coef, n)
+    out = _chebyshev_series(scaled, a_x / radius, coef, n)
     # phase first: complex multiplication does not commute bit for bit
     np.multiply(np.exp(-1j * center * t)[:, None], out, out=out)
     return out.reshape(shape)
@@ -311,8 +294,6 @@ def quantum_embed(windows, a_x=1.0, a_z=1.0, a_zz=0.5, t=1.0) -> FeatureVector:
     rows = []
     for start in range(0, len(batch), BLOCK):
         h = build_hamiltonian(batch[start : start + BLOCK], (a_x, a_z, a_zz))
-        zero = np.zeros(h.diag.shape[-1], dtype=complex)  # evolve broadcasts it over the block
-        zero[0] = 1.0
-        rows.append(measure_features(evolve(zero, h, t)).values)
+        rows.append(measure_features(evolve(h, t)).values)
     values = np.concatenate(rows)
     return FeatureVector(values if windows.ndim == 2 else values[0])

@@ -27,7 +27,7 @@ from qrcvol.pipeline import (
 from qrcvol.quantum import build_hamiltonian, evolve, measure_features
 from qrcvol.readout import _loss_grad_rows, average_precision, fit_logistic, fit_ridge
 
-from conftest import kron_hamiltonian, taylor_expm, zero_state
+from conftest import kron_hamiltonian, taylor_expm
 
 
 def report(name, ok, detail=""):
@@ -44,7 +44,7 @@ def test_criterion_1_simulator_oracle_equivalence():
         window = rng.normal(0, 0.5, size=n)
         scalers = rng.normal(0, 1.5, size=3)
         t = float(rng.uniform(0, 3))
-        out = evolve(zero_state(n), build_hamiltonian(window, scalers), t)
+        out = evolve(build_hamiltonian(window, scalers), t)
         oracle = taylor_expm(-1j * t * kron_hamiltonian(window, scalers))[:, 0]
         worst = max(worst, float(np.max(np.abs(out - oracle))))
     elapsed = time.time() - start
@@ -65,7 +65,7 @@ def test_criterion_2_unitarity_and_feature_bounds():
         scalers = (rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0), rng.uniform(0.1, 1.0))
         t = float(rng.uniform(0.2, 2.5))
         h = build_hamiltonian(window, scalers)
-        state = evolve(zero_state(9), h, t)
+        state = evolve(h, t)
         worst_norm = max(worst_norm, abs(np.linalg.norm(state) - 1.0))
         fv = measure_features(state)
         assert len(fv.values) == 45

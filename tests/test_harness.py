@@ -516,7 +516,8 @@ class TestFitCache:
         assert path.read_bytes() == written
 
     @pytest.mark.parametrize("damage", ["truncated", "dataset_sha256", "readouts", "results", "ap_defined",
-                                        "ap_defined-array", "results-nan"])
+                                        "ap_defined-array", "results-nan", "results-impossible",
+                                        "results-ap", "results-count-sum"])
     def test_unreadable_fit_file_raises(self, tmp_path, damage):
         datasets, grid = self.datasets(), self.grid()
         run_grid(datasets, grid, cache_dir=tmp_path)
@@ -529,6 +530,12 @@ class TestFitCache:
                 arrays["ap_defined"] = np.array([True, False])
             elif damage == "results-nan":
                 arrays["results"] = np.full_like(arrays["results"], np.nan)
+            elif damage == "results-impossible":  # accuracy 0.5 too high, tp 3 too low, fp fractional
+                arrays["results"][0] += [0.5, 0.0, -3.0, 0.5, 0.0, 0.0]
+            elif damage == "results-ap":
+                arrays["results"][0, 1] = 1.5
+            elif damage == "results-count-sum":  # one fn too many, accuracy unchanged
+                arrays["results"][0, 5] += 1.0
             else:
                 del arrays[damage]
             save_arrays(path, **arrays)

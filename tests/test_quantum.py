@@ -1,8 +1,10 @@
 import itertools
+import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,25 +98,19 @@ class TestAssembleDense:
 
 class TestEvolve:
     def test_empty_hamiltonian_identity(self):
-        rng = np.random.default_rng(0)
-        state = random_state(rng, 3)
-        out = evolve(state, build_hamiltonian(np.zeros(3), (0.0, 1.0, 1.0)), t=2.7)
-        assert np.array_equal(out, state)
+        out = evolve(build_hamiltonian(np.zeros(3), (0.0, 1.0, 1.0)), t=2.7)
+        assert np.array_equal(out, zero_state(3))
 
     def test_x_rotation_quarter_period(self):
         h = build_hamiltonian((0.0,), (1.0, 0.0, 0.0))
-        out = evolve(zero_state(1), h, t=np.pi / 4)
+        out = evolve(h, t=np.pi / 4)
         expected = np.array([np.cos(np.pi / 4), -1j * np.sin(np.pi / 4)])
         assert np.max(np.abs(out - expected)) < 1e-12
 
     def test_z_eigenstate_only_phase(self):
         h = build_hamiltonian((0.83,), (0.0, 1.0, 0.0))
-        out = evolve(zero_state(1), h, t=5.21)
+        out = evolve(h, t=5.21)
         assert abs(measure_features(out).values[0] - 1.0) < 1e-12
-
-    def test_rejects_unnormalized_state(self):
-        with pytest.raises(StateError):
-            evolve(np.array([1.0, 1.0], dtype=complex), build_hamiltonian((0.0,), (1.0, 0.0, 0.0)), 1.0)
 
     def test_norm_preservation(self):
         rng = np.random.default_rng(7)
@@ -122,7 +118,7 @@ class TestEvolve:
             n = int(rng.integers(2, 10))
             window = rng.normal(size=n)
             h = build_hamiltonian(window, scalers=rng.normal(size=3))
-            out = evolve(zero_state(n), h, t=float(rng.uniform(0, 3)))
+            out = evolve(h, t=float(rng.uniform(0, 3)))
             assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
     def test_matches_taylor_oracle(self):
@@ -130,10 +126,9 @@ class TestEvolve:
         for _ in range(25):
             n = int(rng.integers(2, 5))
             window, scalers = random_window_scalers(rng, n)
-            state = random_state(rng, n)
             t = float(rng.uniform(0, 2))
-            out = evolve(state, build_hamiltonian(window, scalers), t)
-            oracle = taylor_expm(-1j * t * kron_hamiltonian(window, scalers)) @ state
+            out = evolve(build_hamiltonian(window, scalers), t)
+            oracle = taylor_expm(-1j * t * kron_hamiltonian(window, scalers))[:, 0]
             assert np.max(np.abs(out - oracle)) < 1e-8
 
     def test_matches_scipy_expm(self):
@@ -141,9 +136,8 @@ class TestEvolve:
 
         rng = np.random.default_rng(13)
         window, scalers = random_window_scalers(rng, 3)
-        state = random_state(rng, 3)
-        out = evolve(state, build_hamiltonian(window, scalers), 1.3)
-        oracle = scipy.linalg.expm(-1j * 1.3 * kron_hamiltonian(window, scalers)) @ state
+        out = evolve(build_hamiltonian(window, scalers), 1.3)
+        oracle = scipy.linalg.expm(-1j * 1.3 * kron_hamiltonian(window, scalers))[:, 0]
         assert np.max(np.abs(out - oracle)) < 1e-10
 
     @pytest.mark.parametrize("t", [1.7, -0.6])
@@ -152,21 +146,21 @@ class TestEvolve:
         rng = np.random.default_rng(31)
         windows = rng.normal(0, 0.5, size=(2, 3, 4))
         scalers = (-1.3, 0.8, 1.1)
-        states = np.stack([[random_state(rng, 4) for _ in range(3)] for _ in range(2)])
-        out = evolve(states, build_hamiltonian(windows, scalers), t)
-        assert out.shape == states.shape
+        out = evolve(build_hamiltonian(windows, scalers), t)
+        assert out.shape == (2, 3, 16)
         for j, k in itertools.product(range(2), range(3)):
-            oracle = taylor_expm(-1j * t * kron_hamiltonian(windows[j, k], scalers)) @ states[j, k]
+            oracle = taylor_expm(-1j * t * kron_hamiltonian(windows[j, k], scalers))[:, 0]
             assert np.max(np.abs(out[j, k] - oracle)) < 1e-8
 
-    @pytest.mark.parametrize("complex_state", [False, True])
-    def test_one_state_evolves_like_a_block_of_copies(self, complex_state):
+    def test_block_rows_equal_windows_evolved_alone(self):
+        # returns of 1e-3 next to returns of 1.0: the block's series have different lengths
         rng = np.random.default_rng(41)
-        state = random_state(rng, 5) if complex_state else zero_state(5)
-        h = build_hamiltonian(rng.normal(0, 0.4, size=(7, 5)), (1.2, 0.9, 0.5))
-        out = evolve(state, h, 1.9)
+        scale = np.where(rng.random(7) < 0.5, 1e-3, 1.0)
+        h = build_hamiltonian(rng.normal(0, 0.4, size=(7, 5)) * scale[:, None], (1.2, 0.9, 0.5))
+        out = evolve(h, 1.9)
         assert out.shape == (7, 32)
-        assert np.array_equal(out, evolve(np.tile(state, (7, 1)), h, 1.9))
+        for j in range(7):
+            assert np.array_equal(out[j], evolve(quantum.Hamiltonian(h.diag[j], h.a_x), 1.9))
 
     @pytest.mark.parametrize("scalers, window", [
         ((1e6, 1.0, 0.5), (0.1, 0.2)),       # a_x * t far beyond the guard
@@ -178,7 +172,7 @@ class TestEvolve:
         tracemalloc.start()
         try:
             with pytest.raises(ResourceError):
-                evolve(zero_state(2), h, t=1.0)
+                evolve(h, t=1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -209,6 +203,10 @@ class TestMeasureFeatures:
         amps[0b1010] = 1.0
         fv = measure_features(amps)
         assert np.array_equal(fv.values, [1, -1, 1, -1, -1, 1, -1, -1, 1, -1])
+
+    def test_rejects_unnormalized_state(self):
+        with pytest.raises(StateError):
+            measure_features(np.array([1.0, 1.0], dtype=complex))
 
     def test_bounds_random_states(self):
         rng = np.random.default_rng(17)
@@ -286,6 +284,31 @@ class TestQuantumEmbed:
         finally:
             tracemalloc.stop()
         assert peak <= 12 * quantum.BLOCK * 2**9 * 8
+
+    def test_golden_features(self):
+        # 3 seeded 9-return windows (sigma 0.005, sigma 0.05, and 5 then 4
+        # returns of each) under the two configs of the quantum-cold benchmark
+        golden = json.loads((Path(__file__).parent / "golden_quantum_features.json").read_text())
+        for cfg in golden["configs"]:
+            values = quantum_embed(golden["windows"], **cfg["params"]).values
+            assert np.max(np.abs(values - cfg["features"])) <= 1e-12, (
+                f"quantum features under {cfg['params']} changed: a change to features must bump "
+                "pipeline.FORMAT_VERSION, so cached embeddings are recomputed, and regenerate "
+                "tests/golden_quantum_features.json")
+
+    @pytest.mark.parametrize("a_x, t", [(1.0, 1.0), (2.0, 2.0)])
+    def test_nine_qubit_windows_match_expm_oracle(self, a_x, t):
+        import scipy.linalg
+
+        windows = np.random.default_rng(53).normal(0, [[0.005], [0.05]], size=(2, 9))
+        values = quantum_embed(windows, a_x, 1.0, 0.5, t).values
+        signs = 1.0 - 2.0 * ((np.arange(2**9)[:, None] >> np.arange(9)) & 1)
+        for window, row in zip(windows, values):
+            psi = scipy.linalg.expm(-1j * t * kron_hamiltonian(window, (a_x, 1.0, 0.5)))[:, 0]
+            probs = np.abs(psi) ** 2
+            oracle = [probs @ signs[:, i] for i in range(9)]
+            oracle += [probs @ (signs[:, i] * signs[:, j]) for i, j in itertools.combinations(range(9), 2)]
+            assert np.max(np.abs(row - oracle)) < 1e-8
 
     def test_determinism(self):
         window = np.random.default_rng(29).normal(size=5)
