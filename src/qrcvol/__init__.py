@@ -12,8 +12,6 @@ from .quantum import (
 )
 from .pipeline import (
     PriceSeries,
-    ReturnSeries,
-    VolatilitySeries,
     WindowedDataset,
     load_prices,
     log_returns,

@@ -6,8 +6,9 @@ Subcommands:
   run      grid-search embeddings x readouts over prepared caches
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 internal error.
-Each command writes a manifest.json listing input and artifact hashes so
-a run can be replayed and verified.
+Each command writes a manifest listing input and artifact hashes so a
+run can be replayed and verified: synth to `<out>.manifest.json` beside
+its CSV, prepare and run to `manifest.json` in their output directory.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir, command, args_dict, inputs, artifacts, **fields):
-    """Write manifest.json; fields (seed, skipped, ...) are top-level keys."""
+def _write_manifest(path, command, args_dict, inputs, artifacts, **fields):
+    """Write a manifest at path; fields (seed, skipped, ...) are top-level keys."""
     manifest = {
         "tool": "qrcvol",
         "version": __version__,
@@ -62,11 +63,9 @@ def _write_manifest(out_dir, command, args_dict, inputs, artifacts, **fields):
         "artifacts": {str(p): _sha256(p) for p in artifacts},
         **fields,
     }
-    path = os.path.join(str(out_dir), "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 class _OutputLock:
@@ -104,14 +103,13 @@ def cmd_synth(args) -> int:
     series = harness.synth_regime_series(
         regimes, seed=args.seed, ticker=args.ticker, start_price=args.start_price
     )
-    out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         fh.write("date,ticker,adj_close\n")
         for date, price in zip(series.dates, series.prices):
             fh.write(f"{date},{series.ticker},{price:.17g}\n")
     _write_manifest(
-        out_dir,
+        f"{args.out}.manifest.json",
         "synth",
         {"regimes": args.regimes, "seed": args.seed, "ticker": args.ticker,
          "start_price": args.start_price, "out": args.out},
@@ -132,6 +130,10 @@ def cmd_prepare(args) -> int:
     with _OutputLock(args.out):
         artifacts = []
         skipped = {}
+        # a requested ticker without a usable row is skipped, not dropped
+        for ticker in sorted(set(tickers or ()) - {p.ticker for p in series}):
+            skipped[ticker] = f"ticker {ticker}: no usable row in {args.prices}"
+            log.warning("ticker %s skipped: %s", ticker, skipped[ticker])
         for p in series:
             try:
                 ds = pipeline.prepare_dataset(
@@ -149,7 +151,7 @@ def cmd_prepare(args) -> int:
                 "no ticker produced a dataset: " + "; ".join(skipped.values())
             )
         _write_manifest(
-            args.out,
+            os.path.join(args.out, "manifest.json"),
             "prepare",
             {"prices": args.prices, "window": args.window, "lambda": args.lam,
              "stride": args.stride, "tickers": args.tickers},
@@ -158,7 +160,7 @@ def cmd_prepare(args) -> int:
             skipped=skipped,
         )
     print(f"prepared {len(artifacts)} ticker dataset(s) in {args.out}")
-    for ticker, reason in skipped.items():
+    for ticker, reason in sorted(skipped.items()):
         print(f"skipped {ticker}: {reason}")
     return EXIT_OK
 
@@ -196,7 +198,7 @@ def cmd_run(args) -> int:
         report = harness.run_grid(datasets, grid, cache_dir=cache_dir)
         paths = harness.emit_report(report, args.out)
         _write_manifest(
-            args.out,
+            os.path.join(args.out, "manifest.json"),
             "run",
             {"data": args.data, "config": args.config, "embeddings": args.embeddings},
             inputs=[args.config] + dataset_paths,

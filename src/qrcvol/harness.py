@@ -3,10 +3,10 @@
 Every (embedding config x readout config x ticker) cell embeds the
 ticker's windows, fits the readout on the chronological training rows
 only, and evaluates accuracy / average precision on the test rows.
-Per-ticker results are averaged into the Table-style comparison; the
-best cell per (embedding kind, readout kind) is selected by mean test
-accuracy with deterministic tie-breaks (then mean AP, then the
-lexicographic parameter encoding).
+Per-ticker results are averaged into the Table-style comparison, which
+emit_report lists best first (GridCell.sort_key): by mean test accuracy
+with deterministic tie-breaks (then mean AP, then the lexicographic
+parameter encoding, then the regularization).
 
 A run keeps the results of each (ticker, embedding config) pair, not its
 feature rows.  A pair served by its `.emb.npz` is fitted right after the
@@ -27,7 +27,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -197,17 +197,8 @@ class GridCell:
 class ExperimentReport:
     cells: list  # [GridCell]
     excluded: dict  # ticker -> reason
-    best: dict = field(default_factory=dict)  # (embed_kind, readout_kind) -> cell
     # "embeddings" and "readout results" -> (reused from the cache, recomputed)
-    cache_counts: dict = field(default_factory=dict)
-
-    def select_best(self) -> None:
-        groups = {}
-        for cell in self.cells:
-            groups.setdefault((cell.embedding.kind, cell.readout_kind), []).append(cell)
-        self.best = {
-            key: min(cells, key=GridCell.sort_key) for key, cells in groups.items()
-        }
+    cache_counts: dict
 
 
 def _chunks(items: list, n: int) -> list:
@@ -345,13 +336,11 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
         log.warning("ticker %s has no positive label in its test split: "
                     "its average precision counts as 0 in every mean", ticker)
     pairs = len(embed_cfgs) * len(usable)
-    report = ExperimentReport(cells=cells, excluded=excluded, cache_counts={
+    return ExperimentReport(cells=cells, excluded=excluded, cache_counts={
         # a served fit file needs no embedding
         "embeddings": (fits_reused + embeddings_reused, pairs - fits_reused - embeddings_reused),
         "readout results": (fits_reused, pairs - fits_reused),
     })
-    report.select_best()
-    return report
 
 
 def _check_regimes(regimes) -> None:

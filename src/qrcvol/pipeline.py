@@ -1,9 +1,12 @@
 """Price ingestion, log returns, rolling volatility, labels, windows and their `.npz` storage.
 
-The labeling pipeline is:
-  prices -> log returns r_t -> rolling sample std sigma_t^w ->
+The labeling pipeline passes plain arrays from stage to stage:
+  prices -> log returns r_t (log_returns) -> rolling sample std
+  sigma_t^w, one per return index w-1 .. (rolling_volatility) ->
   z-normalized sigma~_t -> threshold tau = mu~ + lambda * std~ ->
-  binary regime label c_t = [sigma~_t > tau].
+  binary regime label c_t = [sigma~_t > tau] (normalize_and_label) ->
+  labeled, chronologically split windows (windowize).
+prepare_dataset runs them in that order on one ticker's PriceSeries.
 
 Because the normalization is a z-score, tau equals lambda up to rounding
 (|tau - lambda| is of order 1e-15) and the label rule is "raw z-score >
@@ -46,20 +49,6 @@ class PriceSeries:
             raise InputShapeError("prices must be strictly positive")
         if any(a >= b for a, b in zip(self.dates, self.dates[1:])):
             raise InputShapeError("dates must be strictly increasing")
-
-
-@dataclass
-class ReturnSeries:
-    ticker: str
-    returns: np.ndarray
-
-
-@dataclass
-class VolatilitySeries:
-    """Rolling vols; raw[k] belongs to return index start_index + k."""
-
-    raw: np.ndarray
-    start_index: int
 
 
 @dataclass
@@ -148,35 +137,30 @@ def load_prices(path, tickers=None) -> list:
     return series
 
 
-def log_returns(p: PriceSeries) -> ReturnSeries:
+def log_returns(prices: np.ndarray) -> np.ndarray:
     """r_t = ln(p_t / p_{t-1})."""
-    if len(p.prices) < 2:
-        raise InsufficientDataError(f"ticker {p.ticker}: need >= 2 prices")
-    return ReturnSeries(p.ticker, np.diff(np.log(p.prices)))
+    if len(prices) < 2:
+        raise InsufficientDataError("need >= 2 prices")
+    return np.diff(np.log(prices))
 
 
-def rolling_volatility(r: ReturnSeries, w: int) -> VolatilitySeries:
-    """Sample std (divisor w-1) of each trailing window of size w."""
+def rolling_volatility(returns: np.ndarray, w: int) -> np.ndarray:
+    """Sample std (divisor w-1) of each trailing window of size w: entry k
+    covers returns[k : k+w] and belongs to return index k+w-1."""
     if w < 2:
         raise InputShapeError("window size must be >= 2")
-    m = len(r.returns)
-    if m < w:
-        raise InsufficientDataError(
-            f"ticker {r.ticker}: {m} returns < window size {w}"
-        )
-    # sliding windows: raw[k] covers returns[k : k+w], ending at index k+w-1
-    strided = np.lib.stride_tricks.sliding_window_view(r.returns, w)
-    raw = strided.std(axis=1, ddof=1)
-    return VolatilitySeries(raw=raw, start_index=w - 1)
+    if len(returns) < w:
+        raise InsufficientDataError(f"{len(returns)} returns < window size {w}")
+    return np.lib.stride_tricks.sliding_window_view(returns, w).std(axis=1, ddof=1)
 
 
-def normalize_and_label(v: VolatilitySeries, lam: float):
+def normalize_and_label(raw: np.ndarray, lam: float):
     """Z-normalize rolling vols and threshold at tau = mu~ + lam * std~.
 
     Returns (labels, tau).  A degenerate series (scale below 1e-12) yields
     all-zero labels rather than an exception.
     """
-    raw = np.asarray(v.raw, dtype=float)
+    raw = np.asarray(raw, dtype=float)
     mu = float(raw.mean())
     scale = float(raw.std(ddof=1)) if len(raw) > 1 else 0.0
     if scale < DEGENERATE_SCALE:
@@ -189,14 +173,8 @@ def normalize_and_label(v: VolatilitySeries, lam: float):
     return labels, float(tau)
 
 
-def windowize(
-    r: ReturnSeries,
-    labels: np.ndarray,
-    w: int,
-    stride: int = 1,
-    threshold: float = None,
-    lam: float = 1.0,
-) -> WindowedDataset:
+def windowize(ticker: str, returns: np.ndarray, labels: np.ndarray, w: int, stride: int,
+              tau: float, lam: float) -> WindowedDataset:
     """Pair each return window with the regime label at its final index.
 
     labels[k] must correspond to return index w-1+k (where rolling vol is
@@ -205,7 +183,7 @@ def windowize(
     """
     if stride < 1:
         raise InputShapeError("stride must be >= 1")
-    m_ret = len(r.returns)
+    m_ret = len(returns)
     if len(labels) != m_ret - w + 1:
         raise InputShapeError(
             f"expected {m_ret - w + 1} labels for {m_ret} returns at w={w}, got {len(labels)}"
@@ -213,27 +191,30 @@ def windowize(
     t_index = np.arange(w - 1, m_ret, stride)
     if len(t_index) == 0:
         raise InsufficientDataError("no complete windows")
-    windows = np.lib.stride_tricks.sliding_window_view(r.returns, w)[::stride].copy()
-    lab = labels[t_index - (w - 1)]
-    split = int(np.floor(TRAIN_FRACTION * len(t_index)))
+    windows = np.lib.stride_tricks.sliding_window_view(returns, w)[::stride].copy()
     return WindowedDataset(
-        ticker=r.ticker,
+        ticker=ticker,
         windows=windows,
-        labels=lab,
+        labels=labels[t_index - (w - 1)],
         t_index=t_index,
-        split_index=split,
-        threshold=float(lam) if threshold is None else float(threshold),
+        split_index=int(np.floor(TRAIN_FRACTION * len(t_index))),
+        threshold=float(tau),
         lam=float(lam),
         stride=stride,
     )
 
 
 def prepare_dataset(p: PriceSeries, w: int = 9, lam: float = 1.0, stride: int = 1) -> WindowedDataset:
-    """Full pipeline: prices -> labeled, chronologically split windows."""
-    r = log_returns(p)
-    v = rolling_volatility(r, w)
-    labels, tau = normalize_and_label(v, lam)
-    return windowize(r, labels, w, stride=stride, threshold=tau, lam=lam)
+    """Full pipeline: prices -> labeled, chronologically split windows.
+
+    A series too short for one window raises InsufficientDataError
+    naming the ticker."""
+    try:
+        r = log_returns(p.prices)
+        labels, tau = normalize_and_label(rolling_volatility(r, w), lam)
+    except InsufficientDataError as exc:
+        raise InsufficientDataError(f"ticker {p.ticker}: {exc}") from None
+    return windowize(p.ticker, r, labels, w, stride, tau, lam)
 
 
 # --- storage: one deterministic .npz format for datasets and caches -----

@@ -281,7 +281,7 @@ def measure_features(amplitudes: np.ndarray) -> FeatureVector:
     return FeatureVector((probs[..., None, :] @ _feature_signs(n))[..., 0, :])
 
 
-def quantum_embed(windows, a_x=1.0, a_z=1.0, a_zz=0.5, t=1.0) -> FeatureVector:
+def quantum_embed(windows, a_x, a_z, a_zz, t) -> FeatureVector:
     """Encode each window, evolve |0...0> under it, measure Z/ZZ features.
 
     windows is one window (n,) or m windows (m, n); values then has shape

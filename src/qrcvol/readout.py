@@ -26,6 +26,8 @@ from .errors import EvaluationError, InputShapeError
 
 CONSTANT_STD = 1e-12
 DEGENERATE_LOGIT = 25.0  # sigmoid(+-25) saturates well past any 0.5 threshold
+MAX_ITER = 100  # Newton steps per logistic fit
+TOL = 1e-8  # a logistic fit converges once its gradient norm falls below this
 
 
 @dataclass
@@ -127,7 +129,7 @@ def _features_and_labels(x, y):
     return x, y
 
 
-def fit_logistic_path(x, y, l2s, max_iter=100, tol=1e-8) -> list:
+def fit_logistic_path(x, y, l2s) -> list:
     """One model per value of l2s: Newton's method with backtracking on the
     regularized mean log-loss, every value stepped together as one batch.
 
@@ -155,10 +157,10 @@ def fit_logistic_path(x, y, l2s, max_iter=100, tol=1e-8) -> list:
     loss, g, p = _loss_grad_rows(wb, xs, y, lam)
     converged = np.zeros(len(lam), dtype=bool)
     active = np.arange(len(lam))  # rows still iterating
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         # a row's own norm: norm(g, axis=1) sums in another order
         norm = _rownorm(g[active])
-        small = norm < tol
+        small = norm < TOL
         converged[active[small]] = True
         active, norm = active[~small], norm[~small]
         if not len(active):
@@ -191,12 +193,12 @@ def fit_logistic_path(x, y, l2s, max_iter=100, tol=1e-8) -> list:
             eta[search] *= 0.5
         # a failed line search ends the row; g is still that of its last step
         rise = cand_loss > loss[active]
-        converged[active[rise]] = norm[rise] < max(tol, 1e-6)
+        converged[active[rise]] = norm[rise] < max(TOL, 1e-6)
         active = active[~rise]
         wb[active], loss[active] = cand[~rise], cand_loss[~rise]
         g[active], p[active] = cand_g[~rise], cand_p[~rise]
     else:
-        converged[active] = _rownorm(g[active]) < tol
+        converged[active] = _rownorm(g[active]) < TOL
     weights = np.where(scaler.constant, 0.0, wb[:, :d])
     return [
         LinearModel("logistic", weights[i], float(wb[i, d]), l2, scaler, converged=bool(converged[i]))
@@ -204,9 +206,9 @@ def fit_logistic_path(x, y, l2s, max_iter=100, tol=1e-8) -> list:
     ]
 
 
-def fit_logistic(x, y, l2=1e-2, max_iter=100, tol=1e-8) -> LinearModel:
+def fit_logistic(x, y, l2=1e-2) -> LinearModel:
     """Newton's method with backtracking on the regularized mean log-loss."""
-    return fit_logistic_path(x, y, [l2], max_iter, tol)[0]
+    return fit_logistic_path(x, y, [l2])[0]
 
 
 def fit_ridge_path(x, y, alphas) -> list:

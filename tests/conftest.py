@@ -1,5 +1,6 @@
 import numpy as np
 
+from qrcvol.harness import GridCell
 from qrcvol.readout import DEGENERATE_LOGIT, Standardizer
 
 
@@ -84,6 +85,15 @@ def zero_state(n):
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = 1.0
     return amps
+
+
+def best_cells(report):
+    """The best cell of each (embedding kind, readout kind) of a report:
+    the least by GridCell.sort_key, the order emit_report lists them in."""
+    best = {}
+    for cell in sorted(report.cells, key=GridCell.sort_key):
+        best.setdefault((cell.embedding.kind, cell.readout_kind), cell)
+    return best
 
 
 def reference_average_precision(scores, labels):

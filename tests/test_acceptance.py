@@ -17,8 +17,6 @@ from qrcvol.embeddings import EmbeddingConfig
 from qrcvol.harness import GridSpec, run_grid, synth_regime_series
 from qrcvol.pipeline import (
     PriceSeries,
-    ReturnSeries,
-    VolatilitySeries,
     log_returns,
     normalize_and_label,
     prepare_dataset,
@@ -27,7 +25,7 @@ from qrcvol.pipeline import (
 from qrcvol.quantum import build_hamiltonian, evolve, measure_features
 from qrcvol.readout import _loss_grad_rows, average_precision, fit_logistic, fit_ridge
 
-from conftest import kron_hamiltonian, taylor_expm
+from conftest import best_cells, kron_hamiltonian, taylor_expm
 
 
 def report(name, ok, detail=""):
@@ -82,26 +80,24 @@ def test_criterion_2_unitarity_and_feature_bounds():
 
 def test_criterion_3_pipeline_fixtures():
     # log returns
-    r = log_returns(PriceSeries("T", ["d1", "d2", "d3"], [1.0, np.e, np.e**2]))
-    assert np.max(np.abs(r.returns - 1.0)) < 1e-9
-    r2 = log_returns(PriceSeries("T", ["d1", "d2"], [100.0, 110.0]))
-    assert abs(r2.returns[0] - np.log(1.1)) < 1e-9
+    r = log_returns(PriceSeries("T", ["d1", "d2", "d3"], [1.0, np.e, np.e**2]).prices)
+    assert np.max(np.abs(r - 1.0)) < 1e-9
+    r2 = log_returns(PriceSeries("T", ["d1", "d2"], [100.0, 110.0]).prices)
+    assert abs(r2[0] - np.log(1.1)) < 1e-9
     # rolling std
-    v = rolling_volatility(ReturnSeries("T", np.array([1.0, 2.0, 3.0])), w=3)
-    assert abs(v.raw[0] - 1.0) < 1e-9
-    v = rolling_volatility(ReturnSeries("T", np.array([0.0, 0.0, 2.0])), w=3)
-    assert abs(v.raw[0] - 2.0 / np.sqrt(3.0)) < 1e-9
+    v = rolling_volatility(np.array([1.0, 2.0, 3.0]), w=3)
+    assert abs(v[0] - 1.0) < 1e-9
+    v = rolling_volatility(np.array([0.0, 0.0, 2.0]), w=3)
+    assert abs(v[0] - 2.0 / np.sqrt(3.0)) < 1e-9
     # normalization / labeling
-    v = VolatilitySeries(raw=np.array([1.0, 1.0, 1.0, 1.0, 5.0]), start_index=0)
-    labels, tau = normalize_and_label(v, lam=1.0)
+    labels, tau = normalize_and_label(np.array([1.0, 1.0, 1.0, 1.0, 5.0]), lam=1.0)
     assert np.array_equal(labels, [0, 0, 0, 0, 1])
     # tau = lambda identity on 100 random series
     rng = np.random.default_rng(103)
     for _ in range(100):
         raw = np.abs(rng.normal(size=int(rng.integers(5, 120))))
         lam = float(rng.uniform(0.2, 2.5))
-        vv = VolatilitySeries(raw=raw.copy(), start_index=0)
-        lbl, tau = normalize_and_label(vv, lam)
+        lbl, tau = normalize_and_label(raw.copy(), lam)
         z = (raw - raw.mean()) / raw.std(ddof=1)
         assert abs(tau - lam) < 1e-8
         assert np.array_equal(lbl, (z > lam).astype(int))
@@ -175,7 +171,7 @@ def synthetic_report():
 
 
 def _mean_acc(report_obj, embed_kind, readout_kind):
-    return report_obj.best[(embed_kind, readout_kind)].mean_accuracy
+    return best_cells(report_obj)[embed_kind, readout_kind].mean_accuracy
 
 
 def test_criterion_5_directional_table_reproduction(synthetic_report):

@@ -80,9 +80,19 @@ class TestSynth:
     def test_manifest_lists_artifact(self, tmp_path):
         out = tmp_path / "p.csv"
         main(["synth", "--regimes", "50:0.01", "--seed", "7", "--out", str(out)])
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest = json.loads((tmp_path / "p.csv.manifest.json").read_text())
         assert str(out) in manifest["artifacts"]
         assert manifest["artifacts"][str(out)] == file_hash(out)
+
+    def test_two_outputs_in_one_directory_keep_both_manifests(self, tmp_path):
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for seed, out in enumerate(outs):
+            assert main(["synth", "--regimes", "50:0.01", "--seed", str(seed), "--out", str(out)]) == 0
+        for seed, out in enumerate(outs):
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+            assert manifest["artifacts"] == {str(out): file_hash(out)}
+            assert manifest["seed"] == seed
+        assert not (tmp_path / "manifest.json").exists()
 
 
 class TestPrepare:
@@ -118,6 +128,24 @@ class TestPrepare:
         assert list(manifest["skipped"]) == ["SHORT"]
         assert "window size 5" in manifest["skipped"]["SHORT"]
         assert not (out / "SHORT.dataset.npz").exists()
+
+    def test_requested_ticker_without_rows_skipped(self, workspace, tmp_path, capsys, caplog):
+        _, prices, _, _ = workspace
+        both = tmp_path / "both.csv"
+        both.write_text(prices.read_text() + "2015-01-02,SHORT,10\n2015-01-03,SHORT,11\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["prepare", "--prices", str(both), "--out", str(out), "--window", "5",
+                     "--tickers", "ZZZ,SYNTH,SHORT"]) == 0
+        skipped = {"SHORT": "ticker SHORT: 1 returns < window size 5",
+                   "ZZZ": f"ticker ZZZ: no usable row in {both}"}
+        assert json.loads((out / "manifest.json").read_text())["skipped"] == skipped
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"skipped {ticker}: {reason}" for ticker, reason in skipped.items()]
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == ["ticker ZZZ skipped: " + skipped["ZZZ"],
+                            "ticker SHORT skipped: " + skipped["SHORT"]]
+        assert [p.name for p in out.glob("*.dataset.npz")] == ["SYNTH.dataset.npz"]
 
     def test_ticker_that_breaks_csv_skipped(self, workspace, tmp_path):
         _, prices, _, config = workspace

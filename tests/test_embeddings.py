@@ -1,4 +1,6 @@
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +150,21 @@ class TestEmbedDataset:
         ds.labels = ds.labels[:0]
         with pytest.raises(ConfigError):
             embed_dataset([ds], EmbeddingConfig.make("raw"))
+
+
+def test_golden_esn_features():
+    # 3 windows of 9 returns drawn by default_rng(61) at sigma 0.005, 0.05
+    # and 0.02, under the ESN-50 of the readout-sweep benchmark and the
+    # ESN-100 of cache-rerun
+    golden = json.loads((Path(__file__).parent / "golden_esn_readout.json").read_text())
+    ds = make_dataset(n_rows=3)
+    ds.windows = np.array(golden["windows"])
+    for case in golden["esn"]:
+        (rows,) = embed_dataset([ds], EmbeddingConfig.make("classical_esn", **case["params"]))
+        assert np.max(np.abs(rows - case["features"])) <= 1e-12, (
+            f"ESN features under {case['params']} changed: a change to features must bump "
+            "pipeline.FORMAT_VERSION, so cached embeddings are recomputed, and regenerate "
+            "tests/golden_esn_readout.json")
 
 
 class TestEsnStep:

@@ -24,6 +24,8 @@ from qrcvol.harness import (
 from qrcvol.pipeline import load_arrays, log_returns, prepare_dataset, rolling_volatility, save_arrays
 from qrcvol.readout import evaluate, fit_logistic, fit_ridge, predict_scores
 
+from conftest import best_cells
+
 
 def small_grid(**overrides):
     spec = dict(
@@ -63,9 +65,9 @@ class TestSynthSeries:
         total = 0
         for seed in range(20):
             series = synth_regime_series([(100, 0.005), (100, 0.05)], seed=seed)
-            v = rolling_volatility(log_returns(series), w=9)
-            low = v.raw[:80]
-            high = v.raw[110:]
+            v = rolling_volatility(log_returns(series.prices), w=9)
+            low = v[:80]
+            high = v[110:]
             total += 1
             if np.median(high) > np.max(low) or (high > np.median(low)).mean() > 0.95:
                 wins += 1
@@ -146,7 +148,7 @@ class TestRunGrid:
             readouts=[{"kind": "ridge", "regularization": [1e12, 1e13]}],
         )
         report = run_grid({"S": ds}, grid)
-        best = report.best[("raw", "ridge")]
+        best = best_cells(report)["raw", "ridge"]
         # both cells predict the majority class; tie resolves to smaller reg
         assert best.regularization == 1e12
 
@@ -312,7 +314,7 @@ class TestRunGrid:
                         cfg, tpl["kind"], float(reg), per_ticker,
                         float(np.mean([r.accuracy for r in per_ticker.values()])),
                         float(np.mean([r.average_precision for r in per_ticker.values()]))))
-        emit_report(ExperimentReport(cells, excluded={}), tmp_path / "cells")
+        emit_report(ExperimentReport(cells, excluded={}, cache_counts={}), tmp_path / "cells")
         for name in ("cells.csv", "per_ticker.csv", "report.txt"):
             assert (tmp_path / "paths" / name).read_bytes() == (tmp_path / "cells" / name).read_bytes()
 

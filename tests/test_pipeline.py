@@ -14,7 +14,6 @@ from qrcvol.errors import IngestionError, InputShapeError, InsufficientDataError
 from qrcvol.pipeline import (
     FORMAT_VERSION,
     PriceSeries,
-    ReturnSeries,
     load_arrays,
     load_prices,
     log_returns,
@@ -118,82 +117,72 @@ class TestLoadPrices:
 
 class TestLogReturns:
     def test_exact_logs(self):
-        p = PriceSeries("T", ["d1", "d2", "d3"], [1.0, np.e, np.e**2])
-        r = log_returns(p)
-        assert np.max(np.abs(r.returns - 1.0)) < 1e-12
+        r = log_returns(np.array([1.0, np.e, np.e**2]))
+        assert np.max(np.abs(r - 1.0)) < 1e-12
 
     def test_constant_prices(self):
-        p = PriceSeries("T", ["d1", "d2", "d3"], [5.0, 5.0, 5.0])
-        assert np.array_equal(log_returns(p).returns, [0.0, 0.0])
+        assert np.array_equal(log_returns(np.array([5.0, 5.0, 5.0])), [0.0, 0.0])
 
     def test_ten_percent(self):
-        p = PriceSeries("T", ["d1", "d2"], [100.0, 110.0])
-        assert abs(log_returns(p).returns[0] - 0.0953102) < 1e-6
+        assert abs(log_returns(np.array([100.0, 110.0]))[0] - 0.0953102) < 1e-6
 
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
-            log_returns(PriceSeries("T", ["d1"], [1.0]))
+            log_returns(np.array([1.0]))
 
 
 class TestRollingVolatility:
     def test_constant_returns(self):
-        v = rolling_volatility(ReturnSeries("T", np.full(10, 0.3)), w=3)
-        assert np.max(np.abs(v.raw)) < 1e-15
+        v = rolling_volatility(np.full(10, 0.3), w=3)
+        assert np.max(np.abs(v)) < 1e-15
 
     def test_one_two_three(self):
-        v = rolling_volatility(ReturnSeries("T", np.array([1.0, 2.0, 3.0])), w=3)
-        assert abs(v.raw[0] - 1.0) < 1e-12
+        v = rolling_volatility(np.array([1.0, 2.0, 3.0]), w=3)
+        assert abs(v[0] - 1.0) < 1e-12
 
     def test_zero_zero_two(self):
-        v = rolling_volatility(ReturnSeries("T", np.array([0.0, 0.0, 2.0])), w=3)
-        assert abs(v.raw[0] - 2.0 / np.sqrt(3.0)) < 1e-12
+        v = rolling_volatility(np.array([0.0, 0.0, 2.0]), w=3)
+        assert abs(v[0] - 2.0 / np.sqrt(3.0)) < 1e-12
 
     def test_alignment(self):
-        v = rolling_volatility(ReturnSeries("T", np.arange(6.0)), w=3)
-        assert v.start_index == 2
-        assert len(v.raw) == 4
+        # entry k covers returns[k : k+3], so it belongs to return index k+2
+        returns = np.array([0.0, 1.0, 5.0, 2.0, 8.0, 3.0])
+        v = rolling_volatility(returns, w=3)
+        assert len(v) == 4
+        assert np.array_equal(v, [np.std(returns[k : k + 3], ddof=1) for k in range(4)])
 
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
-            rolling_volatility(ReturnSeries("T", np.array([1.0, 2.0])), w=3)
+            rolling_volatility(np.array([1.0, 2.0]), w=3)
 
     def test_w_below_two(self):
         with pytest.raises(InputShapeError):
-            rolling_volatility(ReturnSeries("T", np.arange(5.0)), w=1)
+            rolling_volatility(np.arange(5.0), w=1)
 
 
 class TestNormalizeAndLabel:
     def test_degenerate_all_equal(self):
-        v = rolling_volatility(ReturnSeries("T", np.full(10, 0.1)), w=3)
+        v = rolling_volatility(np.full(10, 0.1), w=3)
         labels, _ = normalize_and_label(v, lam=1.0)
         assert np.array_equal(labels, np.zeros(8, dtype=int))
 
     def test_single_outlier_labeled(self):
-        from qrcvol.pipeline import VolatilitySeries
-
-        v = VolatilitySeries(raw=np.array([1.0, 1.0, 1.0, 1.0, 5.0]), start_index=2)
-        labels, tau = normalize_and_label(v, lam=1.0)
+        labels, tau = normalize_and_label(np.array([1.0, 1.0, 1.0, 1.0, 5.0]), lam=1.0)
         # z-score of the outlier is 3.2/sqrt(3.2) ~ 1.789 > tau = 1
         assert np.array_equal(labels, [0, 0, 0, 0, 1])
         assert abs(tau - 1.0) < 1e-12
 
     def test_huge_lambda_all_zero(self):
-        from qrcvol.pipeline import VolatilitySeries
-
-        v = VolatilitySeries(raw=np.array([1.0, 2.0, 3.0, 9.0]), start_index=0)
-        labels, _ = normalize_and_label(v, lam=1e9)
+        labels, _ = normalize_and_label(np.array([1.0, 2.0, 3.0, 9.0]), lam=1e9)
         assert labels.sum() == 0
 
     def test_tau_equals_lambda_identity(self):
         # threshold rule on normalized vols == z-score rule on raw vols
         rng = np.random.default_rng(9)
         for _ in range(100):
-            from qrcvol.pipeline import VolatilitySeries
-
             raw = np.abs(rng.normal(size=int(rng.integers(5, 80))))
             lam = float(rng.uniform(0.2, 2.5))
-            v = VolatilitySeries(raw=raw.copy(), start_index=0)
-            labels, tau = normalize_and_label(v, lam)
+            labels, tau = normalize_and_label(raw.copy(), lam)
             z = (raw - raw.mean()) / raw.std(ddof=1)
             assert abs(tau - lam) < 1e-8
             assert np.array_equal(labels, (z > lam).astype(int))
@@ -201,9 +190,8 @@ class TestNormalizeAndLabel:
 
 class TestWindowize:
     def test_two_windows_split_one(self):
-        r = ReturnSeries("T", np.arange(10.0))
         labels = np.array([0, 1])
-        ds = windowize(r, labels, w=9)
+        ds = windowize("T", np.arange(10.0), labels, 9, 1, 1.0, 1.0)
         assert len(ds.labels) == 2
         assert ds.split_index == 1
         assert np.array_equal(ds.windows[0], np.arange(9.0))
@@ -211,25 +199,22 @@ class TestWindowize:
         assert np.array_equal(ds.labels, [0, 1])
 
     def test_stride_equals_w_disjoint(self):
-        r = ReturnSeries("T", np.arange(20.0))
         labels = np.zeros(18, dtype=int)
-        ds = windowize(r, labels, w=3, stride=3)
+        ds = windowize("T", np.arange(20.0), labels, 3, 3, 1.0, 1.0)
         assert np.array_equal(ds.t_index, [2, 5, 8, 11, 14, 17])
         starts = ds.t_index - 2
         assert np.array_equal(starts, [0, 3, 6, 9, 12, 15])
 
     def test_window_width_is_w(self):
-        r = ReturnSeries("T", np.arange(30.0))
-        ds = windowize(r, np.zeros(22, dtype=int), w=9)
+        ds = windowize("T", np.arange(30.0), np.zeros(22, dtype=int), 9, 1, 1.0, 1.0)
         assert ds.windows.shape[1] == 9
 
     def test_label_count_mismatch(self):
         with pytest.raises(InputShapeError):
-            windowize(ReturnSeries("T", np.arange(10.0)), np.zeros(5, dtype=int), w=9)
+            windowize("T", np.arange(10.0), np.zeros(5, dtype=int), 9, 1, 1.0, 1.0)
 
     def test_chronological_split_no_leakage(self):
-        r = ReturnSeries("T", np.arange(40.0))
-        ds = windowize(r, np.zeros(32, dtype=int), w=9)
+        ds = windowize("T", np.arange(40.0), np.zeros(32, dtype=int), 9, 1, 1.0, 1.0)
         train_t = ds.t_index[: ds.split_index]
         test_t = ds.t_index[ds.split_index :]
         assert train_t.max() < test_t.min()

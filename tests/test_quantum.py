@@ -249,7 +249,7 @@ class TestQuantumEmbed:
             assert abs(fv.values[0] - expected) < 1e-10
 
     def test_feature_count_nine_qubits(self):
-        fv = quantum_embed(np.linspace(-0.1, 0.1, 9))
+        fv = quantum_embed(np.linspace(-0.1, 0.1, 9), 1.0, 1.0, 0.5, 1.0)
         assert len(fv.values) == 45
 
     def test_batch_rows_match_single_windows(self):

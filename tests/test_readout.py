@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -71,7 +74,7 @@ class TestLogistic:
             fd = (loss_grad(up, x, y, l2)[0] - loss_grad(dn, x, y, l2)[0]) / (2 * eps)
             assert abs(fd - grad[k]) < 1e-5 * max(1.0, abs(grad[k]))
 
-    def test_loss_non_increasing_in_iterations(self):
+    def test_loss_non_increasing_in_iterations(self, monkeypatch):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(60, 5))
         y = (x @ rng.normal(size=5) + 0.3 * rng.normal(size=60) > 0).astype(float)
@@ -79,7 +82,8 @@ class TestLogistic:
         scaler = Standardizer.fit(x)
         xs = scaler.transform(x)
         for iters in (1, 2, 3, 5, 10, 30):
-            model = fit_logistic(x, y, l2=1e-3, max_iter=iters)
+            monkeypatch.setattr(readout, "MAX_ITER", iters)
+            model = fit_logistic(x, y, l2=1e-3)
             wb = np.concatenate([model.weights, [model.bias]])
             losses.append(loss_grad(wb, xs, y, 1e-3)[0])
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
@@ -107,8 +111,8 @@ def same_bits(a, b) -> bool:
 
 def random_path_case(rng, case):
     """Seeded features, labels, a regularization path of 1-12 values and
-    a max_iter.  Every fourth case holds one class, every third a constant
-    column and every fifth separable classes."""
+    a value for readout.MAX_ITER.  Every fourth case holds one class,
+    every third a constant column and every fifth separable classes."""
     m = int(rng.integers(2, 70))
     d = int(rng.integers(1, 56))
     x = rng.normal(size=(m, d)) * rng.uniform(0.1, 5.0, size=d)
@@ -126,12 +130,13 @@ def random_path_case(rng, case):
 
 
 class TestLogisticPath:
-    def test_each_model_equals_its_own_fit_bit_for_bit(self):
+    def test_each_model_equals_its_own_fit_bit_for_bit(self, monkeypatch):
         rng = np.random.default_rng(15)
         flags = set()  # (converged, degenerate) seen, so the cases keep every branch
         for case in range(1000):
             x, y, path, max_iter = random_path_case(rng, case)
-            models = fit_logistic_path(x, y, path, max_iter=max_iter)
+            monkeypatch.setattr(readout, "MAX_ITER", max_iter)
+            models = fit_logistic_path(x, y, path)
             assert len(models) == len(path)
             for model, l2 in zip(models, path):
                 weights, bias, converged, degenerate, reg = reference_fit_logistic(
@@ -161,9 +166,12 @@ class TestLogisticPath:
 
         # the stuck row alone takes a full step in each of its accepted
         # iterations: one call for the start and one per iteration
+        max_iter = readout.MAX_ITER
         monkeypatch.setattr(readout, "_loss_grad_rows", counted)
-        last = fit_logistic_path(x, y, [stuck], max_iter=accepted)[0]
+        monkeypatch.setattr(readout, "MAX_ITER", accepted)
+        last = fit_logistic_path(x, y, [stuck])[0]
         assert len(calls) == accepted + 1 and not last.converged
+        monkeypatch.setattr(readout, "MAX_ITER", max_iter)
 
         def never_falls(wb, x, y, l2):
             loss, g, p = real(wb, x, y, l2)
@@ -216,6 +224,21 @@ class TestRidgePath:
     def test_nonpositive_alpha_anywhere_rejected(self):
         with pytest.raises(InputShapeError):
             fit_ridge_path(np.eye(2), np.array([0, 1]), [1.0, 0.0])
+
+
+@pytest.mark.parametrize("kind, fit_path", [("logistic", fit_logistic_path), ("ridge", fit_ridge_path)])
+def test_golden_path(kind, fit_path):
+    # a 3-value path on 40 rows of 4 features drawn by default_rng(107),
+    # labelled by a noisy linear rule
+    golden = json.loads((Path(__file__).parent / "golden_esn_readout.json").read_text())
+    case = golden["paths"][kind]
+    models = fit_path(golden["rows"], golden["labels"], case["regularization"])
+    for model, weights, bias in zip(models, case["weights"], case["bias"], strict=True):
+        assert model.converged and not model.degenerate
+        assert np.max(np.abs(model.weights - weights)) <= 1e-12 and abs(model.bias - bias) <= 1e-12, (
+            f"{kind} weights or bias at regularization {model.regularization} changed: a change to "
+            "readout results must bump pipeline.FORMAT_VERSION, so cached fit results are "
+            "recomputed, and regenerate tests/golden_esn_readout.json")
 
 
 def test_sigmoid_of_a_batch_equals_reference_bit_for_bit():
@@ -315,9 +338,10 @@ class TestRidge:
 
 
 class TestPredictScores:
-    def test_zero_model_logistic_half(self):
+    def test_zero_model_logistic_half(self, monkeypatch):
         x, y = separable_1d()
-        model = fit_logistic(x, y, l2=1e-2, max_iter=0)
+        monkeypatch.setattr(readout, "MAX_ITER", 0)
+        model = fit_logistic(x, y, l2=1e-2)
         assert np.max(np.abs(predict_scores(model, x) - 0.5)) < 1e-12
 
     def test_ridge_sign_flip(self):
