@@ -19,6 +19,7 @@ import fcntl
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 
@@ -122,6 +123,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_prepare(args) -> int:
+    if not math.isfinite(args.lam):
+        raise ConfigError(f"--lambda must be a finite number, got {args.lam}")
     if not os.path.exists(args.prices):
         raise IngestionError(f"price file not found: {args.prices}")
     tickers = args.tickers.split(",") if args.tickers else None

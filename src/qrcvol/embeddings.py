@@ -138,77 +138,71 @@ class EmbeddingConfig:
 
 @dataclass
 class EmbeddedDataset:
-    """One embedding cache record: a dataset's feature rows under a config."""
+    """The entries of one `.emb.npz` file: feature rows and the fingerprint of their dataset."""
 
-    ticker: str
     features: np.ndarray  # (m, d)
-    config: EmbeddingConfig
     dataset_sha256: str  # dataset_sha256() of the source dataset
 
 
-class EchoStateReservoir:
-    """Dense leaky-tanh reservoir with seeded random weights.
+def reservoir_weights(params: EsnParams):
+    """(W, W_in) of a dense leaky-tanh reservoir, both drawn from
+    default_rng(seed) in that order: W entries uniform in [-0.5, 0.5],
+    rescaled so the spectral radius matches the configured value; W_in
+    uniform in [-0.5, 0.5]."""
+    rng = np.random.default_rng(params.seed)
+    size = params.reservoir_size
+    w = rng.uniform(-0.5, 0.5, (size, size))
+    radius = float(np.max(np.abs(np.linalg.eigvals(w))))
+    if radius < 1e-12:
+        raise ConfigError("reservoir matrix has zero spectral radius")
+    return w * (params.spectral_radius / radius), rng.uniform(-0.5, 0.5, size)
 
-    W entries uniform in [-0.5, 0.5], rescaled so the spectral radius
-    matches the configured value; W_in uniform in [-0.5, 0.5].
+
+def reservoir_states(params: EsnParams, windows: list) -> list:
+    """The reservoir state after each window's last element, for each (m_j, w_j) array.
+
+    Each array runs through its own state from zero.  Arrays of equal
+    w are stepped together: their states form a (T, size) stack, and
+    np.matmul(W[None], S[:, :, None]) does for every row the same gemv
+    as `W @ state` (a plain S @ W.T gemm does not), so each row equals
+    stepping the array alone bit for bit.  Array j's
+    rows are a C-contiguous view into one (T, m_max, size) block.
     """
-
-    def __init__(self, params: EsnParams):
-        self.params = params
-        rng = np.random.default_rng(params.seed)
-        size = params.reservoir_size
-        w = rng.uniform(-0.5, 0.5, (size, size))
-        radius = float(np.max(np.abs(np.linalg.eigvals(w))))
-        if radius < 1e-12:
-            raise ConfigError("reservoir matrix has zero spectral radius")
-        self.w = w * (params.spectral_radius / radius)
-        self.w_in = rng.uniform(-0.5, 0.5, size)
-
-    def window_states(self, windows: list) -> list:
-        """The state after each window's last element, for each (m_j, w_j) array.
-
-        Each array runs through its own state from zero.  Arrays of equal
-        w are stepped together: their states form a (T, size) stack, and
-        np.matmul(W[None], S[:, :, None]) does for every row the same gemv
-        as `W @ state` (a plain S @ W.T gemm does not), so each row equals
-        stepping the array alone bit for bit.  Array j's
-        rows are a C-contiguous view into one (T, m_max, size) block.
-        """
-        p = self.params
-        leak = p.leak_rate
-        states = [None] * len(windows)
-        groups = {}
-        for j, win in enumerate(windows):
-            groups.setdefault(win.shape[1], []).append(j)
-        for w, members in groups.items():
-            # longest first, so the arrays still running are a leading slice
-            members.sort(key=lambda j: -len(windows[j]))
-            lengths = [len(windows[j]) for j in members]
-            drive_in = np.zeros((len(members), lengths[0], w))
-            for pos, j in enumerate(members):
-                drive_in[pos, : lengths[pos]] = windows[j]
-            drive_in *= p.input_scaling
-            out = np.empty((len(members), lengths[0], p.reservoir_size))
-            state = np.zeros((len(members), p.reservoir_size))
-            pre = np.empty_like(state)
-            drive = np.empty((len(members), w, p.reservoir_size))
-            active = len(members)
-            for i in range(lengths[0]):
-                while lengths[active - 1] <= i:
-                    active -= 1
-                s, pre_s, drive_s = state[:active], pre[:active], drive[:active]
-                np.multiply(drive_in[:active, i, :, None], self.w_in, out=drive_s)
-                for k in range(w):
-                    np.matmul(self.w[None], s[:, :, None], out=pre_s[:, :, None])
-                    pre_s += drive_s[:, k]
-                    np.tanh(pre_s, out=pre_s)
-                    pre_s *= leak
-                    s *= 1.0 - leak
-                    s += pre_s
-                out[:active, i] = s
-            for pos, j in enumerate(members):
-                states[j] = out[pos, : lengths[pos]]
-        return states
+    weights, w_in = reservoir_weights(params)
+    leak = params.leak_rate
+    states = [None] * len(windows)
+    groups = {}
+    for j, win in enumerate(windows):
+        groups.setdefault(win.shape[1], []).append(j)
+    for w, members in groups.items():
+        # longest first, so the arrays still running are a leading slice
+        members.sort(key=lambda j: -len(windows[j]))
+        lengths = [len(windows[j]) for j in members]
+        drive_in = np.zeros((len(members), lengths[0], w))
+        for pos, j in enumerate(members):
+            drive_in[pos, : lengths[pos]] = windows[j]
+        drive_in *= params.input_scaling
+        out = np.empty((len(members), lengths[0], params.reservoir_size))
+        state = np.zeros((len(members), params.reservoir_size))
+        pre = np.empty_like(state)
+        drive = np.empty((len(members), w, params.reservoir_size))
+        active = len(members)
+        for i in range(lengths[0]):
+            while lengths[active - 1] <= i:
+                active -= 1
+            s, pre_s, drive_s = state[:active], pre[:active], drive[:active]
+            np.multiply(drive_in[:active, i, :, None], w_in, out=drive_s)
+            for k in range(w):
+                np.matmul(weights[None], s[:, :, None], out=pre_s[:, :, None])
+                pre_s += drive_s[:, k]
+                np.tanh(pre_s, out=pre_s)
+                pre_s *= leak
+                s *= 1.0 - leak
+                s += pre_s
+            out[:active, i] = s
+        for pos, j in enumerate(members):
+            states[j] = out[pos, : lengths[pos]]
+    return states
 
 
 def embed_dataset(datasets: list, cfg: EmbeddingConfig) -> list:
@@ -230,7 +224,7 @@ def embed_dataset(datasets: list, cfg: EmbeddingConfig) -> list:
         q = cfg.quantum
         return [quantum.quantum_embed(d.windows, q.a_x, q.a_z, q.a_zz, q.t).values
                 for d in datasets]
-    return EchoStateReservoir(cfg.esn).window_states([d.windows for d in datasets])
+    return reservoir_states(cfg.esn, [d.windows for d in datasets])
 
 
 # --- cache: two pipeline.save_arrays files per (ticker, embedding config) ---
@@ -290,9 +284,10 @@ def _load(path, names: tuple):
     return [arrays[name] for name in names]
 
 
-def write_embedded(emb: EmbeddedDataset, directory) -> str:
-    path = _cache_path(directory, emb.ticker, emb.config, ".emb.npz")
-    save_arrays(path, features=emb.features, dataset_sha256=emb.dataset_sha256)
+def write_embedded(ticker: str, cfg: EmbeddingConfig, directory, sha: str, features) -> str:
+    """Cache the feature rows of the dataset of dataset_sha256 sha; returns the file's path."""
+    path = _cache_path(directory, ticker, cfg, ".emb.npz")
+    save_arrays(path, features=features, dataset_sha256=sha)
     return path
 
 
@@ -303,17 +298,19 @@ def read_embedded(ticker: str, cfg: EmbeddingConfig, directory) -> EmbeddedDatas
     index, which are not read.
     """
     entries = _load(_cache_path(directory, ticker, cfg, ".emb.npz"), ("features", "dataset_sha256"))
-    return None if entries is None else EmbeddedDataset(ticker, entries[0], cfg, entries[1])
+    return None if entries is None else EmbeddedDataset(*entries)
 
 
-def cached_rows(cached: EmbeddedDataset, sha: str, n_rows: int, directory):
-    """The features of a read_embedded record of the dataset of
-    dataset_sha256 sha, which has n_rows rows, or None; features of that
-    dataset with another row count raise IngestionError."""
+def cached_rows(cached: EmbeddedDataset, ticker: str, cfg: EmbeddingConfig, directory, sha: str,
+                n_rows: int):
+    """The features of the read_embedded record of ticker and cfg, when it
+    holds the dataset of dataset_sha256 sha, which has n_rows rows, or
+    None; features of that dataset with another row count raise
+    IngestionError."""
     if cached is None or cached.dataset_sha256 != sha:
         return None
     if len(cached.features) != n_rows:
-        path = _cache_path(directory, cached.ticker, cached.config, ".emb.npz")
+        path = _cache_path(directory, ticker, cfg, ".emb.npz")
         raise IngestionError(f"{path}: {len(cached.features)} feature rows, its dataset has {n_rows}")
     return cached.features
 

@@ -33,7 +33,6 @@ import numpy as np
 
 from .embeddings import (
     KINDS,
-    EmbeddedDataset,
     EmbeddingConfig,
     EsnParams,
     QuantumParams,
@@ -293,8 +292,8 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
                 served = read_fit(ticker, cfg, cache_dir, fingerprints[ticker], paths,
                                   len(ds.labels) - ds.split_index)
                 if served is None:
-                    rows = cached_rows(read_embedded(ticker, cfg, cache_dir), fingerprints[ticker],
-                                       len(ds.labels), cache_dir)
+                    rows = cached_rows(read_embedded(ticker, cfg, cache_dir), ticker, cfg, cache_dir,
+                                       fingerprints[ticker], len(ds.labels))
             if served is not None:
                 evals[cfg, ticker] = served
                 fits_reused += 1
@@ -320,7 +319,7 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
         for cfg, chunk in jobs:
             for ticker, rows in zip(chunk, next(batches)):
                 if cache_dir:
-                    write_embedded(EmbeddedDataset(ticker, rows, cfg, fingerprints[ticker]), cache_dir)
+                    write_embedded(ticker, cfg, cache_dir, fingerprints[ticker], rows)
                 fit(cfg, ticker, rows)
             del rows  # else it holds the batch's last rows while the next is embedded
 
@@ -362,6 +361,10 @@ def synth_regime_series(
     regimes is a list of (length, sigma) segments; the series has
     sum(lengths) returns and one extra initial price row.
     """
+    if not (math.isfinite(start_price) and start_price > 0):
+        raise ConfigError(f"start price must be finite and > 0, got {start_price}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     _check_regimes(regimes)
     rng = np.random.default_rng(seed)
     rets = np.concatenate(

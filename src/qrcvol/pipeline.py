@@ -39,14 +39,14 @@ TRAIN_FRACTION = 0.8  # leading share of a ticker's windows used for training
 class PriceSeries:
     ticker: str
     dates: list  # ISO-8601 strings, strictly increasing
-    prices: np.ndarray  # strictly positive
+    prices: np.ndarray  # finite and strictly positive
 
     def __post_init__(self):
         self.prices = np.asarray(self.prices, dtype=float)
         if len(self.dates) != len(self.prices):
             raise InputShapeError("dates and prices differ in length")
-        if np.any(self.prices <= 0):
-            raise InputShapeError("prices must be strictly positive")
+        if not np.all((self.prices > 0) & (self.prices < np.inf)):  # NaN fails both
+            raise InputShapeError("prices must be finite and strictly positive")
         if any(a >= b for a, b in zip(self.dates, self.dates[1:])):
             raise InputShapeError("dates must be strictly increasing")
 
@@ -322,6 +322,8 @@ def _dataset_problem(ds: WindowedDataset):
         value = getattr(ds, name)
         if not isinstance(value, types) or isinstance(value, bool):
             return f"{name} must be {types.__name__}, got {value!r}"
+        if not math.isfinite(value):
+            return f"{name} must be finite, got {value!r}"
     if not 0 <= ds.split_index <= rows:
         return f"split_index {ds.split_index} outside [0, {rows}]"
     if not (isinstance(ds.ticker, str) and plain_ticker(ds.ticker)):

@@ -45,10 +45,9 @@ T_{k-1} and T_k, two work arrays and the accumulators of the even and
 odd terms.  The complex result is allocated after the recurrence's
 arrays are freed.  quantum_embed evolves BLOCK windows per call, so a
 9-qubit block of 64 holds about 2 MiB; tracemalloc measured a 2.2 MiB
-peak over 173 windows (6.7 MiB with 128 windows per block and a state
-copy per window).  On those windows (2 vCPUs, numpy 2.4.6) blocks of 64
-took as much CPU time as blocks of 128 or 256, and blocks of 32 about
-13% more.
+peak over 173 windows.  On those windows (2 vCPUs, numpy 2.4.6) blocks
+of 64 took as much CPU time as blocks of 128 or 256, and blocks of 32
+about 13% more.
 
 Guards
 ------

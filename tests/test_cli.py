@@ -70,6 +70,19 @@ class TestSynth:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("option, value", [
+        ("--start-price", "nan"), ("--start-price", "inf"), ("--start-price", "-1"),
+        ("--start-price", "0"), ("--seed", "-1"),
+    ])
+    def test_bad_start_price_or_seed_exit_one(self, tmp_path, capsys, option, value):
+        out = tmp_path / "p.csv"
+        rc = main(["synth", "--regimes", "50:0.01", f"{option}={value}", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
     def test_same_spec_and_seed_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
@@ -106,6 +119,15 @@ class TestPrepare:
         rc = main(["prepare", "--prices", str(missing), "--out", str(tmp_path / "d")])
         assert rc == 2
         assert str(missing) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+    def test_non_finite_lambda_exit_one(self, workspace, tmp_path, capsys, lam):
+        _, prices, _, _ = workspace
+        out = tmp_path / "lam"
+        rc = main(["prepare", "--prices", str(prices), "--out", str(out), f"--lambda={lam}"])
+        assert rc == 1
+        assert "--lambda" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rerun_byte_identical(self, workspace, tmp_path):
         _, prices, data, _ = workspace
@@ -470,11 +492,13 @@ class TestRun:
         ("stride", lambda a: 1.0),
         ("lam", lambda a: "1.0"),
         ("threshold", lambda a: True),
+        ("lam", lambda a: float("nan")),
+        ("threshold", lambda a: float("inf")),
         ("windows", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 7, np.nan, a)),
         ("labels", lambda a: np.where(np.arange(len(a)) == 3, 2, a)),
     ], ids=["windows-1d", "windows-int", "labels-short", "labels-2d", "t_index-short",
             "split_index-huge", "split_index-negative", "split_index-float", "stride-float",
-            "lam-str", "threshold-bool", "windows-nan", "labels-not-binary"])
+            "lam-str", "threshold-bool", "lam-nan", "threshold-inf", "windows-nan", "labels-not-binary"])
     def test_malformed_dataset_field_exit_two(self, workspace, capsys, field, change):
         tmp_path, _, data, config = workspace
         path = data / "SYNTH.dataset.npz"

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from qrcvol.embeddings import (
-    EchoStateReservoir,
-    EmbeddedDataset,
     EmbeddingConfig,
     EsnParams,
     QuantumParams,
+    cached_rows,
     embed_dataset,
     read_embedded,
+    reservoir_weights,
     write_embedded,
 )
 from qrcvol.errors import ConfigError, IngestionError
@@ -119,13 +119,13 @@ class TestEmbedDataset:
         datasets = [make_dataset(n, w, seed) for seed, (n, w) in enumerate(shapes)]
         cfg = EmbeddingConfig.make("classical_esn", reservoir_size=30, leak_rate=0.5,
                                    input_scaling=1.5, seed=4)
-        r = EchoStateReservoir(cfg.esn)
+        w, w_in = reservoir_weights(cfg.esn)
         expected = []
         for ds in datasets:
             state, rows = np.zeros(cfg.esn.reservoir_size), []
             for win in ds.windows:
                 for value in win:
-                    state = reference_esn_step(state, value, r.w, r.w_in, cfg.esn)
+                    state = reference_esn_step(state, value, w, w_in, cfg.esn)
                 rows.append(state)
             expected.append(np.stack(rows))
         for size in (1, 2, len(datasets)):
@@ -173,48 +173,48 @@ class TestEsnStep:
 
     def test_zero_fixed_point(self):
         p = self.params()
-        res = EchoStateReservoir(p)
+        w, w_in = reservoir_weights(p)
         state = np.zeros(p.reservoir_size)
-        out = reference_esn_step(state, 0.0, res.w, res.w_in, p)
+        out = reference_esn_step(state, 0.0, w, w_in, p)
         assert np.array_equal(out, state)
 
     def test_leak_one_is_pure_tanh(self):
         p = self.params(leak_rate=1.0, seed=2)
-        res = EchoStateReservoir(p)
+        w, w_in = reservoir_weights(p)
         state = np.random.default_rng(0).normal(size=p.reservoir_size)
-        out = reference_esn_step(state, 0.5, res.w, res.w_in, p)
-        expected = np.tanh(res.w @ state + res.w_in * 0.5)
+        out = reference_esn_step(state, 0.5, w, w_in, p)
+        expected = np.tanh(w @ state + w_in * 0.5)
         assert np.array_equal(out, expected)
 
     def test_update_interval_bounds(self):
         rng = np.random.default_rng(4)
         p = self.params(leak_rate=0.3, seed=6)
-        res = EchoStateReservoir(p)
+        w, w_in = reservoir_weights(p)
         for _ in range(50):
             state = rng.normal(size=p.reservoir_size)
-            out = reference_esn_step(state, float(rng.normal()), res.w, res.w_in, p)
+            out = reference_esn_step(state, float(rng.normal()), w, w_in, p)
             lo = (1 - p.leak_rate) * state - p.leak_rate
             hi = (1 - p.leak_rate) * state + p.leak_rate
             assert np.all(out > lo - 1e-12) and np.all(out < hi + 1e-12)
 
     def test_spectral_radius_rescaled(self):
         p = self.params(spectral_radius=0.7, seed=8)
-        res = EchoStateReservoir(p)
-        radius = np.max(np.abs(np.linalg.eigvals(res.w)))
+        w, _ = reservoir_weights(p)
+        radius = np.max(np.abs(np.linalg.eigvals(w)))
         assert abs(radius - 0.7) < 1e-10
 
     def test_echo_state_convergence(self):
         # two different initial states forget their past under the same input
         rng = np.random.default_rng(10)
         p = self.params(spectral_radius=0.95, leak_rate=0.5, seed=12)
-        res = EchoStateReservoir(p)
+        w, w_in = reservoir_weights(p)
         s1 = rng.normal(size=p.reservoir_size)
         s2 = rng.normal(size=p.reservoir_size)
         d0 = np.linalg.norm(s1 - s2)
         for _ in range(200):
             u = float(rng.normal())
-            s1 = reference_esn_step(s1, u, res.w, res.w_in, p)
-            s2 = reference_esn_step(s2, u, res.w, res.w_in, p)
+            s1 = reference_esn_step(s1, u, w, w_in, p)
+            s2 = reference_esn_step(s2, u, w, w_in, p)
         assert np.linalg.norm(s1 - s2) < d0 / 10.0
 
 
@@ -223,10 +223,20 @@ class TestCache:
         ds = make_dataset()
         cfg = EmbeddingConfig.make("classical_esn", seed=1)
         (rows,) = embed_dataset([ds], cfg)
-        write_embedded(EmbeddedDataset("T", rows, cfg, "abc"), tmp_path)
+        write_embedded("T", cfg, tmp_path, "abc", rows)
         back = read_embedded("T", cfg, tmp_path)
-        assert (back.ticker, back.config, back.dataset_sha256) == ("T", cfg, "abc")
+        assert back.dataset_sha256 == "abc"
         assert np.array_equal(back.features, rows)
+
+    def test_rows_of_the_dataset(self, tmp_path):
+        cfg = EmbeddingConfig.make("raw")
+        path = write_embedded("T", cfg, tmp_path, "abc", np.eye(2))
+        cached = read_embedded("T", cfg, tmp_path)
+        assert np.array_equal(cached_rows(cached, "T", cfg, tmp_path, "abc", 2), np.eye(2))
+        assert cached_rows(cached, "T", cfg, tmp_path, "other", 2) is None
+        assert cached_rows(None, "T", cfg, tmp_path, "abc", 2) is None
+        with pytest.raises(IngestionError, match=re.escape(path) + ".*2 feature rows, its dataset has 3"):
+            cached_rows(cached, "T", cfg, tmp_path, "abc", 3)
 
     def test_miss_returns_none(self, tmp_path):
         assert read_embedded("T", EmbeddingConfig.make("raw"), tmp_path) is None
@@ -234,7 +244,7 @@ class TestCache:
     @pytest.mark.parametrize("entry", ["features", "dataset_sha256"])
     def test_file_without_entry_raises_naming_it(self, tmp_path, entry):
         cfg = EmbeddingConfig.make("raw")
-        path = write_embedded(EmbeddedDataset("T", np.eye(2), cfg, "abc"), tmp_path)
+        path = write_embedded("T", cfg, tmp_path, "abc", np.eye(2))
         arrays = load_arrays(path)
         del arrays[entry]
         save_arrays(path, **arrays)
@@ -249,7 +259,7 @@ class TestCache:
     ], ids=["features-0d", "features-int", "features-nan", "dataset_sha256-array"])
     def test_malformed_entry_raises_naming_it(self, tmp_path, entry, value):
         cfg = EmbeddingConfig.make("raw")
-        path = write_embedded(EmbeddedDataset("T", np.eye(2), cfg, "abc"), tmp_path)
+        path = write_embedded("T", cfg, tmp_path, "abc", np.eye(2))
         save_arrays(path, **{**load_arrays(path), entry: value})
         with pytest.raises(IngestionError, match=re.escape(path) + f".*{entry}"):
             read_embedded("T", cfg, tmp_path)

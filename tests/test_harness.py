@@ -81,6 +81,17 @@ class TestSynthSeries:
         with pytest.raises(ConfigError):
             synth_regime_series([(10, -0.1)], seed=0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"start_price": float("nan")}, "start price"),
+        ({"start_price": float("inf")}, "start price"),
+        ({"start_price": -1.0}, "start price"),
+        ({"start_price": 0.0}, "start price"),
+        ({"seed": -1}, "seed"),
+    ])
+    def test_invalid_start_price_or_seed(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            synth_regime_series([(10, 0.1)], **{"seed": 0, **kwargs})
+
     @pytest.mark.parametrize("regimes,message", [
         ([(0, 0.1)], "regime segment 1: length"),
         ([(10, 0.1), (10, -0.1)], "regime segment 2: sigma"),

@@ -115,6 +115,12 @@ class TestLoadPrices:
         assert [s.ticker for s in series] == ["B"]
 
 
+@pytest.mark.parametrize("price", [np.nan, np.inf, 0.0, -1.0])
+def test_price_series_rejects_non_finite_or_non_positive_prices(price):
+    with pytest.raises(InputShapeError, match="finite and strictly positive"):
+        PriceSeries("T", ["2020-01-01", "2020-01-02"], [100.0, price])
+
+
 class TestLogReturns:
     def test_exact_logs(self):
         r = log_returns(np.array([1.0, np.e, np.e**2]))
