@@ -8,12 +8,14 @@ Subcommands:
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 internal error.
 Each command writes a manifest listing input and artifact hashes so a
 run can be replayed and verified: synth to `<out>.manifest.json` beside
-its CSV, prepare and run to `manifest.json` in their output directory.
+its CSV, prepare and run to `manifest.json` in their output directory,
+which they hold locked (_output_lock) while they write it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import fcntl
 import hashlib
@@ -69,32 +71,24 @@ def _write_manifest(path, command, args_dict, inputs, artifacts, **fields):
         fh.write("\n")
 
 
-class _OutputLock:
+@contextlib.contextmanager
+def _output_lock(out_dir):
     """Guards an output directory against concurrent runs.
 
     A POSIX flock on `.qrcvol.lock`: the kernel releases it when the
     holder exits, however it exits.  The file stays, since a run that
     removed it could let two later runs lock two different files.
     """
-
-    def __init__(self, out_dir):
-        self.path = os.path.join(str(out_dir), ".qrcvol.lock")
-
-    def __enter__(self):
-        fd = os.open(self.path, os.O_CREAT | os.O_WRONLY)
+    path = os.path.join(str(out_dir), ".qrcvol.lock")
+    fd = os.open(path, os.O_CREAT | os.O_WRONLY)
+    try:
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
-            os.close(fd)
-            raise IngestionError(
-                f"output directory is locked by another run ({self.path})"
-            ) from None
-        self.fd = fd
-        return self
-
-    def __exit__(self, *exc):
-        os.close(self.fd)
-        return False
+            raise IngestionError(f"output directory is locked by another run ({path})") from None
+        yield
+    finally:
+        os.close(fd)
 
 
 def cmd_synth(args) -> int:
@@ -125,12 +119,15 @@ def cmd_synth(args) -> int:
 def cmd_prepare(args) -> int:
     if not math.isfinite(args.lam):
         raise ConfigError(f"--lambda must be a finite number, got {args.lam}")
+    for flag, value, least in (("--window", args.window, 2), ("--stride", args.stride, 1)):
+        if value < least:
+            raise ConfigError(f"{flag} must be >= {least}, got {value}")
     if not os.path.exists(args.prices):
         raise IngestionError(f"price file not found: {args.prices}")
     tickers = args.tickers.split(",") if args.tickers else None
     series = pipeline.load_prices(args.prices, tickers=tickers)
     os.makedirs(args.out, exist_ok=True)
-    with _OutputLock(args.out):
+    with _output_lock(args.out):
         artifacts = []
         skipped = {}
         # a requested ticker without a usable row is skipped, not dropped
@@ -195,7 +192,7 @@ def cmd_run(args) -> int:
             raise IngestionError(f"{sources[ds.ticker]} and {path} both hold ticker {ds.ticker}")
         datasets[ds.ticker], sources[ds.ticker] = ds, path
     os.makedirs(args.out, exist_ok=True)
-    with _OutputLock(args.out):
+    with _output_lock(args.out):
         cache_dir = os.path.join(args.out, "cache")
         os.makedirs(cache_dir, exist_ok=True)
         report = harness.run_grid(datasets, grid, cache_dir=cache_dir)

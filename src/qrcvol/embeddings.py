@@ -65,6 +65,38 @@ class EsnParams:
         _store_floats(self)
 
 
+def _is_a(types, value) -> bool:
+    """isinstance(value, types) for a finite value; false for a bool, which
+    JSON keeps apart from numbers."""
+    return isinstance(value, types) and not isinstance(value, bool) and abs(value) < math.inf
+
+
+# the parameters each embedding kind takes, with the type of their values;
+# make and grid templates accept these alone
+_PARAM_TYPES = {
+    kind: {f.name: int if f.type in (int, "int") else (int, float) for f in fields(params)}
+    for kind, params in (("quantum", QuantumParams), ("classical_esn", EsnParams))
+}
+_PARAM_TYPES["raw"] = {}
+
+
+def _template_problems(tpl: dict, types: dict, where: str) -> list:
+    """Problems of a template's parameters: each must be named in types and
+    hold a non-empty list of values of its type."""
+    problems = []
+    for name, values in tpl.items():
+        if name == "kind":
+            continue
+        if name not in types:
+            problems.append(f"{where} takes no parameter {name!r}")
+        elif not isinstance(values, list) or not values:
+            problems.append(f"{where} {name} must be a non-empty list")
+        elif not all(_is_a(types[name], v) for v in values):
+            what = "integers" if types[name] is int else "finite numbers"
+            problems.append(f"{where} {name} values must be {what}, got {values!r}")
+    return problems
+
+
 @dataclass(frozen=True)
 class EmbeddingConfig:
     kind: str
@@ -126,6 +158,14 @@ class EmbeddingConfig:
 
     @classmethod
     def make(cls, kind: str, **kwargs) -> "EmbeddingConfig":
+        """The validated config of kind; each parameter must be one
+        _PARAM_TYPES gives kind, with a finite value of its type."""
+        if kind not in KINDS:
+            raise ConfigError(f"unknown embedding kind {kind!r}")
+        problems = _template_problems({k: [v] for k, v in kwargs.items()}, _PARAM_TYPES[kind],
+                                      f"embedding {kind!r}")
+        if problems:
+            raise ConfigError("; ".join(problems))
         if kind == "quantum":
             cfg = cls(kind, quantum=QuantumParams(**kwargs))
         elif kind == "classical_esn":

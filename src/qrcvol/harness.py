@@ -20,7 +20,6 @@ embed leaves the parent's BLAS threads spinning on the workers' cores.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import datetime
 import itertools
 import json
@@ -32,10 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import (
+    _PARAM_TYPES,
     KINDS,
     EmbeddingConfig,
-    EsnParams,
-    QuantumParams,
+    _is_a,
+    _template_problems,
     cached_rows,
     dataset_sha256,
     embed_dataset,
@@ -78,37 +78,6 @@ DEFAULT_GRID_READOUTS = [
     {"kind": "logistic", "regularization": [1e-4, 1e-2, 1.0]},
     {"kind": "ridge", "regularization": [1e-2, 1.0, 100.0]},
 ]
-
-
-def _is_a(types, value) -> bool:
-    """isinstance(value, types) for a finite value; false for a bool, which
-    JSON keeps apart from numbers."""
-    return isinstance(value, types) and not isinstance(value, bool) and abs(value) < math.inf
-
-
-# the parameters each embedding kind takes, with the type of their values
-_PARAM_TYPES = {
-    kind: {f.name: int if f.type in (int, "int") else (int, float) for f in dataclasses.fields(params)}
-    for kind, params in (("quantum", QuantumParams), ("classical_esn", EsnParams))
-}
-_PARAM_TYPES["raw"] = {}
-
-
-def _template_problems(tpl: dict, types: dict, where: str) -> list:
-    """Problems of a template's parameters: each must be named in types and
-    hold a non-empty list of values of its type."""
-    problems = []
-    for name, values in tpl.items():
-        if name == "kind":
-            continue
-        if name not in types:
-            problems.append(f"{where} takes no parameter {name!r}")
-        elif not isinstance(values, list) or not values:
-            problems.append(f"{where} {name} must be a non-empty list")
-        elif not all(_is_a(types[name], v) for v in values):
-            what = "integers" if types[name] is int else "finite numbers"
-            problems.append(f"{where} {name} values must be {what}, got {values!r}")
-    return problems
 
 
 @dataclass
@@ -353,13 +322,13 @@ def _check_regimes(regimes) -> None:
             raise ConfigError(f"regime segment {pos}: sigma must be finite and >= 0, got {sigma}")
 
 
-def synth_regime_series(
-    regimes, seed, ticker="SYNTH", start_price=100.0, start_date="2015-01-02"
-) -> PriceSeries:
+def synth_regime_series(regimes, seed, ticker="SYNTH", start_price=100.0) -> PriceSeries:
     """Geometric random walk whose log-return std follows a regime schedule.
 
     regimes is a list of (length, sigma) segments; the series has
-    sum(lengths) returns and one extra initial price row.
+    sum(lengths) returns and one extra initial price row, dated daily
+    from 2015-01-02.  A walk whose log-price leaves the range on which
+    np.exp gives a finite, positive, normal float is a ConfigError.
     """
     if not (math.isfinite(start_price) and start_price > 0):
         raise ConfigError(f"start price must be finite and > 0, got {start_price}")
@@ -370,8 +339,15 @@ def synth_regime_series(
     rets = np.concatenate(
         [rng.normal(0.0, sigma, size=int(length)) for length, sigma in regimes]
     )
-    log_prices = np.log(start_price) + np.concatenate([[0.0], np.cumsum(rets)])
-    day0 = datetime.date.fromisoformat(start_date)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN sum fails the check below
+        log_prices = np.log(start_price) + np.concatenate([[0.0], np.cumsum(rets)])
+    lo, hi = np.log(np.finfo(float).tiny), np.log(np.finfo(float).max)
+    outside = ~((log_prices >= lo) & (log_prices <= hi))  # NaN fails both
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ConfigError(f"regime schedule takes the log-price to {log_prices[k]:.6g} after {k} "
+                          f"returns, outside [{lo:.6g}, {hi:.6g}] where prices are finite and positive")
+    day0 = datetime.date(2015, 1, 2)
     dates = [(day0 + datetime.timedelta(days=k)).isoformat() for k in range(len(log_prices))]
     return PriceSeries(ticker, dates, np.exp(log_prices))
 

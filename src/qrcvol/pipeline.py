@@ -305,36 +305,11 @@ def write_dataset(ds: WindowedDataset, path) -> None:
     save_arrays(path, **vars(ds))
 
 
-def _dataset_problem(ds: WindowedDataset):
-    """What makes ds no dataset write_dataset could have written, or None."""
-    windows = np.asarray(ds.windows)
-    if windows.ndim != 2 or windows.dtype.kind != "f":
-        return f"windows must be a 2-D float array, got {windows.dtype} of shape {windows.shape}"
-    if not np.isfinite(windows).all():
-        return "windows must be finite"
-    rows = len(windows)
-    for name in ("labels", "t_index"):
-        if np.shape(getattr(ds, name)) != (rows,):
-            return f"{name} of shape {np.shape(getattr(ds, name))}, expected ({rows},)"
-    if not np.isin(ds.labels, (0, 1)).all():
-        return "labels must be 0 or 1"
-    for name, types in (("split_index", int), ("stride", int), ("lam", float), ("threshold", float)):
-        value = getattr(ds, name)
-        if not isinstance(value, types) or isinstance(value, bool):
-            return f"{name} must be {types.__name__}, got {value!r}"
-        if not math.isfinite(value):
-            return f"{name} must be finite, got {value!r}"
-    if not 0 <= ds.split_index <= rows:
-        return f"split_index {ds.split_index} outside [0, {rows}]"
-    if not (isinstance(ds.ticker, str) and plain_ticker(ds.ticker)):
-        return f"stored ticker {ds.ticker!r} cannot name a file or CSV field"
-    return None
-
-
 def read_dataset(path) -> WindowedDataset:
     """Read a dataset file written by write_dataset, checking the shape and
     type of every field; its stored ticker must pass plain_ticker, since it
-    names cache files and CSV fields."""
+    names cache files and CSV fields.  Each failed check raises
+    IngestionError naming path and the field."""
     arrays = load_arrays(path)
     if arrays is None:
         raise IngestionError(f"{path}: dataset file of another format version, run prepare again")
@@ -342,7 +317,26 @@ def read_dataset(path) -> WindowedDataset:
         ds = WindowedDataset(**arrays)
     except TypeError as exc:
         raise IngestionError(f"{path}: not a dataset file: {exc}") from exc
-    problem = _dataset_problem(ds)
-    if problem:
-        raise IngestionError(f"{path}: {problem}")
+    windows = np.asarray(ds.windows)
+    if windows.ndim != 2 or windows.dtype.kind != "f":
+        raise IngestionError(
+            f"{path}: windows must be a 2-D float array, got {windows.dtype} of shape {windows.shape}")
+    if not np.isfinite(windows).all():
+        raise IngestionError(f"{path}: windows must be finite")
+    rows = len(windows)
+    for name in ("labels", "t_index"):
+        if np.shape(getattr(ds, name)) != (rows,):
+            raise IngestionError(f"{path}: {name} of shape {np.shape(getattr(ds, name))}, expected ({rows},)")
+    if not np.isin(ds.labels, (0, 1)).all():
+        raise IngestionError(f"{path}: labels must be 0 or 1")
+    for name, types in (("split_index", int), ("stride", int), ("lam", float), ("threshold", float)):
+        value = getattr(ds, name)
+        if not isinstance(value, types) or isinstance(value, bool):
+            raise IngestionError(f"{path}: {name} must be {types.__name__}, got {value!r}")
+        if not math.isfinite(value):
+            raise IngestionError(f"{path}: {name} must be finite, got {value!r}")
+    if not 0 <= ds.split_index <= rows:
+        raise IngestionError(f"{path}: split_index {ds.split_index} outside [0, {rows}]")
+    if not (isinstance(ds.ticker, str) and plain_ticker(ds.ticker)):
+        raise IngestionError(f"{path}: stored ticker {ds.ticker!r} cannot name a file or CSV field")
     return ds

@@ -56,6 +56,8 @@ Guards
   MAX_PHASE.  The series needs about r * |t| terms and its coefficient
   table about 3 r * |t| samples per state, so an extreme a_x * t fails
   before anything of that size is allocated.
+* StateError: measure_features on a state whose norm is more than
+  NORM_ATOL from 1.
 """
 
 from __future__ import annotations
@@ -144,12 +146,6 @@ def build_hamiltonian(windows, scalers) -> Hamiltonian:
     for i in range(n - 1):
         diag += (a_zz * (x[..., i, :] + x[..., i + 1, :])) * (zs[:, i] * zs[:, i + 1])
     return Hamiltonian(diag, a_x)
-
-
-def _check_normalized(norms: np.ndarray) -> None:
-    deviation = np.abs(norms - 1.0)
-    if not np.all(deviation <= NORM_ATOL):
-        raise StateError(f"statevector norm deviates from 1 by {np.max(deviation)}")
 
 
 def _chebyshev_coefficients(z: float) -> np.ndarray:
@@ -274,7 +270,9 @@ def measure_features(amplitudes: np.ndarray) -> FeatureVector:
     amplitudes = np.asarray(amplitudes)
     n = amplitudes.shape[-1].bit_length() - 1
     probs = amplitudes.real**2 + amplitudes.imag**2
-    _check_normalized(np.sqrt(probs.sum(axis=-1)))
+    deviation = np.abs(np.sqrt(probs.sum(axis=-1)) - 1.0)
+    if not np.all(deviation <= NORM_ATOL):
+        raise StateError(f"statevector norm deviates from 1 by {np.max(deviation)}")
     # one (1, 2^n) @ table product per state, so a state's features do
     # not depend on how many states share the call
     return FeatureVector((probs[..., None, :] @ _feature_signs(n))[..., 0, :])

@@ -15,6 +15,7 @@ import pytest
 import qrcvol
 from qrcvol import cli
 from qrcvol.cli import main
+from qrcvol.errors import StateError
 from qrcvol.pipeline import load_arrays, save_arrays
 
 SMALL_CONFIG = {
@@ -83,6 +84,15 @@ class TestSynth:
         assert len(err) == 1 and err[0].startswith("error:")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("regimes", ["10:1000", "10:1e308"])
+    def test_price_overflow_exit_one(self, tmp_path, capsys, regimes):
+        rc = main(["synth", "--regimes", regimes, "--out", str(tmp_path / "p.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: regime schedule takes the log-price")
+        assert list(tmp_path.iterdir()) == []
+
     def test_same_spec_and_seed_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
@@ -127,6 +137,15 @@ class TestPrepare:
         rc = main(["prepare", "--prices", str(prices), "--out", str(out), f"--lambda={lam}"])
         assert rc == 1
         assert "--lambda" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--window=1", "--stride=0"])
+    def test_window_or_stride_too_small_exit_one(self, workspace, tmp_path, capsys, option):
+        _, prices, _, _ = workspace
+        out = tmp_path / "small"
+        rc = main(["prepare", "--prices", str(prices), "--out", str(out), option])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {option.split('=')[0]} must be >=")
         assert not out.exists()
 
     def test_rerun_byte_identical(self, workspace, tmp_path):
@@ -209,6 +228,26 @@ class TestRun:
         rc = main(["run", "--data", str(data), "--config", str(config),
                    "--out", str(tmp_path / "x"), "--embeddings", "warp"])
         assert rc == 1
+
+    def test_embedding_filter_removing_every_template(self, workspace, capsys):
+        tmp_path, _, data, config = workspace
+        out = tmp_path / "none"
+        rc = main(["run", "--data", str(data), "--config", str(config),
+                   "--out", str(out), "--embeddings", "quantum"])
+        assert rc == 1
+        assert "embedding filter removed every template" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("data, words", [("absent", "data directory not found"),
+                                             ("empty", "no *.dataset.npz files in")])
+    def test_data_directory_without_datasets_exit_two(self, workspace, capsys, data, words):
+        tmp_path, _, _, config = workspace
+        (tmp_path / "empty").mkdir()
+        out = tmp_path / "out"
+        rc = main(["run", "--data", str(tmp_path / data), "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert words in capsys.readouterr().err
+        assert not out.exists()
 
     def test_determinism_across_runs(self, workspace):
         tmp_path, _, data, config = workspace
@@ -391,7 +430,7 @@ class TestRun:
         tmp_path, _, data, config = workspace
         out = tmp_path / "locked"
         out.mkdir()
-        with cli._OutputLock(out):
+        with cli._output_lock(out):
             rc = main(["run", "--data", str(data), "--config", str(config),
                        "--out", str(out)])
         assert rc == 2
@@ -403,9 +442,9 @@ class TestRun:
         out.mkdir()
         holder = (
             "import os, signal, sys\n"
-            "from qrcvol.cli import _OutputLock\n"
-            "_OutputLock(sys.argv[1]).__enter__()\n"
-            "os.kill(os.getpid(), signal.SIGKILL)\n"
+            "from qrcvol.cli import _output_lock\n"
+            "with _output_lock(sys.argv[1]):\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
         )
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qrcvol.__file__)))
         proc = subprocess.run([sys.executable, "-c", holder, str(out)], env=env, timeout=60)
@@ -523,3 +562,13 @@ class TestRun:
         a1 = {os.path.basename(k): v for k, v in m1["artifacts"].items()}
         a2 = {os.path.basename(k): v for k, v in m2["artifacts"].items()}
         assert a1 == a2
+
+
+def test_other_package_error_exit_three(tmp_path, capsys, monkeypatch):
+    def fail(args):
+        raise StateError("statevector norm deviates from 1 by 0.5")
+
+    monkeypatch.setattr(cli, "cmd_synth", fail)
+    rc = main(["synth", "--regimes", "50:0.01", "--out", str(tmp_path / "p.csv")])
+    assert rc == 3
+    assert capsys.readouterr().err == "internal error: statevector norm deviates from 1 by 0.5\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -16,7 +17,17 @@ from qrcvol.embeddings import (
     write_embedded,
 )
 from qrcvol.errors import ConfigError, IngestionError
-from qrcvol.pipeline import WindowedDataset, load_arrays, save_arrays
+from qrcvol.harness import synth_regime_series
+from qrcvol.pipeline import (
+    WindowedDataset,
+    load_arrays,
+    log_returns,
+    normalize_and_label,
+    prepare_dataset,
+    rolling_volatility,
+    save_arrays,
+)
+from qrcvol.quantum import quantum_embed
 
 from conftest import reference_esn_step
 
@@ -54,6 +65,17 @@ class TestConfig:
             EmbeddingConfig.make("classical_esn", leak_rate=0.0)
         with pytest.raises(ConfigError):
             EmbeddingConfig.make("classical_esn", reservoir_size=5).validate(w=9)
+
+    @pytest.mark.parametrize("kind, params, words", [
+        ("raw", {"a_x": 1.0}, "embedding 'raw' takes no parameter 'a_x'"),
+        ("quantum", {"bogus": 1}, "embedding 'quantum' takes no parameter 'bogus'"),
+        ("classical_esn", {"reservoir_size": 20.5}, "reservoir_size values must be integers"),
+        ("classical_esn", {"seed": 1.5}, "seed values must be integers"),
+        ("classical_esn", {"input_scaling": float("inf")}, "input_scaling values must be finite numbers"),
+    ])
+    def test_make_checks_parameter_names_and_types(self, kind, params, words):
+        with pytest.raises(ConfigError, match=words):
+            EmbeddingConfig.make(kind, **params)
 
     def test_hash_depends_on_params(self):
         a = EmbeddingConfig.make("quantum", t=1.0)
@@ -150,6 +172,59 @@ class TestEmbedDataset:
         ds.labels = ds.labels[:0]
         with pytest.raises(ConfigError):
             embed_dataset([ds], EmbeddingConfig.make("raw"))
+
+
+def acceptance_dataset():
+    """The first acceptance-schedule ticker: 692 windows of 9 returns."""
+    series = synth_regime_series([(120, 0.005), (55, 0.05)] * 4, seed=5, ticker="ACC0")
+    return prepare_dataset(series, w=9, lam=1.0)
+
+
+class TestSignSymmetry:
+    """Exact relations under a sign flip (metamorphic tests: Chen et al.,
+    ACM Computing Surveys 51(1), 2018).  IEEE arithmetic rounds x and -x
+    alike, so each relation holds bit for bit."""
+
+    QUANTUM = [(a_x, a_z, a_zz, t) for a_x in (0.5, 1.0, 2.0)
+               for a_z, a_zz, t in ((0.5, 0.25, 0.5), (1.0, 0.5, 1.0), (2.0, 1.0, 2.0))]
+
+    @pytest.fixture(scope="class")
+    def windows(self):
+        return acceptance_dataset().windows[::7]  # 99 windows of both regimes
+
+    @pytest.mark.parametrize("a_x, a_z, a_zz, t", QUANTUM)
+    def test_quantum_features_even_in_the_window(self, windows, a_x, a_z, a_zz, t):
+        """H is real and PiZ H(-x) PiZ = -H(x), PiZ the product of every
+        Z_i, so the state of -x is PiZ conj(state of x): equal Born
+        probabilities."""
+        assert np.array_equal(quantum_embed(-windows, a_x, a_z, a_zz, t).values,
+                              quantum_embed(windows, a_x, a_z, a_zz, t).values)
+
+    @pytest.mark.parametrize("a_x, a_z, a_zz, t", QUANTUM)
+    def test_quantum_features_even_in_a_x(self, windows, a_x, a_z, a_zz, t):
+        """PiZ X_i PiZ = -X_i and PiZ |0...0> = |0...0>, so the state under
+        -a_x is PiZ (state under a_x): equal Born probabilities."""
+        assert np.array_equal(quantum_embed(windows, -a_x, a_z, a_zz, t).values,
+                              quantum_embed(windows, a_x, a_z, a_zz, t).values)
+
+    @pytest.mark.parametrize("spectral_radius, leak_rate", [(0.7, 0.3), (0.9, 0.3), (1.1, 1.0)])
+    def test_esn_rows_odd_in_the_series(self, spectral_radius, leak_rate):
+        """tanh is odd, the reservoir has no bias and its state starts at
+        zero, so the negated return series drives it through the negated
+        states."""
+        ds = acceptance_dataset()
+        negated = dataclasses.replace(ds, windows=-ds.windows)
+        cfg = EmbeddingConfig.make("classical_esn", spectral_radius=spectral_radius, leak_rate=leak_rate)
+        (rows,), (negated_rows,) = embed_dataset([ds], cfg), embed_dataset([negated], cfg)
+        assert np.array_equal(negated_rows, -rows)
+
+    def test_labels_even_in_the_returns(self):
+        """A sample std is even: negated returns have negated means and
+        deviations, and equal squares."""
+        returns = log_returns(synth_regime_series([(120, 0.005), (55, 0.05)] * 4, seed=5).prices)
+        labels, tau = normalize_and_label(rolling_volatility(returns, 9), 1.0)
+        negated, negated_tau = normalize_and_label(rolling_volatility(-returns, 9), 1.0)
+        assert np.array_equal(negated, labels) and negated_tau == tau
 
 
 def test_golden_esn_features():

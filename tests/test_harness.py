@@ -673,6 +673,14 @@ class TestEmitReport:
         for accs in accs_by_kind.values():
             assert accs == sorted(accs, reverse=True)
 
+    def test_excluded_tickers_listed(self, tmp_path):
+        tiny = synth_dataset(4)
+        tiny.split_index = len(tiny.labels)  # no test rows
+        report = run_grid({"GOOD": synth_dataset(3), "TINY": tiny}, small_grid())
+        text = Path(emit_report(report, tmp_path / "out")["text"]).read_text()
+        assert text.endswith(f"\nExcluded tickers:\n  TINY: needs >= 2 train and >= 1 test windows, "
+                             f"has {len(tiny.labels)}/0\n")
+
     def test_means_recompute_from_per_ticker(self, tmp_path):
         d = {f"S{k}": synth_dataset(k) for k in range(3)}
         report = run_grid(d, small_grid())
@@ -709,6 +717,16 @@ class TestConfigFile:
         path = tmp_path / "cfg.json"
         path.write_text("{nope")
         with pytest.raises(ConfigError):
+            load_grid_config(path)
+
+    @pytest.mark.parametrize("config, words", [
+        ([{"kind": "raw"}], "config root must be a JSON object"),
+        ({"readouts": [{"kind": "svm", "regularization": [1.0]}]}, "unknown readout kind 'svm'"),
+    ])
+    def test_root_and_readout_kind_checked(self, tmp_path, config, words):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(ConfigError, match=words):
             load_grid_config(path)
 
     def test_seed_key_ignored_with_warning(self, tmp_path, caplog):

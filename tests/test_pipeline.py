@@ -97,6 +97,28 @@ class TestLoadPrices:
         assert [s.ticker for s in series] == ["AB"]
         assert sum("row rejected" in r.getMessage() for r in caplog.records) == len(bad)
 
+    @pytest.mark.parametrize("row, words", [
+        ("2020-01-02,A,", "row 3: missing field"),
+        ("2020-01-02,,100", "row 3: missing field"),
+        ("2020-01-02,A,abc", "row 3: unparseable price 'abc'"),
+    ])
+    def test_unusable_row_rejected_with_row_diagnostic(self, tmp_path, caplog, row, words):
+        path = make_csv(tmp_path, ["2020-01-01,A,100", row, "2020-01-03,A,101"])
+        with caplog.at_level(logging.WARNING):
+            series = load_prices(path)
+        assert series[0].dates == ["2020-01-01", "2020-01-03"]
+        assert [r.getMessage() for r in caplog.records] == [f"{path} {words}, row rejected"]
+
+    def test_duplicate_dates_rejected(self, tmp_path):
+        path = make_csv(tmp_path, ["2020-01-01,A,100", "2020-01-02,A,101", "2020-01-02,A,102"])
+        with pytest.raises(IngestionError, match=r"ticker A: duplicate dates \['2020-01-02'\]"):
+            load_prices(path)
+
+    def test_no_usable_row(self, tmp_path):
+        path = make_csv(tmp_path, ["2020-01-01,A,-1", "2020-01-02,A,x"])
+        with pytest.raises(IngestionError, match="no usable rows"):
+            load_prices(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestionError):
             load_prices(tmp_path / "nope.csv")
