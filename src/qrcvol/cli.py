@@ -193,9 +193,7 @@ def cmd_run(args) -> int:
         datasets[ds.ticker], sources[ds.ticker] = ds, path
     os.makedirs(args.out, exist_ok=True)
     with _output_lock(args.out):
-        cache_dir = os.path.join(args.out, "cache")
-        os.makedirs(cache_dir, exist_ok=True)
-        report = harness.run_grid(datasets, grid, cache_dir=cache_dir)
+        report = harness.run_grid(datasets, grid, os.path.join(args.out, "cache"))
         paths = harness.emit_report(report, args.out)
         _write_manifest(
             os.path.join(args.out, "manifest.json"),

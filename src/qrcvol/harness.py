@@ -63,7 +63,6 @@ log = logging.getLogger(__name__)
 
 # each readout kind fits a whole regularization path in one call
 FIT_PATH = {"logistic": fit_logistic_path, "ridge": fit_ridge_path}
-READOUT_KINDS = tuple(FIT_PATH)
 
 # Default grid; kept deliberately small enough for desk-scale runs.
 DEFAULT_GRID_EMBEDDINGS = [
@@ -106,7 +105,7 @@ class GridSpec:
                 problems += _template_problems(tpl, _PARAM_TYPES[kind], f"embedding {kind!r}")
         for tpl in self.readouts:
             kind = tpl.get("kind")
-            if kind not in READOUT_KINDS:
+            if kind not in FIT_PATH:
                 problems.append(f"unknown readout kind {kind!r}")
             found = _template_problems(tpl, {"regularization": (int, float)}, f"readout {kind!r}")
             problems += found
@@ -184,13 +183,15 @@ def ProcessPoolExecutor(max_workers):
     return pool(max_workers=max_workers)
 
 
-def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport:
+def run_grid(datasets: dict, grid: GridSpec, cache_dir) -> ExperimentReport:
     """Evaluate every grid cell on every usable ticker.
 
     datasets maps ticker -> WindowedDataset.  A dataset whose window,
     lambda or stride differs from one the grid sets is a ConfigError.
     Tickers with fewer than 2 training or 1 test windows are excluded
-    with a diagnostic.  Fitting only ever sees training rows.
+    with a diagnostic.  Fitting only ever sees training rows.  cache_dir
+    holds the embedding and fit files, and is created once the checks
+    pass; an empty one makes every lookup a miss.
     """
     grid.validate()
     if not datasets:
@@ -225,6 +226,7 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
     for cfg in embed_cfgs:
         for w in windows:
             cfg.validate(w=w)
+    os.makedirs(cache_dir, exist_ok=True)
     paths = grid.readout_paths()
     readouts = [(kind, reg) for kind, regs in paths for reg in regs]  # one per cell
 
@@ -242,8 +244,7 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
             for kind, regs in paths
             for res in evaluate_path(FIT_PATH[kind](rows[:k], ds.labels[:k], regs), rows[k:], ds.labels[k:])
         ]
-        if cache_dir:
-            write_fit(ticker, cfg, cache_dir, fingerprints[ticker], paths, evals[cfg, ticker])
+        write_fit(ticker, cfg, cache_dir, fingerprints[ticker], paths, evals[cfg, ticker])
 
     # one lookup per pair in the cache files of embeddings: a matching fit
     # file serves its results, else a matching embedding file is read and
@@ -256,21 +257,19 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
     for cfg in embed_cfgs:
         missing = []
         for ticker, ds in usable.items():
-            served = rows = None
-            if cache_dir:
-                served = read_fit(ticker, cfg, cache_dir, fingerprints[ticker], paths,
-                                  len(ds.labels) - ds.split_index)
-                if served is None:
-                    rows = cached_rows(read_embedded(ticker, cfg, cache_dir), ticker, cfg, cache_dir,
-                                       fingerprints[ticker], len(ds.labels))
+            served = read_fit(ticker, cfg, cache_dir, fingerprints[ticker], paths,
+                              len(ds.labels) - ds.split_index)
             if served is not None:
                 evals[cfg, ticker] = served
                 fits_reused += 1
-            elif rows is not None:
+                continue
+            rows = cached_rows(read_embedded(ticker, cfg, cache_dir), ticker, cfg, cache_dir,
+                               fingerprints[ticker], len(ds.labels))
+            if rows is None:
+                missing.append(ticker)
+            else:
                 fit(cfg, ticker, rows)
                 embeddings_reused += 1
-            else:
-                missing.append(ticker)
             rows = None  # no name keeps a file's rows while batches are embedded
         jobs += [(cfg, chunk) for chunk in _chunks(missing, grid.workers)]
     pool = None
@@ -287,8 +286,7 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir=None) -> ExperimentReport
             batches = iter(list(batches))
         for cfg, chunk in jobs:
             for ticker, rows in zip(chunk, next(batches)):
-                if cache_dir:
-                    write_embedded(ticker, cfg, cache_dir, fingerprints[ticker], rows)
+                write_embedded(ticker, cfg, cache_dir, fingerprints[ticker], rows)
                 fit(cfg, ticker, rows)
             del rows  # else it holds the batch's last rows while the next is embedded
 

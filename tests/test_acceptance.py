@@ -160,13 +160,13 @@ ACCEPTANCE_GRID = GridSpec(
 
 
 @pytest.fixture(scope="module")
-def synthetic_report():
+def synthetic_report(tmp_path_factory):
     datasets = {}
     for seed in range(10):
         series = synth_regime_series(ACCEPTANCE_REGIMES, seed=seed, ticker=f"SYN{seed}")
         datasets[f"SYN{seed}"] = prepare_dataset(series, w=9, lam=1.0)
     start = time.time()
-    rep = run_grid(datasets, ACCEPTANCE_GRID)
+    rep = run_grid(datasets, ACCEPTANCE_GRID, tmp_path_factory.mktemp("cache"))
     return rep, time.time() - start
 
 

@@ -119,46 +119,46 @@ class TestParseRegimeSpec:
 
 
 class TestRunGrid:
-    def test_singleton_cell(self):
+    def test_singleton_cell(self, tmp_path):
         ds = synth_dataset(0)
-        report = run_grid({"S0": ds}, small_grid())
+        report = run_grid({"S0": ds}, small_grid(), tmp_path)
         assert len(report.cells) == 1
         cell = report.cells[0]
         assert set(cell.per_ticker) == {"S0"}
         assert cell.mean_accuracy == cell.per_ticker["S0"].accuracy
 
-    def test_mean_over_tickers(self):
+    def test_mean_over_tickers(self, tmp_path):
         d0, d1 = synth_dataset(0), synth_dataset(1)
-        report = run_grid({"A": d0, "B": d1}, small_grid())
+        report = run_grid({"A": d0, "B": d1}, small_grid(), tmp_path)
         cell = report.cells[0]
         expected = (cell.per_ticker["A"].accuracy + cell.per_ticker["B"].accuracy) / 2
         assert abs(cell.mean_accuracy - expected) < 1e-12
 
-    def test_duplicated_ticker_identical_results(self):
+    def test_duplicated_ticker_identical_results(self, tmp_path):
         ds = synth_dataset(2)
-        report = run_grid({"A": ds, "B": ds}, small_grid())
+        report = run_grid({"A": ds, "B": ds}, small_grid(), tmp_path)
         cell = report.cells[0]
         assert cell.per_ticker["A"] == cell.per_ticker["B"]
         assert abs(cell.mean_accuracy - cell.per_ticker["A"].accuracy) < 1e-12
 
-    def test_degenerate_ticker_excluded(self):
+    def test_degenerate_ticker_excluded(self, tmp_path):
         good = synth_dataset(3)
         tiny = synth_dataset(4)
         tiny.windows = tiny.windows[:2]
         tiny.labels = tiny.labels[:2]
         tiny.t_index = tiny.t_index[:2]
         tiny.split_index = 2  # no test rows
-        report = run_grid({"GOOD": good, "TINY": tiny}, small_grid())
+        report = run_grid({"GOOD": good, "TINY": tiny}, small_grid(), tmp_path)
         assert "TINY" in report.excluded
         assert set(report.cells[0].per_ticker) == {"GOOD"}
 
-    def test_best_selection_deterministic_tiebreak(self):
+    def test_best_selection_deterministic_tiebreak(self, tmp_path):
         ds = synth_dataset(5)
         grid = small_grid(
             embeddings=[{"kind": "raw"}],
             readouts=[{"kind": "ridge", "regularization": [1e12, 1e13]}],
         )
-        report = run_grid({"S": ds}, grid)
+        report = run_grid({"S": ds}, grid, tmp_path)
         best = best_cells(report)["raw", "ridge"]
         # both cells predict the majority class; tie resolves to smaller reg
         assert best.regularization == 1e12
@@ -181,7 +181,7 @@ class TestRunGrid:
         old, new = synth_dataset(6), synth_dataset(7)
         run_grid({"S": old}, grid, cache_dir=tmp_path)
         report = run_grid({"S": new}, grid, cache_dir=tmp_path)
-        fresh = run_grid({"S": new}, grid)
+        fresh = run_grid({"S": new}, grid, tmp_path / "fresh")
         assert report.cells[0].per_ticker == fresh.cells[0].per_ticker
         cached = read_embedded("S", EmbeddingConfig.make("raw"), tmp_path)
         assert np.array_equal(cached.features, new.windows)
@@ -200,7 +200,7 @@ class TestRunGrid:
         (fit,) = tmp_path.glob("*.fit.npz")
         fit.unlink()  # a served fit file would leave the embedding unread
         report = run_grid({"S": ds}, grid, cache_dir=tmp_path)
-        assert report.cells[0].per_ticker == run_grid({"S": ds}, grid).cells[0].per_ticker
+        assert report.cells[0].per_ticker == run_grid({"S": ds}, grid, tmp_path / "fresh").cells[0].per_ticker
         cached = read_embedded("S", EmbeddingConfig.make("raw"), tmp_path)
         assert np.array_equal(cached.features, ds.windows)
 
@@ -236,6 +236,14 @@ class TestRunGrid:
             run_grid({"A": ds}, grid, cache_dir=tmp_path)
         assert not list(tmp_path.glob("*.emb.npz"))
 
+    def test_cache_directory_created_once_the_checks_pass(self, tmp_path):
+        ds = synth_dataset(0)  # w=5
+        with pytest.raises(ConfigError, match="ticker A"):
+            run_grid({"A": ds}, small_grid(w=9), tmp_path / "rejected")
+        assert not (tmp_path / "rejected").exists()
+        run_grid({"A": ds}, small_grid(), tmp_path / "out" / "cache")
+        assert len(list((tmp_path / "out" / "cache").glob("A__*.npz"))) == 2
+
     def test_unreadable_cache_file_raises(self, tmp_path):
         ds = synth_dataset(6)
         run_grid({"S": ds}, small_grid(), cache_dir=tmp_path)
@@ -264,9 +272,9 @@ class TestRunGrid:
         with pytest.raises(IngestionError, match=re.escape(str(path))):
             run_grid({"S": ds}, small_grid(), cache_dir=tmp_path)
 
-    def test_grid_validation(self):
+    def test_grid_validation(self, tmp_path):
         with pytest.raises(ConfigError):
-            run_grid({}, small_grid())
+            run_grid({}, small_grid(), tmp_path)
         with pytest.raises(ConfigError):
             small_grid(embeddings=[]).validate()
         with pytest.raises(ConfigError):
@@ -289,14 +297,14 @@ class TestRunGrid:
             load_grid_config(path)
         assert "workers" in str(err.value) and "warp" in str(err.value)
 
-    def test_dataset_params_must_match_grid(self):
+    def test_dataset_params_must_match_grid(self, tmp_path):
         ds = synth_dataset(0)  # w=5, lam=1.0, stride=1
         for key, value in (("w", 9), ("lam", 2.0), ("stride", 2)):
             with pytest.raises(ConfigError, match="ticker A"):
-                run_grid({"A": ds}, small_grid(**{key: value}))
+                run_grid({"A": ds}, small_grid(**{key: value}), tmp_path)
         unset = small_grid(w=None)
         mixed = {"A": ds, "B": synth_dataset(1, w=7)}
-        assert set(run_grid(mixed, unset).cells[0].per_ticker) == {"A", "B"}
+        assert set(run_grid(mixed, unset, tmp_path).cells[0].per_ticker) == {"A", "B"}
 
     def test_paths_give_the_reports_of_cell_by_cell_fits(self, tmp_path):
         datasets = {f"S{k}": synth_dataset(k) for k in range(3)}
@@ -306,7 +314,7 @@ class TestRunGrid:
                       {"kind": "ridge", "regularization": [0.5, 50.0]},
                       {"kind": "logistic", "regularization": [1e-2]}],
         )
-        emit_report(run_grid(datasets, grid), tmp_path / "paths")
+        emit_report(run_grid(datasets, grid, tmp_path / "cache"), tmp_path / "paths")
         cells = []
         for cfg in grid.expand_embeddings():
             features = dict(zip(datasets, embed_dataset(list(datasets.values()), cfg)))
@@ -378,7 +386,7 @@ class TestRunGrid:
         assert embedded == [2, 2, 2, 1] and len(alive) == 8
         assert [ref() for ref in alive] == [None] * 8
         monkeypatch.undo()
-        assert [c.per_ticker for c in report.cells] == [c.per_ticker for c in run_grid(datasets, grid).cells]
+        assert [c.per_ticker for c in report.cells] == [c.per_ticker for c in run_grid(datasets, grid, tmp_path / "fresh").cells]
 
     def test_integer_and_float_params_hash_alike(self):
         # float-written configs keep the hashes of earlier versions
@@ -389,13 +397,13 @@ class TestRunGrid:
         assert EmbeddingConfig.make("quantum", **quantum).cfg_hash() == "7fc2b52ae99bc5fd"
         assert EmbeddingConfig.make("quantum", **dict(quantum, a_x=2, t=1)).cfg_hash() == "7fc2b52ae99bc5fd"
 
-    def test_ticker_without_positive_test_label_warned_once(self, caplog):
+    def test_ticker_without_positive_test_label_warned_once(self, tmp_path, caplog):
         no_positive = synth_dataset(1)  # the test split is all calm
         grid = small_grid(embeddings=[{"kind": "raw"}, {"kind": "classical_esn", "reservoir_size": [20]}],
                           readouts=[{"kind": "ridge", "regularization": [0.5, 2.0]}])
         with caplog.at_level(logging.WARNING, logger="qrcvol.harness"):
             good = synth_dataset(0, regimes=((60, 0.005), (30, 0.05), (60, 0.005), (30, 0.05)))
-            report = run_grid({"GOOD": good, "NOPOS": no_positive}, grid)
+            report = run_grid({"GOOD": good, "NOPOS": no_positive}, grid, tmp_path)
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1 and "NOPOS" in warnings[0] and "GOOD" not in warnings[0]
         assert all(not cell.per_ticker["NOPOS"].ap_defined for cell in report.cells)
@@ -438,7 +446,7 @@ class TestFitCache:
         before = cache_bytes(tmp_path)
         assert sorted(name.split(".", 1)[1] for name in before) == ["emb.npz"] * 4 + ["fit.npz"] * 4
         assert cold.cache_counts == {"embeddings": (0, 4), "readout results": (0, 4)}
-        assert run_grid(datasets, grid).cache_counts == cold.cache_counts  # no cache dir: all computed
+        assert run_grid(datasets, grid, tmp_path / "fresh").cache_counts == cold.cache_counts  # all computed
         for kind in harness.FIT_PATH:
             monkeypatch.setitem(harness.FIT_PATH, kind, forbidden)
         monkeypatch.setattr(harness, "evaluate_path", forbidden)
@@ -476,7 +484,7 @@ class TestFitCache:
         report = run_grid(datasets, grid, cache_dir=tmp_path)
         assert report.cache_counts == {"embeddings": (2, 1), "readout results": (1, 2)}
         assert reads == ["B", "C"]
-        assert report.cells == run_grid(datasets, grid).cells
+        assert report.cells == run_grid(datasets, grid, tmp_path / "fresh").cells
 
     def test_damaged_embedding_next_to_valid_fit_file_is_served(self, tmp_path):
         datasets, grid = self.datasets(), self.grid()
@@ -500,7 +508,7 @@ class TestFitCache:
         else:
             grid = self.grid(readouts=SWEEP[::-1])
         report = run_grid(datasets, grid, cache_dir=tmp_path)
-        assert report.cells == run_grid(datasets, grid).cells
+        assert report.cells == run_grid(datasets, grid, tmp_path / "fresh").cells
         after = cache_bytes(tmp_path)
         rewritten = sorted(name for name in after if name.endswith(".fit.npz") and after[name] != before[name])
         refit = ["S2"] if change == "dataset contents" else ["S0", "S2"]
@@ -594,7 +602,6 @@ class TestWorkers:
         datasets = {f"S{k}": synth_dataset(k) for k in range(3)}
         datasets["S1"] = synth_dataset(1, regimes=((40, 0.005), (30, 0.05), (40, 0.005)))
         grid = small_grid(embeddings=ESN_RAW_QUANTUM, workers=workers)
-        (out / "cache").mkdir(parents=True)
         emit_report(run_grid(datasets, grid, cache_dir=out / "cache"), out)
         return {p.name: load_arrays(p)["features"] for p in (out / "cache").glob("*.emb.npz")}
 
@@ -609,7 +616,7 @@ class TestWorkers:
         cache = [cache_bytes(tmp_path / name / "cache") for name in ("one", "two")]
         assert sum(name.endswith(".fit.npz") for name in cache[0]) == 12 and cache[0] == cache[1]
 
-    def test_pool_capped_at_number_of_batches(self, monkeypatch):
+    def test_pool_capped_at_number_of_batches(self, tmp_path, monkeypatch):
         started = []
 
         def recording_pool(max_workers):
@@ -618,12 +625,12 @@ class TestWorkers:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", recording_pool)
         datasets = {"A": synth_dataset(0), "B": synth_dataset(1)}
-        run_grid(datasets, small_grid(workers=5000))
-        run_grid(datasets, small_grid(embeddings=ESN_RAW_QUANTUM, workers=5000))
-        run_grid(datasets, small_grid(embeddings=ESN_RAW_QUANTUM, workers=3))
+        run_grid(datasets, small_grid(workers=5000), tmp_path / "1")
+        run_grid(datasets, small_grid(embeddings=ESN_RAW_QUANTUM, workers=5000), tmp_path / "2")
+        run_grid(datasets, small_grid(embeddings=ESN_RAW_QUANTUM, workers=3), tmp_path / "3")
         assert started == [2, 8, 3]
 
-    def test_fits_wait_for_the_pool(self, monkeypatch):
+    def test_fits_wait_for_the_pool(self, tmp_path, monkeypatch):
         # fitting while the workers embed would leave the parent's BLAS
         # threads spinning on their cores
         events = []
@@ -640,14 +647,14 @@ class TestWorkers:
         monkeypatch.setattr(harness, "embed_dataset", recording_embed)
         monkeypatch.setitem(harness.FIT_PATH, "ridge", recording_fit)
         datasets = {"A": synth_dataset(0), "B": synth_dataset(1)}
-        run_grid(datasets, small_grid(embeddings=ESN_RAW_QUANTUM, workers=2))
+        run_grid(datasets, small_grid(embeddings=ESN_RAW_QUANTUM, workers=2), tmp_path)
         assert events == ["embed"] * 8 + ["fit"] * 8
 
 
 class TestEmitReport:
     def test_singleton_row_and_determinism(self, tmp_path):
         ds = synth_dataset(7)
-        report = run_grid({"S7": ds}, small_grid())
+        report = run_grid({"S7": ds}, small_grid(), tmp_path / "cache")
         paths = emit_report(report, tmp_path / "out")
         cells = Path(paths["cells"]).read_text().splitlines()
         assert len(cells) == 2  # header + one cell
@@ -664,7 +671,7 @@ class TestEmitReport:
             readouts=[{"kind": "ridge", "regularization": [0.1, 10.0]},
                       {"kind": "logistic", "regularization": [1e-2]}],
         )
-        report = run_grid(d, grid)
+        report = run_grid(d, grid, tmp_path / "cache")
         paths = emit_report(report, tmp_path / "out")
         lines = [l.split(",") for l in Path(paths["cells"]).read_text().splitlines()[1:]]
         accs_by_kind = {}
@@ -676,14 +683,14 @@ class TestEmitReport:
     def test_excluded_tickers_listed(self, tmp_path):
         tiny = synth_dataset(4)
         tiny.split_index = len(tiny.labels)  # no test rows
-        report = run_grid({"GOOD": synth_dataset(3), "TINY": tiny}, small_grid())
+        report = run_grid({"GOOD": synth_dataset(3), "TINY": tiny}, small_grid(), tmp_path / "cache")
         text = Path(emit_report(report, tmp_path / "out")["text"]).read_text()
         assert text.endswith(f"\nExcluded tickers:\n  TINY: needs >= 2 train and >= 1 test windows, "
                              f"has {len(tiny.labels)}/0\n")
 
     def test_means_recompute_from_per_ticker(self, tmp_path):
         d = {f"S{k}": synth_dataset(k) for k in range(3)}
-        report = run_grid(d, small_grid())
+        report = run_grid(d, small_grid(), tmp_path / "cache")
         for cell in report.cells:
             accs = [r.accuracy for r in cell.per_ticker.values()]
             assert abs(cell.mean_accuracy - np.mean(accs)) < 1e-12
