@@ -122,34 +122,34 @@ def cmd_prepare(args) -> int:
     for flag, value, least in (("--window", args.window, 2), ("--stride", args.stride, 1)):
         if value < least:
             raise ConfigError(f"{flag} must be >= {least}, got {value}")
+    tickers = None if args.tickers is None else args.tickers.split(",")
+    if tickers and "" in tickers:
+        raise ConfigError(f"--tickers entry {tickers.index('') + 1} is empty in {args.tickers!r}")
     if not os.path.exists(args.prices):
         raise IngestionError(f"price file not found: {args.prices}")
-    tickers = args.tickers.split(",") if args.tickers else None
     series = pipeline.load_prices(args.prices, tickers=tickers)
+    datasets = []
+    skipped = {}
+    # a requested ticker without a usable row is skipped, not dropped
+    for ticker in sorted(set(tickers or ()) - {p.ticker for p in series}):
+        skipped[ticker] = f"ticker {ticker}: no usable row in {args.prices}"
+        log.warning("ticker %s skipped: %s", ticker, skipped[ticker])
+    for p in series:
+        try:
+            datasets.append(pipeline.prepare_dataset(p, w=args.window, lam=args.lam, stride=args.stride))
+        except (InsufficientDataError, InputShapeError) as exc:
+            skipped[p.ticker] = str(exc)
+            log.warning("ticker %s skipped: %s", p.ticker, exc)
+    # a rejected command leaves no --out behind
+    if not datasets:
+        raise InsufficientDataError("no ticker produced a dataset: " + "; ".join(skipped.values()))
     os.makedirs(args.out, exist_ok=True)
     with _output_lock(args.out):
         artifacts = []
-        skipped = {}
-        # a requested ticker without a usable row is skipped, not dropped
-        for ticker in sorted(set(tickers or ()) - {p.ticker for p in series}):
-            skipped[ticker] = f"ticker {ticker}: no usable row in {args.prices}"
-            log.warning("ticker %s skipped: %s", ticker, skipped[ticker])
-        for p in series:
-            try:
-                ds = pipeline.prepare_dataset(
-                    p, w=args.window, lam=args.lam, stride=args.stride
-                )
-            except (InsufficientDataError, InputShapeError) as exc:
-                skipped[p.ticker] = str(exc)
-                log.warning("ticker %s skipped: %s", p.ticker, exc)
-                continue
-            path = os.path.join(args.out, f"{p.ticker}{DATASET_SUFFIX}")
+        for ds in datasets:
+            path = os.path.join(args.out, f"{ds.ticker}{DATASET_SUFFIX}")
             pipeline.write_dataset(ds, path)
             artifacts.append(path)
-        if not artifacts:
-            raise InsufficientDataError(
-                "no ticker produced a dataset: " + "; ".join(skipped.values())
-            )
         _write_manifest(
             os.path.join(args.out, "manifest.json"),
             "prepare",
@@ -191,6 +191,7 @@ def cmd_run(args) -> int:
         if ds.ticker in sources:
             raise IngestionError(f"{sources[ds.ticker]} and {path} both hold ticker {ds.ticker}")
         datasets[ds.ticker], sources[ds.ticker] = ds, path
+    harness.preflight(datasets, grid)  # a rejected run leaves no --out behind
     os.makedirs(args.out, exist_ok=True)
     with _output_lock(args.out):
         report = harness.run_grid(datasets, grid, os.path.join(args.out, "cache"))

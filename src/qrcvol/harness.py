@@ -136,9 +136,18 @@ class GridSpec:
         return list(configs)
 
     def readout_paths(self) -> list:
-        """(kind, [regularization values]) of each readout template."""
-        return [(tpl["kind"], [float(reg) for reg in tpl["regularization"]])
-                for tpl in self.readouts]
+        """(kind, [regularization values]) of each readout template, each
+        (kind, value) kept once in first-seen order; a template left with
+        no value drops out."""
+        seen = set()
+        paths = []
+        for tpl in self.readouts:
+            regs = [float(reg) for reg in tpl["regularization"]]
+            regs = [reg for reg in dict.fromkeys(regs) if (tpl["kind"], reg) not in seen]
+            seen.update((tpl["kind"], reg) for reg in regs)
+            if regs:
+                paths.append((tpl["kind"], regs))
+        return paths
 
 
 @dataclass
@@ -183,15 +192,14 @@ def ProcessPoolExecutor(max_workers):
     return pool(max_workers=max_workers)
 
 
-def run_grid(datasets: dict, grid: GridSpec, cache_dir) -> ExperimentReport:
-    """Evaluate every grid cell on every usable ticker.
+def preflight(datasets: dict, grid: GridSpec):
+    """Every check of a run that needs no file: (usable, excluded, configs).
 
     datasets maps ticker -> WindowedDataset.  A dataset whose window,
     lambda or stride differs from one the grid sets is a ConfigError.
     Tickers with fewer than 2 training or 1 test windows are excluded
-    with a diagnostic.  Fitting only ever sees training rows.  cache_dir
-    holds the embedding and fit files, and is created once the checks
-    pass; an empty one makes every lookup a miss.
+    with a diagnostic.  A config that cannot embed some usable dataset's
+    window is a ConfigError.
     """
     grid.validate()
     if not datasets:
@@ -219,13 +227,22 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir) -> ExperimentReport:
             usable[ticker] = ds
     if not usable:
         raise ConfigError("every ticker is degenerate: " + "; ".join(excluded.values()))
-
     embed_cfgs = grid.expand_embeddings()
-    # a config that cannot embed some dataset fails before any cache file is touched
     windows = sorted({ds.w for ds in usable.values()})
     for cfg in embed_cfgs:
         for w in windows:
             cfg.validate(w=w)
+    return usable, excluded, embed_cfgs
+
+
+def run_grid(datasets: dict, grid: GridSpec, cache_dir) -> ExperimentReport:
+    """Evaluate every grid cell on every usable ticker (see preflight).
+
+    Fitting only ever sees training rows.  cache_dir holds the embedding
+    and fit files, and is created once preflight passes; an empty one
+    makes every lookup a miss.
+    """
+    usable, excluded, embed_cfgs = preflight(datasets, grid)
     os.makedirs(cache_dir, exist_ok=True)
     paths = grid.readout_paths()
     readouts = [(kind, reg) for kind, regs in paths for reg in regs]  # one per cell

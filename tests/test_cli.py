@@ -148,6 +148,25 @@ class TestPrepare:
         assert capsys.readouterr().err.startswith(f"error: {option.split('=')[0]} must be >=")
         assert not out.exists()
 
+    def test_every_ticker_skipped_leaves_no_out(self, tmp_path, capsys):
+        prices = tmp_path / "p.csv"
+        assert main(["synth", "--regimes", "200:0.01", "--out", str(prices)]) == 0
+        out = tmp_path / "d2"
+        rc = main(["prepare", "--prices", str(prices), "--out", str(out), "--window", "400"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: no ticker produced a dataset: ticker SYNTH:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tickers, entry", [("SYNTH,,X", 2), ("SYNTH,", 2), ("", 1)])
+    def test_empty_ticker_name_exit_one(self, tmp_path, capsys, tickers, entry):
+        # rejected before the price file is looked up
+        out = tmp_path / "d"
+        rc = main(["prepare", "--prices", str(tmp_path / "absent.csv"), "--out", str(out),
+                   "--tickers", tickers])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --tickers entry {entry} is empty in {tickers!r}\n"
+        assert not out.exists()
+
     def test_rerun_byte_identical(self, workspace, tmp_path):
         _, prices, data, _ = workspace
         before = file_hash(data / "SYNTH.dataset.npz")
@@ -288,12 +307,16 @@ class TestRun:
             assert f"cache: {reused} of 2 embeddings and {reused} of 2 readout results reused" in lines
 
     def test_blas_threads_change_no_report_or_cache_byte(self, workspace):
-        # a cache written under one BLAS thread count is served under another
+        # a cache written under one BLAS thread count is served under another;
+        # OpenBLAS splits a gemv over threads only above m*n = 2304 *
+        # GEMM_MULTITHREAD_THRESHOLD (9216 at its default 4), which the
+        # ESN-100's 100x100 step is and the ESN-20's is not
         tmp_path, prices, _, _ = workspace
         config = tmp_path / "blas.json"
         config.write_text(json.dumps(dict(
             SMALL_CONFIG,
-            embeddings=SMALL_CONFIG["embeddings"] + [{"kind": "quantum", "a_x": [1.0], "t": [1.0]}],
+            embeddings=SMALL_CONFIG["embeddings"] + [{"kind": "quantum", "a_x": [1.0], "t": [1.0]},
+                                                     {"kind": "classical_esn", "reservoir_size": [100]}],
             readouts=[{"kind": "logistic", "regularization": [1e-2, 1.0]},
                       {"kind": "ridge", "regularization": [0.5, 2.0]}],
         )))
@@ -318,13 +341,13 @@ class TestRun:
             cli_run(threads, "prepare", "--prices", prices, "--out", root / "data", "--window", 5)
             cli_run(threads, "run", "--data", root / "data", "--config", config, "--out", root / "out")
         written = outputs(roots["1"])
-        assert sum(name.endswith(".fit.npz") for name in written) == 3
+        assert sum(name.endswith(".fit.npz") for name in written) == 4
         assert outputs(roots[None]) == written
         # each setting's warm run serves the other's cache files unchanged
         for threads, other in (("1", None), (None, "1")):
             out = roots[other] / "out"
             stdout = cli_run(threads, "run", "--data", roots[other] / "data", "--config", config, "--out", out)
-            assert "cache: 3 of 3 embeddings and 3 of 3 readout results reused" in stdout.splitlines()
+            assert "cache: 4 of 4 embeddings and 4 of 4 readout results reused" in stdout.splitlines()
             assert outputs(roots[other]) == written
 
     def test_bad_config_exit_one(self, workspace, capsys):
@@ -391,6 +414,25 @@ class TestRun:
         assert rc == 1
         assert err.startswith("error:") and all(word in err for word in words), err
         assert not list(out.rglob("*.npz"))
+
+    @pytest.mark.parametrize("change, words", [
+        ({}, ["config window 5"]),
+        ({"window": 9, "embeddings": [{"kind": "raw"}, {"kind": "quantum", "t": [1000.0]}]},
+         ["t 1000.0", "above the 2000.0 guard"]),
+    ])
+    def test_rejected_run_leaves_no_out(self, workspace, capsys, change, words):
+        tmp_path, prices, _, _ = workspace
+        data = tmp_path / "data9"
+        assert main(["prepare", "--prices", str(prices), "--out", str(data), "--window", "9"]) == 0
+        config = tmp_path / "rejected.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, **change}))
+        out = tmp_path / "rejected"
+        capsys.readouterr()
+        rc = main(["run", "--data", str(data), "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and all(word in err for word in words), err
+        assert not out.exists()
 
     def test_seed_key_ignored_with_warning(self, workspace, caplog):
         tmp_path, _, data, _ = workspace

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import re
 from pathlib import Path
@@ -17,6 +18,7 @@ from qrcvol.embeddings import (
     write_embedded,
 )
 from qrcvol.errors import ConfigError, IngestionError
+from qrcvol import harness
 from qrcvol.harness import synth_regime_series
 from qrcvol.pipeline import (
     WindowedDataset,
@@ -225,6 +227,90 @@ class TestSignSymmetry:
         labels, tau = normalize_and_label(rolling_volatility(returns, 9), 1.0)
         negated, negated_tau = normalize_and_label(rolling_volatility(-returns, 9), 1.0)
         assert np.array_equal(negated, labels) and negated_tau == tau
+
+
+def doubled_configs():
+    """(a_x, a_z, a_zz, t) of the default quantum template whose
+    (2 a_x, 2 a_z, 2 a_zz, t/2) is in the template too."""
+    tpl = harness.DEFAULT_GRID_EMBEDDINGS[0]
+    configs = set(itertools.product(tpl["a_x"], tpl["a_z"], tpl["a_zz"], tpl["t"]))
+    return sorted(cfg for cfg in configs if (2 * cfg[0], 2 * cfg[1], 2 * cfg[2], cfg[3] / 2) in configs)
+
+
+class TestRescalingSymmetry:
+    """Relations of the quantum features under rescaling, time reversal and
+    qubit order (metamorphic tests, as TestSignSymmetry)."""
+
+    DOUBLED = doubled_configs()
+    CONFIGS = [(1.0, 1.0, 0.5, 1.0), (0.5, 2.0, 1.0, 2.0)]
+
+    @pytest.fixture(scope="class")
+    def windows(self):
+        return acceptance_dataset().windows[::7]  # 99 windows of both regimes
+
+    def test_default_template_has_sixteen_doubled_pairs(self):
+        assert len(self.DOUBLED) == 16
+
+    @pytest.mark.parametrize("a_x, a_z, a_zz, t", DOUBLED)
+    def test_power_of_two_rescaling_symmetry_bit_for_bit(self, windows, a_x, a_z, a_zz, t):
+        """Scaling by 2 is exact in IEEE arithmetic, barring overflow and
+        underflow: H's diagonal, its Gershgorin center c and radius r all
+        double exactly, so the scaled H' = (H - c)/r, a_x/r, r t and c t,
+        and with them every Chebyshev coefficient and step, are the same
+        bits."""
+        assert np.array_equal(quantum_embed(windows, 2 * a_x, 2 * a_z, 2 * a_zz, t / 2).values,
+                              quantum_embed(windows, a_x, a_z, a_zz, t).values)
+
+    @pytest.mark.parametrize("a_x, a_z, a_zz, t", CONFIGS)
+    def test_rescaling_by_three_symmetry(self, windows, a_x, a_z, a_zz, t):
+        """e^{-i(3H)(t/3)} = e^{-iHt}; 3a and t/3 round, so only to 1e-12."""
+        features = quantum_embed(windows, a_x, a_z, a_zz, t).values
+        rescaled = quantum_embed(windows, 3 * a_x, 3 * a_z, 3 * a_zz, t / 3).values
+        assert np.max(np.abs(rescaled - features)) <= 1e-12
+
+    @pytest.mark.parametrize("a_x, a_z, a_zz, t", CONFIGS)
+    def test_time_reversal_symmetry(self, windows, a_x, a_z, a_zz, t):
+        """H is real, so e^{iHt}|0...0> = conj(e^{-iHt}|0...0>): equal Born
+        probabilities.  The series for -t rounds apart, so to 1e-12."""
+        features = quantum_embed(windows, a_x, a_z, a_zz, t).values
+        assert np.max(np.abs(quantum_embed(windows, a_x, a_z, a_zz, -t).values - features)) <= 1e-12
+
+    @pytest.mark.parametrize("a_x, a_z, a_zz, t", CONFIGS)
+    def test_qubit_order_symmetry(self, windows, a_x, a_z, a_zz, t):
+        """The reversed window's H is P H P, P the qubit-order reversal,
+        which fixes |0...0>: its Z_i is Z_{n-1-i} of the window, and its
+        Z_i Z_j is Z_{n-1-j} Z_{n-1-i}.  The diagonal sums its terms in
+        another order, so to 1e-12."""
+        n = windows.shape[1]
+        pairs = {pair: n + k for k, pair in enumerate(zip(*np.triu_indices(n, k=1)))}
+        relabel = [n - 1 - i for i in range(n)] + [pairs[n - 1 - j, n - 1 - i] for i, j in pairs]
+        features = quantum_embed(windows, a_x, a_z, a_zz, t).values
+        reversed_features = quantum_embed(windows[:, ::-1], a_x, a_z, a_zz, t).values
+        assert np.max(np.abs(reversed_features - features[:, relabel])) <= 1e-12
+
+
+def test_negation_symmetry_bounds_esn_and_raw_accuracy():
+    """Every readout predicts positive where an affine function s of the
+    features exceeds 0.  ESN and raw rows are odd in the returns (see
+    TestSignSymmetry) and the labels even, so on a test set closed under
+    negation each pair of rows x, -x shares its label and s(x) + s(-x) =
+    2 s(0).  If s(0) > 0, each negative pair has a row predicted positive;
+    else each positive pair has a row predicted negative.  So accuracy is
+    at most 1 - min(p, 1 - p)/2, p the positive share."""
+    ds = acceptance_dataset()
+    negated = dataclasses.replace(ds, windows=-ds.windows)
+    grid = harness.GridSpec(harness.DEFAULT_GRID_EMBEDDINGS[1:], harness.DEFAULT_GRID_READOUTS)
+    k = ds.split_index
+    labels = np.concatenate([ds.labels[k:], ds.labels[k:]])
+    p = labels.mean()
+    assert 0 < p < 1
+    for cfg in grid.expand_embeddings():
+        rows, negated_rows = embed_dataset([ds, negated], cfg)
+        closed = np.concatenate([rows[k:], negated_rows[k:]])
+        for kind, regs in grid.readout_paths():
+            models = harness.FIT_PATH[kind](rows[:k], ds.labels[:k], regs)
+            for reg, res in zip(regs, harness.evaluate_path(models, closed, labels)):
+                assert res.accuracy <= 1 - min(p, 1 - p) / 2, (cfg, kind, reg)
 
 
 def test_golden_esn_features():

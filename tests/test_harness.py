@@ -318,19 +318,19 @@ class TestRunGrid:
         cells = []
         for cfg in grid.expand_embeddings():
             features = dict(zip(datasets, embed_dataset(list(datasets.values()), cfg)))
-            for tpl in grid.readouts:
-                for reg in tpl["regularization"]:
+            for kind, regs in grid.readout_paths():
+                for reg in regs:
                     per_ticker = {}
                     for ticker, x in features.items():
                         y, k = datasets[ticker].labels, datasets[ticker].split_index
                         x_tr, y_tr, x_te, y_te = x[:k], y[:k], x[k:], y[k:]
-                        if tpl["kind"] == "logistic":
+                        if kind == "logistic":
                             model = fit_logistic(x_tr, y_tr, l2=reg)
                         else:
                             model = fit_ridge(x_tr, y_tr, alpha=reg)
                         per_ticker[ticker] = evaluate(predict_scores(model, x_te), y_te, model.threshold)
                     cells.append(GridCell(
-                        cfg, tpl["kind"], float(reg), per_ticker,
+                        cfg, kind, float(reg), per_ticker,
                         float(np.mean([r.accuracy for r in per_ticker.values()])),
                         float(np.mean([r.average_precision for r in per_ticker.values()]))))
         emit_report(ExperimentReport(cells, excluded={}, cache_counts={}), tmp_path / "cells")
@@ -387,6 +387,24 @@ class TestRunGrid:
         assert [ref() for ref in alive] == [None] * 8
         monkeypatch.undo()
         assert [c.per_ticker for c in report.cells] == [c.per_ticker for c in run_grid(datasets, grid, tmp_path / "fresh").cells]
+
+    def test_duplicate_readout_values_give_one_cell(self, tmp_path, monkeypatch):
+        # 1 and 1.0 name one value; a template left with no value drops out
+        fits = []
+
+        def recording_fit(x, y, regs):
+            fits.append(regs)
+            return harness.fit_ridge_path(x, y, regs)
+
+        monkeypatch.setitem(harness.FIT_PATH, "ridge", recording_fit)
+        grid = small_grid(readouts=[{"kind": "ridge", "regularization": [1.0, 1.0, 2.0]},
+                                    {"kind": "logistic", "regularization": [1.0]},
+                                    {"kind": "ridge", "regularization": [1, 2.0]}])
+        assert grid.readout_paths() == [("ridge", [1.0, 2.0]), ("logistic", [1.0])]
+        report = run_grid({"S": synth_dataset(0)}, grid, tmp_path)
+        assert [(c.readout_kind, c.regularization) for c in report.cells] == [
+            ("ridge", 1.0), ("ridge", 2.0), ("logistic", 1.0)]
+        assert fits == [[1.0, 2.0]]
 
     def test_integer_and_float_params_hash_alike(self):
         # float-written configs keep the hashes of earlier versions
