@@ -123,8 +123,9 @@ def cmd_prepare(args) -> int:
         if value < least:
             raise ConfigError(f"{flag} must be >= {least}, got {value}")
     tickers = None if args.tickers is None else args.tickers.split(",")
-    if tickers and "" in tickers:
-        raise ConfigError(f"--tickers entry {tickers.index('') + 1} is empty in {args.tickers!r}")
+    for pos, ticker in enumerate(tickers or (), start=1):
+        if not pipeline.plain_ticker(ticker):
+            raise ConfigError(f"--tickers entry {pos} ({ticker!r}) cannot name a file or CSV field")
     if not os.path.exists(args.prices):
         raise IngestionError(f"price file not found: {args.prices}")
     series = pipeline.load_prices(args.prices, tickers=tickers)

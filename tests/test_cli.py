@@ -157,14 +157,17 @@ class TestPrepare:
         assert capsys.readouterr().err.startswith("error: no ticker produced a dataset: ticker SYNTH:")
         assert not out.exists()
 
-    @pytest.mark.parametrize("tickers, entry", [("SYNTH,,X", 2), ("SYNTH,", 2), ("", 1)])
-    def test_empty_ticker_name_exit_one(self, tmp_path, capsys, tickers, entry):
+    @pytest.mark.parametrize("tickers, entry, name", [
+        ("SYNTH,,X", 2, ""), ("SYNTH,", 2, ""), ("", 1, ""), ("SYNTH,a/b", 2, "a/b"), ("..", 1, ".."),
+    ])
+    def test_ticker_name_that_breaks_paths_exit_one(self, tmp_path, capsys, tickers, entry, name):
         # rejected before the price file is looked up
         out = tmp_path / "d"
         rc = main(["prepare", "--prices", str(tmp_path / "absent.csv"), "--out", str(out),
                    "--tickers", tickers])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: --tickers entry {entry} is empty in {tickers!r}\n"
+        assert capsys.readouterr().err == (
+            f"error: --tickers entry {entry} ({name!r}) cannot name a file or CSV field\n")
         assert not out.exists()
 
     def test_rerun_byte_identical(self, workspace, tmp_path):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qrcvol import harness
 from qrcvol.embeddings import (
     EmbeddingConfig,
     EsnParams,
@@ -18,7 +19,6 @@ from qrcvol.embeddings import (
     write_embedded,
 )
 from qrcvol.errors import ConfigError, IngestionError
-from qrcvol import harness
 from qrcvol.harness import synth_regime_series
 from qrcvol.pipeline import (
     WindowedDataset,
@@ -242,13 +242,13 @@ class TestRescalingSymmetry:
     qubit order (metamorphic tests, as TestSignSymmetry)."""
 
     DOUBLED = doubled_configs()
-    CONFIGS = [(1.0, 1.0, 0.5, 1.0), (0.5, 2.0, 1.0, 2.0)]
+    CONFIGS = [(1.0, 1.0, 0.5, 1.0)]
 
     @pytest.fixture(scope="class")
     def windows(self):
         return acceptance_dataset().windows[::7]  # 99 windows of both regimes
 
-    def test_default_template_has_sixteen_doubled_pairs(self):
+    def test_sixteen_doubled_symmetry_pairs_in_the_default_template(self):
         assert len(self.DOUBLED) == 16
 
     @pytest.mark.parametrize("a_x, a_z, a_zz, t", DOUBLED)
