@@ -80,7 +80,7 @@ def _output_lock(out_dir):
     removed it could let two later runs lock two different files.
     """
     path = os.path.join(str(out_dir), ".qrcvol.lock")
-    fd = os.open(path, os.O_CREAT | os.O_WRONLY)
+    fd = os.open(path, os.O_CREAT | os.O_WRONLY, 0o666)
     try:
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)

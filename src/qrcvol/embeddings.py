@@ -33,24 +33,12 @@ from .readout import EvalResult
 KINDS = ("quantum", "classical_esn", "raw")
 
 
-def _store_floats(params) -> None:
-    """Store an int given for a float-typed field as a float, so that 1 and
-    1.0 make one config with one cfg_hash."""
-    for f in fields(params):
-        value = getattr(params, f.name)
-        if f.type in (float, "float") and isinstance(value, int) and not isinstance(value, bool):
-            object.__setattr__(params, f.name, float(value))
-
-
 @dataclass(frozen=True)
 class QuantumParams:
     a_x: float = 1.0
     a_z: float = 1.0
     a_zz: float = 0.5
     t: float = 1.0
-
-    def __post_init__(self):
-        _store_floats(self)
 
 
 @dataclass(frozen=True)
@@ -60,9 +48,6 @@ class EsnParams:
     leak_rate: float = 0.3
     input_scaling: float = 1.0
     seed: int = 0
-
-    def __post_init__(self):
-        _store_floats(self)
 
 
 def _is_a(types, value) -> bool:
@@ -79,10 +64,18 @@ _PARAM_TYPES = {
 }
 _PARAM_TYPES["raw"] = {}
 
+# the domain of each parameter that has one: (test, description)
+_RANGES = {
+    "reservoir_size": (lambda v: v >= 1, ">= 1"),
+    "spectral_radius": (lambda v: 0 < v < 1.5, "in (0, 1.5)"),
+    "leak_rate": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "seed": (lambda v: v >= 0, ">= 0"),
+}
+
 
 def _template_problems(tpl: dict, types: dict, where: str) -> list:
     """Problems of a template's parameters: each must be named in types and
-    hold a non-empty list of values of its type."""
+    hold a non-empty list of values of its type, inside its _RANGES domain."""
     problems = []
     for name, values in tpl.items():
         if name == "kind":
@@ -94,6 +87,8 @@ def _template_problems(tpl: dict, types: dict, where: str) -> list:
         elif not all(_is_a(types[name], v) for v in values):
             what = "integers" if types[name] is int else "finite numbers"
             problems.append(f"{where} {name} values must be {what}, got {values!r}")
+        elif name in _RANGES and not all(_RANGES[name][0](v) for v in values):
+            problems.append(f"{where} {name} values must be {_RANGES[name][1]}, got {values!r}")
     return problems
 
 
@@ -102,47 +97,6 @@ class EmbeddingConfig:
     kind: str
     quantum: QuantumParams = None
     esn: EsnParams = None
-
-    def validate(self, w: int = None) -> None:
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown embedding kind {self.kind!r}")
-        active = [p is not None for p in (self.quantum, self.esn)]
-        if self.kind == "quantum":
-            if self.quantum is None or self.esn is not None:
-                raise ConfigError("quantum embedding needs exactly quantum params")
-            for name, val in asdict(self.quantum).items():
-                if not math.isfinite(val):
-                    raise ConfigError(f"quantum param {name} is not finite")
-            if w is not None:
-                q = self.quantum
-                # the spectral radius r of every window's H is at least w |a_x|
-                least_phase = w * abs(q.a_x) * abs(q.t)
-                if w > quantum.MAX_QUBITS:
-                    raise ConfigError(f"window size {w} needs {w} qubits, above the "
-                                      f"{quantum.MAX_QUBITS}-qubit guard of the quantum embedding")
-                if least_phase > quantum.MAX_PHASE:
-                    raise ConfigError(
-                        f"quantum params a_x {q.a_x} and t {q.t} at window size {w}: spectral radius "
-                        f"times |t| is at least {least_phase}, above the {quantum.MAX_PHASE} guard")
-        elif self.kind == "classical_esn":
-            if self.esn is None or self.quantum is not None:
-                raise ConfigError("classical_esn embedding needs exactly esn params")
-            e = self.esn
-            if e.reservoir_size < 1:
-                raise ConfigError("reservoir_size must be positive")
-            if w is not None and e.reservoir_size < w:
-                raise ConfigError(
-                    f"reservoir_size {e.reservoir_size} < window size {w}"
-                )
-            if not 0 < e.spectral_radius < 1.5:
-                raise ConfigError("spectral_radius must be in (0, 1.5)")
-            if not 0 < e.leak_rate <= 1:
-                raise ConfigError("leak_rate must be in (0, 1]")
-            if e.seed < 0:
-                raise ConfigError(f"seed must be >= 0, got {e.seed}")
-        else:  # raw
-            if any(active):
-                raise ConfigError("raw embedding takes no backend params")
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
@@ -158,22 +112,23 @@ class EmbeddingConfig:
 
     @classmethod
     def make(cls, kind: str, **kwargs) -> "EmbeddingConfig":
-        """The validated config of kind; each parameter must be one
-        _PARAM_TYPES gives kind, with a finite value of its type."""
+        """The config of kind; each parameter must be one _PARAM_TYPES gives
+        kind, with a finite value of its type inside its _RANGES domain.  A
+        float parameter given as an int is stored as a float, so 1 and 1.0
+        make one config with one cfg_hash.  Whether it can embed a dataset's
+        windows is harness.preflight's check."""
         if kind not in KINDS:
             raise ConfigError(f"unknown embedding kind {kind!r}")
-        problems = _template_problems({k: [v] for k, v in kwargs.items()}, _PARAM_TYPES[kind],
-                                      f"embedding {kind!r}")
+        types = _PARAM_TYPES[kind]
+        problems = _template_problems({k: [v] for k, v in kwargs.items()}, types, f"embedding {kind!r}")
         if problems:
             raise ConfigError("; ".join(problems))
+        params = {k: v if types[k] is int else float(v) for k, v in kwargs.items()}
         if kind == "quantum":
-            cfg = cls(kind, quantum=QuantumParams(**kwargs))
-        elif kind == "classical_esn":
-            cfg = cls(kind, esn=EsnParams(**kwargs))
-        else:
-            cfg = cls(kind)
-        cfg.validate()
-        return cfg
+            return cls(kind, quantum=QuantumParams(**params))
+        if kind == "classical_esn":
+            return cls(kind, esn=EsnParams(**params))
+        return cls(kind)
 
 
 @dataclass
@@ -251,10 +206,8 @@ def embed_dataset(datasets: list, cfg: EmbeddingConfig) -> list:
     A dataset's rows do not depend on which datasets share the call.  Raw
     rows are read-only views of the dataset's windows, not copies.
     """
-    for d in datasets:
-        cfg.validate(w=d.w)
-        if len(d.labels) == 0:
-            raise ConfigError("cannot embed an empty dataset")
+    if any(len(d.labels) == 0 for d in datasets):
+        raise ConfigError("cannot embed an empty dataset")
     if cfg.kind == "raw":
         views = [d.windows.view() for d in datasets]
         for view in views:

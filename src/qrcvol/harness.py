@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quantum
 from .embeddings import (
     _PARAM_TYPES,
     KINDS,
@@ -198,8 +199,10 @@ def preflight(datasets: dict, grid: GridSpec):
     datasets maps ticker -> WindowedDataset.  A dataset whose window,
     lambda or stride differs from one the grid sets is a ConfigError.
     Tickers with fewer than 2 training or 1 test windows are excluded
-    with a diagnostic.  A config that cannot embed some usable dataset's
-    window is a ConfigError.
+    with a diagnostic.  A config that cannot embed some usable dataset is
+    a ConfigError: an ESN reservoir smaller than its window, or a quantum
+    config whose window exceeds quantum.MAX_QUBITS or whose
+    quantum.radius_bound times |t| exceeds quantum.MAX_PHASE.
     """
     grid.validate()
     if not datasets:
@@ -228,10 +231,21 @@ def preflight(datasets: dict, grid: GridSpec):
     if not usable:
         raise ConfigError("every ticker is degenerate: " + "; ".join(excluded.values()))
     embed_cfgs = grid.expand_embeddings()
-    windows = sorted({ds.w for ds in usable.values()})
     for cfg in embed_cfgs:
-        for w in windows:
-            cfg.validate(w=w)
+        e, q = cfg.esn, cfg.quantum
+        for ticker, ds in usable.items():
+            if e is not None and e.reservoir_size < ds.w:
+                raise ConfigError(f"ticker {ticker}: reservoir_size {e.reservoir_size} < window size {ds.w}")
+            if q is None:
+                continue
+            if ds.w > quantum.MAX_QUBITS:
+                raise ConfigError(f"ticker {ticker}: window size {ds.w} needs {ds.w} qubits, above the "
+                                  f"{quantum.MAX_QUBITS}-qubit guard of the quantum embedding")
+            phase = quantum.radius_bound(ds.windows, q.a_x, q.a_z, q.a_zz) * abs(q.t)
+            if phase > quantum.MAX_PHASE:
+                raise ConfigError(
+                    f"ticker {ticker}: quantum params a_x {q.a_x}, a_z {q.a_z}, a_zz {q.a_zz} and t {q.t}: "
+                    f"spectral radius times |t| may reach {phase:.6g}, above the {quantum.MAX_PHASE} guard")
     return usable, excluded, embed_cfgs
 
 

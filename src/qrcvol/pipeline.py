@@ -75,10 +75,10 @@ def plain_ticker(ticker: str) -> bool:
 def load_prices(path, tickers=None) -> list:
     """Read a `date,ticker,adj_close` CSV into per-ticker series.
 
-    Rows with missing fields, non-positive/unparseable prices or a ticker
-    that fails plain_ticker (it names output files and fills CSV fields)
-    are rejected with a logged row-level diagnostic.  Out-of-order dates
-    are sorted with a warning.
+    Rows with missing fields, non-finite, non-positive or unparseable
+    prices, or a ticker that fails plain_ticker (it names output files and
+    fills CSV fields), are rejected with a logged row-level diagnostic.
+    Out-of-order dates are sorted with a warning.
     """
     wanted = set(tickers) if tickers else None
     rows_by_ticker = {}
@@ -116,7 +116,8 @@ def load_prices(path, tickers=None) -> list:
                 log.warning("%s row %d: unparseable price %r, row rejected", path, lineno, raw_price)
                 continue
             if not math.isfinite(price) or price <= 0:
-                log.warning("%s row %d: non-positive price %s, row rejected", path, lineno, price)
+                log.warning("%s row %d: non-finite or non-positive price %s, row rejected",
+                            path, lineno, price)
                 continue
             rows_by_ticker.setdefault(ticker, []).append((date, price))
     if not rows_by_ticker:
@@ -307,9 +308,10 @@ def write_dataset(ds: WindowedDataset, path) -> None:
 
 def read_dataset(path) -> WindowedDataset:
     """Read a dataset file written by write_dataset, checking the shape and
-    type of every field; its stored ticker must pass plain_ticker, since it
-    names cache files and CSV fields.  Each failed check raises
-    IngestionError naming path and the field."""
+    type of every field; the windows must be at least 2 wide and the stride
+    at least 1, as prepare writes them, and the stored ticker must pass
+    plain_ticker, since it names cache files and CSV fields.  Each failed
+    check raises IngestionError naming path and the field."""
     arrays = load_arrays(path)
     if arrays is None:
         raise IngestionError(f"{path}: dataset file of another format version, run prepare again")
@@ -323,6 +325,8 @@ def read_dataset(path) -> WindowedDataset:
             f"{path}: windows must be a 2-D float array, got {windows.dtype} of shape {windows.shape}")
     if not np.isfinite(windows).all():
         raise IngestionError(f"{path}: windows must be finite")
+    if ds.w < 2:
+        raise IngestionError(f"{path}: windows of width {ds.w}, expected >= 2")
     rows = len(windows)
     for name in ("labels", "t_index"):
         if np.shape(getattr(ds, name)) != (rows,):
@@ -335,6 +339,8 @@ def read_dataset(path) -> WindowedDataset:
             raise IngestionError(f"{path}: {name} must be {types.__name__}, got {value!r}")
         if not math.isfinite(value):
             raise IngestionError(f"{path}: {name} must be finite, got {value!r}")
+    if ds.stride < 1:
+        raise IngestionError(f"{path}: stride {ds.stride}, expected >= 1")
     if not 0 <= ds.split_index <= rows:
         raise IngestionError(f"{path}: split_index {ds.split_index} outside [0, {rows}]")
     if not (isinstance(ds.ticker, str) and plain_ticker(ds.ticker)):

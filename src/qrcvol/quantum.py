@@ -55,7 +55,8 @@ Guards
 * ResourceError: more than MAX_QUBITS qubits, or r * |t| above
   MAX_PHASE.  The series needs about r * |t| terms and its coefficient
   table about 3 r * |t| samples per state, so an extreme a_x * t fails
-  before anything of that size is allocated.
+  before anything of that size is allocated.  radius_bound(...) * |t|
+  checks a whole dataset against it without building a Hamiltonian.
 * StateError: measure_features on a state whose norm is more than
   NORM_ATOL from 1.
 """
@@ -146,6 +147,17 @@ def build_hamiltonian(windows, scalers) -> Hamiltonian:
     for i in range(n - 1):
         diag += (a_zz * (x[..., i, :] + x[..., i + 1, :])) * (zs[:, i] * zs[:, i + 1])
     return Hamiltonian(diag, a_x)
+
+
+def radius_bound(windows, a_x, a_z, a_zz) -> float:
+    """An upper bound on the spectral radius r that evolve finds for each
+    of the windows (m, n): n |a_x| plus the largest, over the windows, of
+    |a_z| sum_i |x_i| + |a_zz| sum_i |x_i + x_{i+1}|, which bounds the
+    modulus of every entry of the window's diagonal."""
+    windows = np.asarray(windows, dtype=float)
+    per_window = (abs(a_z) * np.abs(windows).sum(axis=1)
+                  + abs(a_zz) * np.abs(windows[:, :-1] + windows[:, 1:]).sum(axis=1))
+    return windows.shape[1] * abs(a_x) + float(per_window.max())
 
 
 def _chebyshev_coefficients(z: float) -> np.ndarray:

@@ -399,7 +399,7 @@ class TestRun:
 
     @pytest.mark.parametrize("window, template, words", [
         (16, {"kind": "quantum"}, ["window size 16", "14-qubit guard"]),
-        (9, {"kind": "quantum", "a_x": [100.0], "t": [3.0]}, ["a_x 100.0", "t 3.0", "2700.0"]),
+        (9, {"kind": "quantum", "a_x": [100.0], "t": [3.0]}, ["a_x 100.0", "t 3.0", "above the 2000.0 guard"]),
         (5, {"kind": "classical_esn", "reservoir_size": [20], "seed": [-1]}, ["seed", "-1"]),
     ])
     def test_config_that_can_never_run_exit_one(self, workspace, capsys, window, template, words):
@@ -435,6 +435,22 @@ class TestRun:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error:") and all(word in err for word in words), err
+        assert not out.exists()
+
+    def test_config_above_the_phase_guard_on_these_windows_exit_one(self, tmp_path, capsys):
+        # window * |a_x| * t is 1935, but these windows take r t to about 2029
+        prices, data, config = tmp_path / "p.csv", tmp_path / "data", tmp_path / "gap.json"
+        assert main(["synth", "--regimes", "120:0.005,55:0.05,120:0.005,55:0.05", "--seed", "5",
+                     "--out", str(prices)]) == 0
+        assert main(["prepare", "--prices", str(prices), "--out", str(data), "--window", "9"]) == 0
+        config.write_text(json.dumps({**SMALL_CONFIG, "window": 9,
+                                      "embeddings": [{"kind": "quantum", "a_x": [1.0], "t": [1.0, 215.0]}]}))
+        out = tmp_path / "gap"
+        capsys.readouterr()
+        rc = main(["run", "--data", str(data), "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "t 215.0" in err and "above the 2000.0 guard" in err, err
         assert not out.exists()
 
     def test_seed_key_ignored_with_warning(self, workspace, caplog):
@@ -480,6 +496,13 @@ class TestRun:
                        "--out", str(out)])
         assert rc == 2
         assert not (out / "cells.csv").exists()
+
+    def test_lock_file_not_executable(self, workspace):
+        tmp_path, _, data, config = workspace
+        out = tmp_path / "out"
+        assert main(["run", "--data", str(data), "--config", str(config), "--out", str(out)]) == 0
+        for directory in (data, out):
+            assert not (directory / ".qrcvol.lock").stat().st_mode & 0o111, directory
 
     def test_lock_of_killed_run_does_not_block(self, workspace):
         tmp_path, _, data, config = workspace
@@ -574,6 +597,8 @@ class TestRun:
         ("split_index", lambda a: -1),
         ("split_index", lambda a: 2.0),
         ("stride", lambda a: 1.0),
+        ("stride", lambda a: -3),
+        ("windows", lambda a: a[:, :0]),
         ("lam", lambda a: "1.0"),
         ("threshold", lambda a: True),
         ("lam", lambda a: float("nan")),
@@ -582,6 +607,7 @@ class TestRun:
         ("labels", lambda a: np.where(np.arange(len(a)) == 3, 2, a)),
     ], ids=["windows-1d", "windows-int", "labels-short", "labels-2d", "t_index-short",
             "split_index-huge", "split_index-negative", "split_index-float", "stride-float",
+            "stride-negative", "windows-zero-width",
             "lam-str", "threshold-bool", "lam-nan", "threshold-inf", "windows-nan", "labels-not-binary"])
     def test_malformed_dataset_field_exit_two(self, workspace, capsys, field, change):
         tmp_path, _, data, config = workspace

@@ -11,7 +11,6 @@ from qrcvol import harness
 from qrcvol.embeddings import (
     EmbeddingConfig,
     EsnParams,
-    QuantumParams,
     cached_rows,
     embed_dataset,
     read_embedded,
@@ -50,23 +49,11 @@ def make_dataset(n_rows=12, w=9, seed=1):
 
 
 class TestConfig:
-    def test_exactly_one_backend(self):
-        with pytest.raises(ConfigError):
-            EmbeddingConfig("quantum").validate()
-        with pytest.raises(ConfigError):
-            EmbeddingConfig("raw", quantum=QuantumParams()).validate()
-        with pytest.raises(ConfigError):
-            EmbeddingConfig(
-                "quantum", quantum=QuantumParams(), esn=EsnParams()
-            ).validate()
-
     def test_esn_domains(self):
         with pytest.raises(ConfigError):
             EmbeddingConfig.make("classical_esn", spectral_radius=1.6)
         with pytest.raises(ConfigError):
             EmbeddingConfig.make("classical_esn", leak_rate=0.0)
-        with pytest.raises(ConfigError):
-            EmbeddingConfig.make("classical_esn", reservoir_size=5).validate(w=9)
 
     @pytest.mark.parametrize("kind, params, words", [
         ("raw", {"a_x": 1.0}, "embedding 'raw' takes no parameter 'a_x'"),

@@ -738,6 +738,20 @@ class TestConfigFile:
         msg = str(err.value)
         assert "bogus_key" in msg and "warp" in msg and "regularization" in msg
 
+    def test_esn_range_problems_listed_with_the_others(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "workers": 0,
+            "embeddings": [{"kind": "classical_esn", "spectral_radius": [2.0], "leak_rate": [0.0]}],
+            "readouts": [{"kind": "ridge", "regularization": [1.0]}],
+        }))
+        with pytest.raises(ConfigError) as err:
+            load_grid_config(path)
+        msg = str(err.value)
+        assert "workers" in msg
+        assert "spectral_radius values must be in (0, 1.5), got [2.0]" in msg
+        assert "leak_rate values must be in (0, 1], got [0.0]" in msg
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{nope")

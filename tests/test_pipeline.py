@@ -101,6 +101,8 @@ class TestLoadPrices:
         ("2020-01-02,A,", "row 3: missing field"),
         ("2020-01-02,,100", "row 3: missing field"),
         ("2020-01-02,A,abc", "row 3: unparseable price 'abc'"),
+        ("2020-01-02,A,1e400", "row 3: non-finite or non-positive price inf"),
+        ("2020-01-02,A,nan", "row 3: non-finite or non-positive price nan"),
     ])
     def test_unusable_row_rejected_with_row_diagnostic(self, tmp_path, caplog, row, words):
         path = make_csv(tmp_path, ["2020-01-01,A,100", row, "2020-01-03,A,101"])

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrcvol import quantum
+from qrcvol import harness, quantum
 from qrcvol.errors import InputShapeError, ResourceError, StateError
+from qrcvol.pipeline import prepare_dataset
 from qrcvol.quantum import build_hamiltonian, evolve, measure_features, quantum_embed
 
 from conftest import dense, kron_hamiltonian, random_state, random_window_scalers, taylor_expm, zero_state
@@ -177,6 +178,38 @@ class TestEvolve:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def evolve_radius(diag, a_x):
+    """The spectral radius evolve finds for each row of a diagonal (m, 2^n), by its own formula."""
+    n = diag.shape[-1].bit_length() - 1
+    lo = diag.min(axis=1) - n * abs(a_x)
+    hi = diag.max(axis=1) + n * abs(a_x)
+    return (hi - lo) / 2
+
+
+class TestRadiusBound:
+    def test_bounds_evolve_radius_of_default_grid(self):
+        # every default quantum config on two acceptance-schedule tickers
+        tpl = harness.DEFAULT_GRID_EMBEDDINGS[0]
+        for seed in (0, 1):
+            series = harness.synth_regime_series([(120, 0.005), (55, 0.05)] * 4, seed=seed)
+            windows = prepare_dataset(series, w=9).windows
+            for a_z, a_zz in itertools.product(tpl["a_z"], tpl["a_zz"]):
+                diag = build_hamiltonian(windows, (0.0, a_z, a_zz)).diag
+                for a_x, t in itertools.product(tpl["a_x"], tpl["t"]):
+                    exact = evolve_radius(diag, a_x).max() * t
+                    bound = quantum.radius_bound(windows, a_x, a_z, a_zz) * t
+                    assert exact <= bound <= 1.07 * exact, (seed, a_x, a_z, a_zz, t)
+
+    def test_bounds_evolve_radius_of_any_sign(self):
+        rng = np.random.default_rng(11)
+        for n in range(2, 7):
+            windows = rng.normal(0, 1.0, size=(20, n))
+            for _ in range(10):
+                a_x, a_z, a_zz = rng.normal(0, 2.0, size=3)
+                diag = build_hamiltonian(windows, (a_x, a_z, a_zz)).diag
+                assert evolve_radius(diag, a_x).max() <= quantum.radius_bound(windows, a_x, a_z, a_zz)
 
 
 class TestMeasureFeatures:
