@@ -3,7 +3,9 @@
 All three backends map each window of a WindowedDataset to one
 fixed-length real feature row, in row order.  The embedding is that
 (m, d) array alone: the dataset stays the one source of its ticker,
-labels, split index and fingerprint.
+labels, split index and fingerprint.  One core, embed_blocks, gives the
+rows block by block, so a run can stream them into their cache files
+without holding any dataset's rows whole.
 
 * quantum: each window is encoded independently from |0...0> (stateless
   across windows) and measured into n + n(n-1)/2 Z/ZZ expectations.
@@ -17,6 +19,7 @@ labels, split index and fingerprint.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import quantum
 from .errors import ConfigError, IngestionError
-from .pipeline import WindowedDataset, load_arrays, save_arrays
+from .pipeline import WindowedDataset, load_arrays, npz_writer, save_arrays
 from .readout import EvalResult
 
 KINDS = ("quantum", "classical_esn", "raw")
@@ -153,19 +156,24 @@ def reservoir_weights(params: EsnParams):
     return w * (params.spectral_radius / radius), rng.uniform(-0.5, 0.5, size)
 
 
-def reservoir_states(params: EsnParams, windows: list) -> list:
-    """The reservoir state after each window's last element, for each (m_j, w_j) array.
+# time steps of ESN rows per block: a block's drive and rows are
+# (datasets, ESN_CHUNK, ...) arrays, whatever the datasets' lengths
+ESN_CHUNK = 64
+
+
+def reservoir_blocks(params: EsnParams, windows: list):
+    """(j, rows) for each (m_j, w_j) array of windows: the reservoir state
+    after each window's last element, in blocks of at most ESN_CHUNK rows,
+    each array's blocks in row order.
 
     Each array runs through its own state from zero.  Arrays of equal
     w are stepped together: their states form a (T, size) stack, and
     np.matmul(W[None], S[:, :, None]) does for every row the same gemv
     as `W @ state` (a plain S @ W.T gemm does not), so each row equals
-    stepping the array alone bit for bit.  Array j's
-    rows are a C-contiguous view into one (T, m_max, size) block.
+    stepping the array alone bit for bit.  Each block is a fresh array.
     """
     weights, w_in = reservoir_weights(params)
-    leak = params.leak_rate
-    states = [None] * len(windows)
+    leak, size = params.leak_rate, params.reservoir_size
     groups = {}
     for j, win in enumerate(windows):
         groups.setdefault(win.shape[1], []).append(j)
@@ -173,31 +181,70 @@ def reservoir_states(params: EsnParams, windows: list) -> list:
         # longest first, so the arrays still running are a leading slice
         members.sort(key=lambda j: -len(windows[j]))
         lengths = [len(windows[j]) for j in members]
-        drive_in = np.zeros((len(members), lengths[0], w))
-        for pos, j in enumerate(members):
-            drive_in[pos, : lengths[pos]] = windows[j]
-        drive_in *= params.input_scaling
-        out = np.empty((len(members), lengths[0], params.reservoir_size))
-        state = np.zeros((len(members), params.reservoir_size))
+        state = np.zeros((len(members), size))
         pre = np.empty_like(state)
-        drive = np.empty((len(members), w, params.reservoir_size))
+        drive = np.empty((len(members), w, size))
         active = len(members)
-        for i in range(lengths[0]):
-            while lengths[active - 1] <= i:
+        for start in range(0, lengths[0], ESN_CHUNK):
+            while lengths[active - 1] <= start:
                 active -= 1
-            s, pre_s, drive_s = state[:active], pre[:active], drive[:active]
-            np.multiply(drive_in[:active, i, :, None], w_in, out=drive_s)
-            for k in range(w):
-                np.matmul(weights[None], s[:, :, None], out=pre_s[:, :, None])
-                pre_s += drive_s[:, k]
-                np.tanh(pre_s, out=pre_s)
-                pre_s *= leak
-                s *= 1.0 - leak
-                s += pre_s
-            out[:active, i] = s
-        for pos, j in enumerate(members):
-            states[j] = out[pos, : lengths[pos]]
-    return states
+            steps = min(ESN_CHUNK, lengths[0] - start)
+            drive_in = np.zeros((active, steps, w))
+            for pos, j in enumerate(members[:active]):
+                chunk = windows[j][start : start + steps]
+                drive_in[pos, : len(chunk)] = chunk
+            drive_in *= params.input_scaling
+            out = np.empty((active, steps, size))
+            running = active
+            for i in range(steps):
+                while lengths[running - 1] <= start + i:
+                    running -= 1
+                s, pre_s, drive_s = state[:running], pre[:running], drive[:running]
+                np.multiply(drive_in[:running, i, :, None], w_in, out=drive_s)
+                for k in range(w):
+                    np.matmul(weights[None], s[:, :, None], out=pre_s[:, :, None])
+                    pre_s += drive_s[:, k]
+                    np.tanh(pre_s, out=pre_s)
+                    pre_s *= leak
+                    s *= 1.0 - leak
+                    s += pre_s
+                out[:running, i] = s
+            for pos, j in enumerate(members[:active]):
+                yield j, out[pos, : min(lengths[pos] - start, steps)]
+
+
+def feature_width(cfg: EmbeddingConfig, w: int) -> int:
+    """Columns of cfg's feature rows of windows of width w."""
+    if cfg.kind == "quantum":
+        return w * (w + 1) // 2
+    return cfg.esn.reservoir_size if cfg.kind == "classical_esn" else w
+
+
+def embed_blocks(datasets: list, cfg: EmbeddingConfig):
+    """The one embedding core: (j, rows) for each dataset j, its (k, d)
+    feature rows in blocks, each dataset's blocks in row order.
+
+    A dataset's rows do not depend on which datasets share the call or
+    on the blocks: ESN rows come ESN_CHUNK time steps at a time (see
+    reservoir_blocks), quantum rows quantum.BLOCK windows per
+    quantum_embed call (a window's features do not depend on its block)
+    and raw rows as one read-only view of the dataset's windows.
+    """
+    if any(len(d.labels) == 0 for d in datasets):
+        raise ConfigError("cannot embed an empty dataset")
+    if cfg.kind == "classical_esn":
+        yield from reservoir_blocks(cfg.esn, [d.windows for d in datasets])
+    elif cfg.kind == "raw":
+        for j, d in enumerate(datasets):
+            view = d.windows.view()
+            view.flags.writeable = False
+            yield j, view
+    else:
+        q = cfg.quantum
+        for j, d in enumerate(datasets):
+            for start in range(0, len(d.windows), quantum.BLOCK):
+                yield j, quantum.quantum_embed(d.windows[start : start + quantum.BLOCK], q.a_x, q.a_z, q.a_zz,
+                                               q.t).values
 
 
 def embed_dataset(datasets: list, cfg: EmbeddingConfig) -> list:
@@ -206,28 +253,22 @@ def embed_dataset(datasets: list, cfg: EmbeddingConfig) -> list:
     A dataset's rows do not depend on which datasets share the call.  Raw
     rows are read-only views of the dataset's windows, not copies.
     """
-    if any(len(d.labels) == 0 for d in datasets):
-        raise ConfigError("cannot embed an empty dataset")
-    if cfg.kind == "raw":
-        views = [d.windows.view() for d in datasets]
-        for view in views:
-            view.flags.writeable = False
-        return views
-    if cfg.kind == "quantum":
-        q = cfg.quantum
-        return [quantum.quantum_embed(d.windows, q.a_x, q.a_z, q.a_zz, q.t).values
-                for d in datasets]
-    return reservoir_states(cfg.esn, [d.windows for d in datasets])
+    blocks = [[] for _ in datasets]
+    for j, rows in embed_blocks(datasets, cfg):
+        blocks[j].append(rows)
+    return [rows[0] if len(rows) == 1 else np.concatenate(rows) for rows in blocks]
 
 
-# --- cache: two pipeline.save_arrays files per (ticker, embedding config) ---
-# `<ticker>__<cfg hash>.emb.npz` holds the feature rows; `.fit.npz` holds
+# --- cache: two pipeline.npz_writer files per (ticker, embedding config) ---
+# `<ticker>__<cfg hash>.emb.npz` holds the feature rows, written whole by
+# write_embedded or block by block by stream_embedded; `.fit.npz` holds
 # the results of every readout cell on them (acc, AP, tp, fp, tn, fn, in
 # cell order) and the readout paths as JSON.  Both record the
 # dataset_sha256 of their dataset.  A missing file, another FORMAT_VERSION,
 # other dataset contents or other readout paths is a miss; a file that
-# cannot be read or holds a malformed entry raises IngestionError naming
-# it.  A change that alters features or results must change FORMAT_VERSION.
+# cannot be read, holds a malformed entry or features of another shape
+# than its dataset and config give raises IngestionError naming it.  A
+# change that alters features or results must change FORMAT_VERSION.
 
 def dataset_sha256(ds: WindowedDataset) -> str:
     """SHA-256 of a dataset's window shape and values, labels and split index."""
@@ -284,6 +325,31 @@ def write_embedded(ticker: str, cfg: EmbeddingConfig, directory, sha: str, featu
     return path
 
 
+@contextlib.contextmanager
+def _embedding_file(ticker: str, cfg: EmbeddingConfig, directory, ds: WindowedDataset, sha: str):
+    """Yields put(rows), which streams ds's feature rows into the
+    `.emb.npz` of ticker and cfg; the file ends as write_embedded would
+    write it for all of them, byte for byte."""
+    with npz_writer(_cache_path(directory, ticker, cfg, ".emb.npz")) as out:
+        with out.rows("features", (len(ds.labels), feature_width(cfg, ds.w))) as put:
+            yield put
+        out.array("dataset_sha256", sha)
+
+
+def stream_embedded(batch: list, cfg: EmbeddingConfig, directory) -> None:
+    """Embed each (ticker, dataset, sha) of batch into its `.emb.npz`.
+
+    The rows go from embed_blocks into the open files block by block, so
+    no dataset's rows are held whole.  An embedding that raises writes
+    none of the batch's files and leaves no `.tmp` behind (npz_writer).
+    """
+    with contextlib.ExitStack() as files:
+        puts = [files.enter_context(_embedding_file(ticker, cfg, directory, ds, sha))
+                for ticker, ds, sha in batch]
+        for j, rows in embed_blocks([ds for _, ds, _ in batch], cfg):
+            puts[j](rows)
+
+
 def read_embedded(ticker: str, cfg: EmbeddingConfig, directory) -> EmbeddedDataset:
     """The cached embedding, or None when there is no file of this format version.
 
@@ -295,16 +361,18 @@ def read_embedded(ticker: str, cfg: EmbeddingConfig, directory) -> EmbeddedDatas
 
 
 def cached_rows(cached: EmbeddedDataset, ticker: str, cfg: EmbeddingConfig, directory, sha: str,
-                n_rows: int):
+                shape: tuple):
     """The features of the read_embedded record of ticker and cfg, when it
-    holds the dataset of dataset_sha256 sha, which has n_rows rows, or
-    None; features of that dataset with another row count raise
-    IngestionError."""
+    holds the dataset of dataset_sha256 sha, or None.  Features of that
+    dataset whose shape is not (rows of the dataset, feature_width of cfg)
+    raise IngestionError naming the file."""
     if cached is None or cached.dataset_sha256 != sha:
         return None
-    if len(cached.features) != n_rows:
+    have = cached.features.shape
+    if have != tuple(shape):
         path = _cache_path(directory, ticker, cfg, ".emb.npz")
-        raise IngestionError(f"{path}: {len(cached.features)} feature rows, its dataset has {n_rows}")
+        raise IngestionError(f"{path}: {have[0]} feature rows of {have[1]} columns, "
+                             f"its dataset and config give {shape[0]} of {shape[1]}")
     return cached.features
 
 

@@ -31,21 +31,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quantum
+# embed_dataset and write_embedded stay bound here, although a run calls
+# neither: benchmarks/tracing.py wraps them by their names in this module
 from .embeddings import (
     _PARAM_TYPES,
     KINDS,
     EmbeddingConfig,
     _is_a,
     _template_problems,
+    cache_filename,
     cached_rows,
     dataset_sha256,
     embed_dataset,
+    feature_width,
     read_embedded,
     read_fit,
+    stream_embedded,
     write_embedded,
     write_fit,
 )
-from .errors import ConfigError
+from .errors import ConfigError, IngestionError
 from .pipeline import PriceSeries
 # fit_logistic, fit_ridge, predict_scores and evaluate stay bound here:
 # benchmarks/tracing.py wraps the readout functions by their names in
@@ -64,6 +69,10 @@ log = logging.getLogger(__name__)
 
 # each readout kind fits a whole regularization path in one call
 FIT_PATH = {"logistic": fit_logistic_path, "ridge": fit_ridge_path}
+
+# most tickers per embedding job: a job holds each of its tickers'
+# `.emb.npz` files open until its rows are written
+MAX_BATCH = 256
 
 # Default grid; kept deliberately small enough for desk-scale runs.
 DEFAULT_GRID_EMBEDDINGS = [
@@ -264,11 +273,16 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir) -> ExperimentReport:
     fingerprints = {ticker: dataset_sha256(ds) for ticker, ds in usable.items()}
     evals = {}  # (cfg, ticker) -> EvalResults in cell order
 
-    def fit(cfg, ticker, rows):
-        """Evaluate every readout cell on a pair's rows into evals and its
-        fit file; each readout template fits and evaluates its whole path
-        as one batch."""
+    def fit(cfg, ticker) -> bool:
+        """Evaluate every readout cell on the rows of a pair's `.emb.npz`
+        into evals and its fit file, or return False when that file does
+        not hold the pair's dataset; each readout template fits and
+        evaluates its whole path as one batch."""
         ds = usable[ticker]
+        rows = cached_rows(read_embedded(ticker, cfg, cache_dir), ticker, cfg, cache_dir, fingerprints[ticker],
+                           (len(ds.labels), feature_width(cfg, ds.w)))
+        if rows is None:
+            return False
         k = ds.split_index
         evals[cfg, ticker] = [
             res
@@ -276,13 +290,14 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir) -> ExperimentReport:
             for res in evaluate_path(FIT_PATH[kind](rows[:k], ds.labels[:k], regs), rows[k:], ds.labels[k:])
         ]
         write_fit(ticker, cfg, cache_dir, fingerprints[ticker], paths, evals[cfg, ticker])
+        return True
 
     # one lookup per pair in the cache files of embeddings: a matching fit
     # file serves its results, else a matching embedding file is read and
     # fitted, else the pair is embedded, so a warm run opens no `.emb.npz`.
     # The missing tickers of one config are embedded in at most `workers`
-    # batches; rows do not depend on the batch, so any split gives the
-    # same bytes.
+    # batches of at most MAX_BATCH; rows do not depend on the batch, so any
+    # split gives the same bytes.
     jobs = []  # (cfg, tickers)
     fits_reused = embeddings_reused = 0
     for cfg in embed_cfgs:
@@ -293,33 +308,28 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir) -> ExperimentReport:
             if served is not None:
                 evals[cfg, ticker] = served
                 fits_reused += 1
-                continue
-            rows = cached_rows(read_embedded(ticker, cfg, cache_dir), ticker, cfg, cache_dir,
-                               fingerprints[ticker], len(ds.labels))
-            if rows is None:
-                missing.append(ticker)
-            else:
-                fit(cfg, ticker, rows)
+            elif fit(cfg, ticker):
                 embeddings_reused += 1
-            rows = None  # no name keeps a file's rows while batches are embedded
-        jobs += [(cfg, chunk) for chunk in _chunks(missing, grid.workers)]
+            else:
+                missing.append(ticker)
+        batches = max(grid.workers, math.ceil(len(missing) / MAX_BATCH))
+        jobs += [(cfg, chunk) for chunk in _chunks(missing, batches)]
     pool = None
     if grid.workers > 1 and len(jobs) > 1:
         pool = ProcessPoolExecutor(max_workers=min(grid.workers, len(jobs)))
     with pool or contextlib.nullcontext():
-        # lazy: at workers=1 each batch is cached, fitted and dropped before
-        # the next one is embedded
-        batches = (pool.map if pool else map)(
-            embed_dataset, ([usable[t] for t in chunk] for _, chunk in jobs), [cfg for cfg, _ in jobs])
-        if pool:
-            # fits wait for every batch: fitting while the workers embed
-            # leaves the parent's BLAS threads spinning on their cores
-            batches = iter(list(batches))
-        for cfg, chunk in jobs:
-            for ticker, rows in zip(chunk, next(batches)):
-                write_embedded(ticker, cfg, cache_dir, fingerprints[ticker], rows)
-                fit(cfg, ticker, rows)
-            del rows  # else it holds the batch's last rows while the next is embedded
+        # a job writes its tickers' `.emb.npz` files and returns nothing
+        for _ in (pool.map if pool else map)(
+                stream_embedded, [[(t, usable[t], fingerprints[t]) for t in chunk] for _, chunk in jobs],
+                [cfg for cfg, _ in jobs], [cache_dir] * len(jobs)):
+            pass
+    # the fits start once every job is done: fitting while the workers
+    # embed leaves the parent's BLAS threads spinning on their cores
+    for cfg, chunk in jobs:
+        for ticker in chunk:
+            if not fit(cfg, ticker):
+                raise IngestionError(f"{os.path.join(str(cache_dir), cache_filename(ticker, cfg))}: "
+                                     "overwritten for other dataset contents while this run used it")
 
     cells = []
     for cfg in embed_cfgs:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import datetime
 import functools
 import io
 import logging
@@ -72,17 +73,27 @@ def plain_ticker(ticker: str) -> bool:
     return ticker not in ("", ".", "..") and not any(c in ticker for c in '/\\,"\r\n')
 
 
+def iso_date(text: str) -> bool:
+    """True if text is a calendar date written YYYY-MM-DD."""
+    try:
+        return datetime.date.fromisoformat(text).isoformat() == text
+    except ValueError:
+        return False
+
+
 def load_prices(path, tickers=None) -> list:
     """Read a `date,ticker,adj_close` CSV into per-ticker series.
 
-    Rows with missing fields, non-finite, non-positive or unparseable
-    prices, or a ticker that fails plain_ticker (it names output files and
-    fills CSV fields), are rejected with a logged row-level diagnostic.
-    Out-of-order dates are sorted with a warning.
+    Rows with missing fields, a date that is not a YYYY-MM-DD calendar
+    date, non-finite, non-positive or unparseable prices, or a ticker that
+    fails plain_ticker (it names output files and fills CSV fields), are
+    rejected with a logged row-level diagnostic.  Out-of-order dates are
+    sorted with a warning; as YYYY-MM-DD strings they sort by day.
     """
     wanted = set(tickers) if tickers else None
     rows_by_ticker = {}
     plain = {}  # ticker -> plain_ticker(ticker), checked once per distinct ticker
+    iso = {}  # date -> iso_date(date), checked once per distinct date
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -109,6 +120,12 @@ def load_prices(path, tickers=None) -> list:
                             path, lineno, ticker)
                 continue
             if wanted is not None and ticker not in wanted:
+                continue
+            if date not in iso:
+                iso[date] = iso_date(date)
+            if not iso[date]:
+                log.warning("%s row %d: date %r is not a YYYY-MM-DD calendar date, row rejected",
+                            path, lineno, date)
                 continue
             try:
                 price = float(raw_price)
@@ -226,23 +243,81 @@ FORMAT_VERSION = 1
 _ZIP_DATE = (1980, 1, 1, 0, 0, 0)
 
 
-def save_arrays(path, **arrays) -> None:
-    """Write arrays and FORMAT_VERSION as an uncompressed `.npz` at path.
+class _NpzEntries:
+    """The entries of one npz_writer file, added in order: each an
+    uncompressed `.npy` with a 1.0 header, C-ordered data and the date
+    _ZIP_DATE, so equal arrays give equal bytes."""
 
-    The file is written next to path and renamed into place, so path
-    never holds a partial file; a write that fails removes it again.
+    def __init__(self, zf: zipfile.ZipFile):
+        self._zf = zf
+
+    @contextlib.contextmanager
+    def _entry(self, name: str, shape: tuple, dtype: np.dtype):
+        if dtype.hasobject:
+            raise ValueError("Object arrays cannot be saved when allow_pickle=False")
+        with self._zf.open(zipfile.ZipInfo(name + ".npy", _ZIP_DATE), "w", force_zip64=True) as fh:
+            np.lib.format.write_array_header_1_0(fh, {
+                "descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": shape})
+            yield fh
+
+    def array(self, name: str, value) -> None:
+        """Add value as one whole array."""
+        value = np.asarray(value, order="C")
+        with self._entry(name, value.shape, value.dtype) as fh:
+            fh.write(value.tobytes())
+
+    @contextlib.contextmanager
+    def rows(self, name: str, shape: tuple, dtype=np.float64):
+        """Add an array of this shape and dtype from row blocks: yields
+        put(block), which appends the rows of a (k, *shape[1:]) block of
+        dtype.  A block that does not fit, or fewer than shape[0] rows in
+        all, raises ValueError."""
+        dtype, shape = np.dtype(dtype), tuple(shape)
+        written = 0
+
+        def put(block):
+            nonlocal written
+            block = np.asarray(block)
+            if block.dtype != dtype or block.shape[1:] != shape[1:] or written + len(block) > shape[0]:
+                raise ValueError(f"entry {name!r} of {dtype} {shape}: a {block.dtype} block of shape "
+                                 f"{block.shape} does not fit after {written} rows")
+            fh.write(np.ascontiguousarray(block).tobytes())
+            written += len(block)
+
+        with self._entry(name, shape, dtype) as fh:
+            yield put
+            if written != shape[0]:
+                raise ValueError(f"entry {name!r} of {dtype} {shape}: {written} rows written")
+
+
+@contextlib.contextmanager
+def npz_writer(path):
+    """The one `.npz` writer: yields the entries of an uncompressed `.npz`
+    for path, which starts with FORMAT_VERSION and gains an entry per
+    array or rows call.
+
+    The file is built at `<path>.tmp` and renamed into place when the
+    block ends, so path never holds a partial file; a block that raises
+    closes and removes it.
     """
     tmp = f"{path}.tmp"
     try:
         with zipfile.ZipFile(tmp, "w") as zf:
-            for name, value in {"format": FORMAT_VERSION, **arrays}.items():
-                with zf.open(zipfile.ZipInfo(name + ".npy", _ZIP_DATE), "w", force_zip64=True) as fh:
-                    np.lib.format.write_array(fh, np.asarray(value, order="C"), allow_pickle=False)
+            entries = _NpzEntries(zf)
+            entries.array("format", FORMAT_VERSION)
+            yield entries
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def save_arrays(path, **arrays) -> None:
+    """Write arrays and FORMAT_VERSION as an uncompressed `.npz` at path (see npz_writer)."""
+    with npz_writer(path) as out:
+        for name, value in arrays.items():
+            out.array(name, value)
 
 
 # the `.npy` header versions save_arrays and np.savez write, by reader

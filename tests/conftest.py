@@ -1,6 +1,9 @@
+import zipfile
+
 import numpy as np
 
 from qrcvol.harness import GridCell
+from qrcvol.pipeline import FORMAT_VERSION
 from qrcvol.readout import DEGENERATE_LOGIT, Standardizer
 
 
@@ -210,3 +213,13 @@ def reference_fit_logistic(x, y, l2=1e-2, max_iter=100, tol=1e-8):
     weights = np.where(scaler.constant, 0.0, wb[:d])
     return weights, float(wb[d]), bool(converged), False, l2
 
+
+
+def reference_save_arrays(path, **arrays):
+    """The `.npz` bytes a save_arrays file must have: the format version,
+    then each array written whole by np.lib.format.write_array into a
+    stored zip entry dated 1980-01-01, in order."""
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, value in {"format": FORMAT_VERSION, **arrays}.items():
+            with zf.open(zipfile.ZipInfo(name + ".npy", (1980, 1, 1, 0, 0, 0)), "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, np.asarray(value, order="C"), allow_pickle=False)

@@ -564,6 +564,27 @@ class TestRun:
         assert rc == 2
         assert str(path) in capsys.readouterr().err
 
+    def test_embedding_file_of_wrong_width_exit_two(self, workspace, capsys):
+        # the file keeps its dataset's fingerprint and rows, but only the
+        # first 3 of a 5-qubit config's 15 feature columns
+        tmp_path, _, data, config = workspace
+        config.write_text(json.dumps({"embeddings": [{"kind": "quantum"}], "window": 5,
+                                      "readouts": [{"kind": "ridge", "regularization": [1.0]}]}))
+        out = tmp_path / "out"
+        argv = ["run", "--data", str(data), "--config", str(config), "--out", str(out)]
+        assert main(argv) == 0
+        (path,) = (out / "cache").glob("*.emb.npz")
+        arrays = load_arrays(path)
+        assert arrays["features"].shape[1] == 15
+        arrays["features"] = arrays["features"][:, :3].copy()
+        save_arrays(path, **arrays)
+        for fit in (out / "cache").glob("*.fit.npz"):
+            fit.unlink()
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "of 3 columns" in err
+
     def test_two_dataset_files_of_one_ticker_exit_two(self, workspace, capsys):
         tmp_path, _, data, config = workspace
         shutil.copy(data / "SYNTH.dataset.npz", data / "COPY.dataset.npz")

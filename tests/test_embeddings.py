@@ -1,20 +1,24 @@
 import dataclasses
 import itertools
 import json
+import os
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qrcvol import harness
+from qrcvol import harness, quantum
 from qrcvol.embeddings import (
+    ESN_CHUNK,
     EmbeddingConfig,
     EsnParams,
+    cache_filename,
     cached_rows,
     embed_dataset,
     read_embedded,
     reservoir_weights,
+    stream_embedded,
     write_embedded,
 )
 from qrcvol.errors import ConfigError, IngestionError
@@ -30,7 +34,7 @@ from qrcvol.pipeline import (
 )
 from qrcvol.quantum import quantum_embed
 
-from conftest import reference_esn_step
+from conftest import reference_esn_step, reference_save_arrays
 
 
 def make_dataset(n_rows=12, w=9, seed=1):
@@ -125,8 +129,9 @@ class TestEmbedDataset:
         assert np.array_equal(full[2], alone[0])
 
     def test_esn_rows_do_not_depend_on_batch(self):
-        # unequal lengths and mixed w; the reference steps one dataset alone
-        shapes = [(30, 9), (12, 9), (30, 5), (1, 9), (7, 5), (25, 9)]
+        # unequal lengths, mixed w and lengths past ESN_CHUNK; the reference
+        # steps one dataset alone
+        shapes = [(30, 9), (12, 9), (30, 5), (1, 9), (7, 5), (25, 9), (2 * ESN_CHUNK + 3, 5), (ESN_CHUNK + 1, 9)]
         datasets = [make_dataset(n, w, seed) for seed, (n, w) in enumerate(shapes)]
         cfg = EmbeddingConfig.make("classical_esn", reservoir_size=30, leak_rate=0.5,
                                    input_scaling=1.5, seed=4)
@@ -380,11 +385,14 @@ class TestCache:
         cfg = EmbeddingConfig.make("raw")
         path = write_embedded("T", cfg, tmp_path, "abc", np.eye(2))
         cached = read_embedded("T", cfg, tmp_path)
-        assert np.array_equal(cached_rows(cached, "T", cfg, tmp_path, "abc", 2), np.eye(2))
-        assert cached_rows(cached, "T", cfg, tmp_path, "other", 2) is None
-        assert cached_rows(None, "T", cfg, tmp_path, "abc", 2) is None
-        with pytest.raises(IngestionError, match=re.escape(path) + ".*2 feature rows, its dataset has 3"):
-            cached_rows(cached, "T", cfg, tmp_path, "abc", 3)
+        assert np.array_equal(cached_rows(cached, "T", cfg, tmp_path, "abc", (2, 2)), np.eye(2))
+        assert cached_rows(cached, "T", cfg, tmp_path, "other", (2, 2)) is None
+        assert cached_rows(None, "T", cfg, tmp_path, "abc", (2, 2)) is None
+        with pytest.raises(IngestionError, match=re.escape(path) + ".*2 feature rows of 2 columns, "
+                           "its dataset and config give 3 of 2"):
+            cached_rows(cached, "T", cfg, tmp_path, "abc", (3, 2))
+        with pytest.raises(IngestionError, match=re.escape(path) + ".*give 2 of 3"):
+            cached_rows(cached, "T", cfg, tmp_path, "abc", (2, 3))
 
     def test_miss_returns_none(self, tmp_path):
         assert read_embedded("T", EmbeddingConfig.make("raw"), tmp_path) is None
@@ -411,3 +419,58 @@ class TestCache:
         save_arrays(path, **{**load_arrays(path), entry: value})
         with pytest.raises(IngestionError, match=re.escape(path) + f".*{entry}"):
             read_embedded("T", cfg, tmp_path)
+
+
+class TestStreamEmbedded:
+    """stream_embedded writes, block by block, the bytes that write_embedded
+    and the zipfile oracle write for embed_dataset's whole rows."""
+
+    def assert_stream_bytes_equal(self, tmp_path, datasets, cfg):
+        batch = [(f"T{j}", ds, f"sha{j}") for j, ds in enumerate(datasets)]
+        for name in ("stream", "write", "oracle"):
+            (tmp_path / name).mkdir()
+        stream_embedded(batch, cfg, tmp_path / "stream")
+        for (ticker, _, sha), rows in zip(batch, embed_dataset(datasets, cfg)):
+            name = cache_filename(ticker, cfg)
+            reference_save_arrays(tmp_path / "oracle" / name, features=rows, dataset_sha256=sha)
+            written = Path(write_embedded(ticker, cfg, tmp_path / "write", sha, rows)).read_bytes()
+            streamed = (tmp_path / "stream" / name).read_bytes()
+            assert streamed == written == (tmp_path / "oracle" / name).read_bytes()
+        assert sorted(os.listdir(tmp_path / "stream")) == sorted(os.listdir(tmp_path / "oracle"))
+
+    def test_stream_esn_bytes(self, tmp_path):
+        # unequal lengths, mixed w, and lengths that are not multiples of ESN_CHUNK
+        shapes = [(2 * ESN_CHUNK + 5, 9), (ESN_CHUNK, 9), (3, 5), (ESN_CHUNK + 1, 5), (40, 9)]
+        datasets = [make_dataset(n, w, seed) for seed, (n, w) in enumerate(shapes)]
+        self.assert_stream_bytes_equal(tmp_path, datasets, EmbeddingConfig.make("classical_esn", reservoir_size=12))
+
+    def test_stream_quantum_bytes(self, tmp_path):
+        # more than quantum.BLOCK windows, and not a multiple of it
+        datasets = [make_dataset(2 * quantum.BLOCK + 7, 4, seed=3), make_dataset(5, 4, seed=4)]
+        self.assert_stream_bytes_equal(tmp_path, datasets, EmbeddingConfig.make("quantum"))
+
+    def test_stream_raw_bytes(self, tmp_path):
+        datasets = [make_dataset(30, 9, seed=5), make_dataset(70, 5, seed=6)]
+        self.assert_stream_bytes_equal(tmp_path, datasets, EmbeddingConfig.make("raw"))
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to count open files")
+    def test_stream_failure_leaves_no_file(self, tmp_path, monkeypatch):
+        # the second dataset's embedding raises on its second block
+        real = quantum.quantum_embed
+        calls = []
+
+        def failing_embed(*args):
+            calls.append(len(args[0]))
+            if len(calls) == 4:
+                raise RuntimeError("embedding failed")
+            return real(*args)
+
+        monkeypatch.setattr(quantum, "quantum_embed", failing_embed)
+        datasets = [make_dataset(quantum.BLOCK + 1, 4, seed=1), make_dataset(quantum.BLOCK + 3, 4, seed=2)]
+        open_files = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(RuntimeError, match="embedding failed"):
+            stream_embedded([("A", datasets[0], "a"), ("B", datasets[1], "b")], EmbeddingConfig.make("quantum"),
+                            tmp_path)
+        assert calls == [quantum.BLOCK, 1, quantum.BLOCK, 3]
+        assert os.listdir(tmp_path) == []
+        assert len(os.listdir("/proc/self/fd")) == open_files

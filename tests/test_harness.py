@@ -2,6 +2,7 @@ import dataclasses
 import json
 import logging
 import re
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from qrcvol import harness
-from qrcvol.embeddings import EmbeddingConfig, dataset_sha256, embed_dataset, read_embedded
+from qrcvol.embeddings import EmbeddingConfig, dataset_sha256, embed_dataset, read_embedded, stream_embedded
 from qrcvol.errors import ConfigError, IngestionError
 from qrcvol.harness import (
     ExperimentReport,
@@ -217,8 +218,7 @@ class TestRunGrid:
         def forbidden(*args, **kwargs):
             raise AssertionError("cache hit expected")
 
-        monkeypatch.setattr(harness, "embed_dataset", forbidden)
-        monkeypatch.setattr(harness, "write_embedded", forbidden)
+        monkeypatch.setattr(harness, "stream_embedded", forbidden)
         again = run_grid({"S": ds}, grid, cache_dir=tmp_path)
         assert [c.per_ticker for c in again.cells] == [c.per_ticker for c in report.cells]
         assert {path: path.read_bytes() for path in tmp_path.glob("*.emb.npz")} == before
@@ -254,7 +254,7 @@ class TestRunGrid:
         with pytest.raises(IngestionError, match=re.escape(str(path))):
             run_grid({"S": ds}, small_grid(), cache_dir=tmp_path)
 
-    @pytest.mark.parametrize("damage", ["rows-short", "features-0d", "dataset_sha256-array"])
+    @pytest.mark.parametrize("damage", ["rows-short", "columns-short", "features-0d", "dataset_sha256-array"])
     def test_malformed_cache_file_raises(self, tmp_path, damage):
         ds = synth_dataset(6)
         run_grid({"S": ds}, small_grid(), cache_dir=tmp_path)
@@ -262,6 +262,8 @@ class TestRunGrid:
         arrays = load_arrays(path)
         if damage == "rows-short":
             arrays["features"] = arrays["features"][:-5]
+        elif damage == "columns-short":
+            arrays["features"] = arrays["features"][:, :-1].copy()
         elif damage == "features-0d":
             arrays["features"] = 1.0
         else:
@@ -341,11 +343,11 @@ class TestRunGrid:
         # 1 and 1.0 name one config; each distinct config is embedded once
         jobs = []
 
-        def recording_embed(datasets, cfg):
+        def recording_stream(batch, cfg, directory):
             jobs.append(cfg)
-            return embed_dataset(datasets, cfg)
+            return stream_embedded(batch, cfg, directory)
 
-        monkeypatch.setattr(harness, "embed_dataset", recording_embed)
+        monkeypatch.setattr(harness, "stream_embedded", recording_stream)
         grid = small_grid(embeddings=[{"kind": "quantum", "a_x": [1.0, 1.0, 1]}])
         assert len(grid.expand_embeddings()) == 1
         report = run_grid({"S": synth_dataset(0)}, grid, cache_dir=tmp_path)
@@ -353,40 +355,71 @@ class TestRunGrid:
         assert len(list(tmp_path.glob("*.emb.npz"))) == 1
         assert len(report.cells) == 1
 
-    def test_rows_of_one_batch_alive_at_a_time(self, tmp_path, monkeypatch):
-        # at workers=1 each batch, and each pair served by its embedding
-        # file, is fitted and dropped before the next batch is embedded
+    def test_rows_of_one_pair_alive_at_a_time(self, tmp_path, monkeypatch):
+        # every pair is fitted from its `.emb.npz`, and the rows of each
+        # read are dropped before the next read and before any embedding
         datasets = {"A": synth_dataset(0), "B": synth_dataset(1)}
         # the last (config, ticker) looked up is served by its embedding file
         run_grid({"B": datasets["B"]}, small_grid(embeddings=ESN_RAW_QUANTUM[-1:]), cache_dir=tmp_path)
         for path in tmp_path.glob("*.fit.npz"):
             path.unlink()
-        alive = []  # a weakref to every array embed_dataset and read_embedded returned
+        alive = []  # a weakref to every array read_embedded returned
         embedded = []
+        reads = []
 
-        def recording_embed(batch, cfg):
-            assert [ref() for ref in alive] == [None] * len(alive), "rows of an earlier batch are alive"
-            rows = embed_dataset(batch, cfg)
-            embedded.append(len(rows))
-            alive.extend(weakref.ref(r) for r in rows)
-            return rows
+        def no_rows_alive():
+            assert [ref() for ref in alive] == [None] * len(alive), "rows of an earlier read are alive"
+
+        def recording_stream(batch, cfg, directory):
+            no_rows_alive()
+            embedded.append(len(batch))
+            return stream_embedded(batch, cfg, directory)
 
         def recording_read(ticker, cfg, directory):
+            no_rows_alive()
             cached = read_embedded(ticker, cfg, directory)
+            reads.append(cached is not None)
             if cached is not None:
                 alive.append(weakref.ref(cached.features))
             return cached
 
-        monkeypatch.setattr(harness, "embed_dataset", recording_embed)
+        monkeypatch.setattr(harness, "stream_embedded", recording_stream)
         monkeypatch.setattr(harness, "read_embedded", recording_read)
         grid = small_grid(embeddings=ESN_RAW_QUANTUM, readouts=[
             {"kind": "logistic", "regularization": [1e-2]}, {"kind": "ridge", "regularization": [1.0]}])
         report = run_grid(datasets, grid, cache_dir=tmp_path)
         # quantum B comes from its file; A alone is embedded for quantum
-        assert embedded == [2, 2, 2, 1] and len(alive) == 8
+        assert embedded == [2, 2, 2, 1]
+        # a miss for each of the 7 embedded pairs, then a read-back of each
+        assert reads == [False] * 7 + [True] + [True] * 7 and len(alive) == 8
         assert [ref() for ref in alive] == [None] * 8
         monkeypatch.undo()
         assert [c.per_ticker for c in report.cells] == [c.per_ticker for c in run_grid(datasets, grid, tmp_path / "fresh").cells]
+
+    def test_embedding_file_overwritten_during_the_run_raises(self, tmp_path, monkeypatch):
+        # as if another run wrote the file for other dataset contents
+        def other_writer(batch, cfg, directory):
+            stream_embedded([(ticker, ds, "other") for ticker, ds, _ in batch], cfg, directory)
+
+        monkeypatch.setattr(harness, "stream_embedded", other_writer)
+        with pytest.raises(IngestionError, match="S0__.*emb.npz: overwritten for other dataset contents"):
+            run_grid({"S0": synth_dataset(0)}, small_grid(), tmp_path)
+
+    def test_cold_run_holds_rows_of_one_pair(self, tmp_path):
+        # 12 ESN-100 tickers of 500 windows: 4.8 MB of feature rows, which
+        # a run that held every ticker's rows until its fits would exceed
+        datasets = {f"S{k}": synth_dataset(k, regimes=((200, 0.005), (100, 0.05), (120, 0.005), (84, 0.05)))
+                    for k in range(12)}
+        rows_bytes = sum(len(ds.labels) * 100 * 8 for ds in datasets.values())
+        assert rows_bytes == 4_800_000
+        grid = small_grid(embeddings=[{"kind": "classical_esn", "reservoir_size": [100]}])
+        tracemalloc.start()
+        try:
+            run_grid(datasets, grid, cache_dir=tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows_bytes / 2
 
     def test_duplicate_readout_values_give_one_cell(self, tmp_path, monkeypatch):
         # 1 and 1.0 name one value; a template left with no value drops out
@@ -501,7 +534,8 @@ class TestFitCache:
         monkeypatch.setattr(harness, "read_embedded", recording_read)
         report = run_grid(datasets, grid, cache_dir=tmp_path)
         assert report.cache_counts == {"embeddings": (2, 1), "readout results": (1, 2)}
-        assert reads == ["B", "C"]
+        # C's file is read back once C is embedded
+        assert reads == ["B", "C", "C"]
         assert report.cells == run_grid(datasets, grid, tmp_path / "fresh").cells
 
     def test_damaged_embedding_next_to_valid_fit_file_is_served(self, tmp_path):
@@ -648,21 +682,37 @@ class TestWorkers:
         run_grid(datasets, small_grid(embeddings=ESN_RAW_QUANTUM, workers=3), tmp_path / "3")
         assert started == [2, 8, 3]
 
+    def test_batches_capped_at_max_batch(self, tmp_path, monkeypatch):
+        # a batch holds its tickers' cache files open while it embeds them
+        batches = []
+
+        def recording_stream(batch, cfg, directory):
+            batches.append([ticker for ticker, _, _ in batch])
+            return stream_embedded(batch, cfg, directory)
+
+        monkeypatch.setattr(harness, "MAX_BATCH", 2)
+        monkeypatch.setattr(harness, "stream_embedded", recording_stream)
+        datasets = {f"S{k}": synth_dataset(k) for k in range(5)}
+        report = run_grid(datasets, small_grid(), tmp_path)
+        assert batches == [["S0"], ["S1", "S2"], ["S3", "S4"]]
+        monkeypatch.undo()
+        assert report.cells == run_grid(datasets, small_grid(), tmp_path / "fresh").cells
+
     def test_fits_wait_for_the_pool(self, tmp_path, monkeypatch):
         # fitting while the workers embed would leave the parent's BLAS
         # threads spinning on their cores
         events = []
 
-        def recording_embed(batch, cfg):
+        def recording_stream(batch, cfg, directory):
             events.append("embed")
-            return embed_dataset(batch, cfg)
+            return stream_embedded(batch, cfg, directory)
 
         def recording_fit(x, y, regs):
             events.append("fit")
             return harness.fit_ridge_path(x, y, regs)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", lambda max_workers: InProcessPool())
-        monkeypatch.setattr(harness, "embed_dataset", recording_embed)
+        monkeypatch.setattr(harness, "stream_embedded", recording_stream)
         monkeypatch.setitem(harness.FIT_PATH, "ridge", recording_fit)
         datasets = {"A": synth_dataset(0), "B": synth_dataset(1)}
         run_grid(datasets, small_grid(embeddings=ESN_RAW_QUANTUM, workers=2), tmp_path)

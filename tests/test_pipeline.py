@@ -1,6 +1,7 @@
 import ast
 import csv
 import io
+import itertools
 import logging
 import re
 import time
@@ -18,6 +19,7 @@ from qrcvol.pipeline import (
     load_prices,
     log_returns,
     normalize_and_label,
+    npz_writer,
     prepare_dataset,
     read_dataset,
     rolling_volatility,
@@ -25,6 +27,8 @@ from qrcvol.pipeline import (
     windowize,
     write_dataset,
 )
+
+from conftest import reference_save_arrays
 
 
 def random_walk_dataset():
@@ -103,6 +107,10 @@ class TestLoadPrices:
         ("2020-01-02,A,abc", "row 3: unparseable price 'abc'"),
         ("2020-01-02,A,1e400", "row 3: non-finite or non-positive price inf"),
         ("2020-01-02,A,nan", "row 3: non-finite or non-positive price nan"),
+        ("1/2/2020,A,100", "row 3: date '1/2/2020' is not a YYYY-MM-DD calendar date"),
+        ("2020-1-2,A,100", "row 3: date '2020-1-2' is not a YYYY-MM-DD calendar date"),
+        ("20200102,A,100", "row 3: date '20200102' is not a YYYY-MM-DD calendar date"),
+        ("2020-02-30,A,100", "row 3: date '2020-02-30' is not a YYYY-MM-DD calendar date"),
     ])
     def test_unusable_row_rejected_with_row_diagnostic(self, tmp_path, caplog, row, words):
         path = make_csv(tmp_path, ["2020-01-01,A,100", row, "2020-01-03,A,101"])
@@ -416,3 +424,38 @@ class TestLoadArrays:
         pipeline._npy_header.cache_clear()  # the patch does reach the parser
         with pytest.raises(AssertionError, match="header parsed again"):
             load_arrays(path)
+
+
+class TestNpzWriter:
+    def test_save_arrays_bytes_equal_the_zipfile_oracle(self, tmp_path):
+        arrays = {**VARIETY, "fortran": np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+                  "text": "abc", "flag": True, "count": 3, "value": 1.5}
+        save_arrays(tmp_path / "a.npz", **arrays)
+        reference_save_arrays(tmp_path / "b.npz", **arrays)
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+    @pytest.mark.parametrize("sizes", [[130], [64, 64, 2], [1] * 130, [0, 129, 0, 1]])
+    def test_stream_rows_bytes_equal_the_zipfile_oracle(self, tmp_path, sizes):
+        rows = np.random.default_rng(3).normal(size=(130, 7))
+        with npz_writer(tmp_path / "a.npz") as out:
+            out.array("before", np.arange(3))
+            with out.rows("rows", rows.shape) as put:
+                for start, stop in itertools.pairwise(itertools.accumulate([0] + sizes)):
+                    put(rows[start:stop])
+            out.array("after", "abc")
+        reference_save_arrays(tmp_path / "b.npz", before=np.arange(3), rows=rows, after="abc")
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+    @pytest.mark.parametrize("blocks, words", [
+        ([np.zeros((4, 3), dtype=np.float32)], "a float32 block of shape \\(4, 3\\) does not fit"),
+        ([np.zeros((4, 2))], "block of shape \\(4, 2\\) does not fit after 0 rows"),
+        ([np.zeros((4, 3)), np.zeros((2, 3))], "does not fit after 4 rows"),
+        ([np.zeros((3, 3))], "3 rows written"),
+    ], ids=["dtype", "width", "too-many-rows", "too-few-rows"])
+    def test_rows_that_do_not_fit_leave_no_file(self, tmp_path, blocks, words):
+        path = tmp_path / "a.npz"
+        with pytest.raises(ValueError, match=words):
+            with npz_writer(path) as out, out.rows("rows", (5, 3)) as put:
+                for block in blocks:
+                    put(block)
+        assert list(tmp_path.iterdir()) == []
