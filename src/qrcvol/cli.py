@@ -122,7 +122,7 @@ def cmd_prepare(args) -> int:
     for flag, value, least in (("--window", args.window, 2), ("--stride", args.stride, 1)):
         if value < least:
             raise ConfigError(f"{flag} must be >= {least}, got {value}")
-    tickers = None if args.tickers is None else args.tickers.split(",")
+    tickers = None if args.tickers is None else [t.strip() for t in args.tickers.split(",")]
     for pos, ticker in enumerate(tickers or (), start=1):
         if not pipeline.plain_ticker(ticker):
             raise ConfigError(f"--tickers entry {pos} ({ticker!r}) cannot name a file or CSV field")
@@ -169,7 +169,7 @@ def cmd_prepare(args) -> int:
 def cmd_run(args) -> int:
     grid = harness.load_grid_config(args.config)
     if args.embeddings:
-        wanted = set(args.embeddings.split(","))
+        wanted = {kind.strip() for kind in args.embeddings.split(",")}
         unknown = wanted - set(KINDS)
         if unknown:
             raise ConfigError(f"unknown embedding kinds in filter: {sorted(unknown)}")

@@ -5,7 +5,7 @@ fixed-length real feature row, in row order.  The embedding is that
 (m, d) array alone: the dataset stays the one source of its ticker,
 labels, split index and fingerprint.  One core, embed_blocks, gives the
 rows block by block, so a run can stream them into their cache files
-without holding any dataset's rows whole.
+without holding a whole batch's rows.
 
 * quantum: each window is encoded independently from |0...0> (stateless
   across windows) and measured into n + n(n-1)/2 Z/ZZ expectations.
@@ -213,11 +213,11 @@ def reservoir_blocks(params: EsnParams, windows: list):
                 yield j, out[pos, : min(lengths[pos] - start, steps)]
 
 
-def feature_width(cfg: EmbeddingConfig, w: int) -> int:
-    """Columns of cfg's feature rows of windows of width w."""
+def feature_shape(cfg: EmbeddingConfig, ds: WindowedDataset) -> tuple:
+    """(rows, columns) of cfg's feature rows of ds: one row per window."""
     if cfg.kind == "quantum":
-        return w * (w + 1) // 2
-    return cfg.esn.reservoir_size if cfg.kind == "classical_esn" else w
+        return len(ds.labels), ds.w * (ds.w + 1) // 2
+    return len(ds.labels), cfg.esn.reservoir_size if cfg.kind == "classical_esn" else ds.w
 
 
 def embed_blocks(datasets: list, cfg: EmbeddingConfig):
@@ -226,9 +226,9 @@ def embed_blocks(datasets: list, cfg: EmbeddingConfig):
 
     A dataset's rows do not depend on which datasets share the call or
     on the blocks: ESN rows come ESN_CHUNK time steps at a time (see
-    reservoir_blocks), quantum rows quantum.BLOCK windows per
-    quantum_embed call (a window's features do not depend on its block)
-    and raw rows as one read-only view of the dataset's windows.
+    reservoir_blocks), quantum rows as one block per dataset from one
+    quantum_embed call, which bounds its own evolve working set, and raw
+    rows as one read-only view of the dataset's windows.
     """
     if any(len(d.labels) == 0 for d in datasets):
         raise ConfigError("cannot embed an empty dataset")
@@ -242,9 +242,7 @@ def embed_blocks(datasets: list, cfg: EmbeddingConfig):
     else:
         q = cfg.quantum
         for j, d in enumerate(datasets):
-            for start in range(0, len(d.windows), quantum.BLOCK):
-                yield j, quantum.quantum_embed(d.windows[start : start + quantum.BLOCK], q.a_x, q.a_z, q.a_zz,
-                                               q.t).values
+            yield j, quantum.quantum_embed(d.windows, q.a_x, q.a_z, q.a_zz, q.t).values
 
 
 def embed_dataset(datasets: list, cfg: EmbeddingConfig) -> list:
@@ -260,9 +258,9 @@ def embed_dataset(datasets: list, cfg: EmbeddingConfig) -> list:
 
 
 # --- cache: two pipeline.npz_writer files per (ticker, embedding config) ---
-# `<ticker>__<cfg hash>.emb.npz` holds the feature rows, written whole by
-# write_embedded or block by block by stream_embedded; `.fit.npz` holds
-# the results of every readout cell on them (acc, AP, tp, fp, tn, fn, in
+# `<ticker>__<cfg hash>.emb.npz` holds the feature rows, laid out by
+# _embedding_file alone (whole or block by block); `.fit.npz` holds the
+# results of every readout cell on them (acc, AP, tp, fp, tn, fn, in
 # cell order) and the readout paths as JSON.  Both record the
 # dataset_sha256 of their dataset.  A missing file, another FORMAT_VERSION,
 # other dataset contents or other readout paths is a miss; a file that
@@ -318,22 +316,23 @@ def _load(path, names: tuple):
     return [arrays[name] for name in names]
 
 
-def write_embedded(ticker: str, cfg: EmbeddingConfig, directory, sha: str, features) -> str:
-    """Cache the feature rows of the dataset of dataset_sha256 sha; returns the file's path."""
-    path = _cache_path(directory, ticker, cfg, ".emb.npz")
-    save_arrays(path, features=features, dataset_sha256=sha)
-    return path
-
-
 @contextlib.contextmanager
-def _embedding_file(ticker: str, cfg: EmbeddingConfig, directory, ds: WindowedDataset, sha: str):
-    """Yields put(rows), which streams ds's feature rows into the
-    `.emb.npz` of ticker and cfg; the file ends as write_embedded would
-    write it for all of them, byte for byte."""
-    with npz_writer(_cache_path(directory, ticker, cfg, ".emb.npz")) as out:
-        with out.rows("features", (len(ds.labels), feature_width(cfg, ds.w))) as put:
+def _embedding_file(path, shape: tuple, sha: str):
+    """The one layout of an `.emb.npz`: yields put(rows), which appends
+    float64 rows to its features entry of this shape; dataset_sha256 sha
+    follows them.  path holds the file once every row is put (npz_writer)."""
+    with npz_writer(path) as out:
+        with out.rows("features", shape) as put:
             yield put
         out.array("dataset_sha256", sha)
+
+
+def write_embedded(ticker: str, cfg: EmbeddingConfig, directory, sha: str, features) -> str:
+    """Cache the float64 feature rows of the dataset of dataset_sha256 sha; returns the file's path."""
+    path = _cache_path(directory, ticker, cfg, ".emb.npz")
+    with _embedding_file(path, np.shape(features), sha) as put:
+        put(features)
+    return path
 
 
 def stream_embedded(batch: list, cfg: EmbeddingConfig, directory) -> None:
@@ -344,7 +343,8 @@ def stream_embedded(batch: list, cfg: EmbeddingConfig, directory) -> None:
     none of the batch's files and leaves no `.tmp` behind (npz_writer).
     """
     with contextlib.ExitStack() as files:
-        puts = [files.enter_context(_embedding_file(ticker, cfg, directory, ds, sha))
+        puts = [files.enter_context(_embedding_file(_cache_path(directory, ticker, cfg, ".emb.npz"),
+                                                    feature_shape(cfg, ds), sha))
                 for ticker, ds, sha in batch]
         for j, rows in embed_blocks([ds for _, ds, _ in batch], cfg):
             puts[j](rows)
@@ -361,15 +361,14 @@ def read_embedded(ticker: str, cfg: EmbeddingConfig, directory) -> EmbeddedDatas
 
 
 def cached_rows(cached: EmbeddedDataset, ticker: str, cfg: EmbeddingConfig, directory, sha: str,
-                shape: tuple):
+                ds: WindowedDataset):
     """The features of the read_embedded record of ticker and cfg, when it
-    holds the dataset of dataset_sha256 sha, or None.  Features of that
-    dataset whose shape is not (rows of the dataset, feature_width of cfg)
-    raise IngestionError naming the file."""
+    holds ds, whose dataset_sha256 is sha, or None.  Features of ds whose
+    shape is not feature_shape(cfg, ds) raise IngestionError naming the file."""
     if cached is None or cached.dataset_sha256 != sha:
         return None
-    have = cached.features.shape
-    if have != tuple(shape):
+    have, shape = cached.features.shape, feature_shape(cfg, ds)
+    if have != shape:
         path = _cache_path(directory, ticker, cfg, ".emb.npz")
         raise IngestionError(f"{path}: {have[0]} feature rows of {have[1]} columns, "
                              f"its dataset and config give {shape[0]} of {shape[1]}")

@@ -10,11 +10,12 @@ parameter encoding, then the regularization).
 
 A run keeps the results of each (ticker, embedding config) pair, not its
 feature rows.  A pair served by its `.emb.npz` is fitted right after the
-read.  At workers=1 each embedded batch is cached, fitted, evaluated and
-dropped before the next one is embedded, so a run holds the feature rows
-of one batch.  At workers > 1 finished batches queue in the parent until
-the pool is done, and only then are they fitted: a fit while the workers
-embed leaves the parent's BLAS threads spinning on the workers' cores.
+read.  Every other pair that its `.fit.npz` does not serve is streamed
+into its `.emb.npz` as it is embedded, by a pool at workers > 1, and
+fitted from that file once every embedding job is done, whatever the
+workers value: a fit while the workers embed leaves the parent's BLAS
+threads spinning on the workers' cores.  So a run holds the feature rows
+of one pair at a time.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .embeddings import (
     cached_rows,
     dataset_sha256,
     embed_dataset,
-    feature_width,
     read_embedded,
     read_fit,
     stream_embedded,
@@ -279,8 +279,7 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir) -> ExperimentReport:
         not hold the pair's dataset; each readout template fits and
         evaluates its whole path as one batch."""
         ds = usable[ticker]
-        rows = cached_rows(read_embedded(ticker, cfg, cache_dir), ticker, cfg, cache_dir, fingerprints[ticker],
-                           (len(ds.labels), feature_width(cfg, ds.w)))
+        rows = cached_rows(read_embedded(ticker, cfg, cache_dir), ticker, cfg, cache_dir, fingerprints[ticker], ds)
         if rows is None:
             return False
         k = ds.split_index
@@ -299,7 +298,7 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir) -> ExperimentReport:
     # batches of at most MAX_BATCH; rows do not depend on the batch, so any
     # split gives the same bytes.
     jobs = []  # (cfg, tickers)
-    fits_reused = embeddings_reused = 0
+    fits_reused = 0
     for cfg in embed_cfgs:
         missing = []
         for ticker, ds in usable.items():
@@ -308,9 +307,7 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir) -> ExperimentReport:
             if served is not None:
                 evals[cfg, ticker] = served
                 fits_reused += 1
-            elif fit(cfg, ticker):
-                embeddings_reused += 1
-            else:
+            elif not fit(cfg, ticker):
                 missing.append(ticker)
         batches = max(grid.workers, math.ceil(len(missing) / MAX_BATCH))
         jobs += [(cfg, chunk) for chunk in _chunks(missing, batches)]
@@ -343,9 +340,9 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir) -> ExperimentReport:
         log.warning("ticker %s has no positive label in its test split: "
                     "its average precision counts as 0 in every mean", ticker)
     pairs = len(embed_cfgs) * len(usable)
+    embedded = sum(len(chunk) for _, chunk in jobs)  # a pair that no job embeds reuses its cache files
     return ExperimentReport(cells=cells, excluded=excluded, cache_counts={
-        # a served fit file needs no embedding
-        "embeddings": (fits_reused + embeddings_reused, pairs - fits_reused - embeddings_reused),
+        "embeddings": (pairs - embedded, embedded),
         "readout results": (fits_reused, pairs - fits_reused),
     })
 
@@ -484,7 +481,7 @@ def emit_report(report: ExperimentReport, out_dir) -> dict:
 def load_grid_config(path) -> GridSpec:
     """Read a GridSpec from a JSON config file, reporting all problems."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # with or without a BOM
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

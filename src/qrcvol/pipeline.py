@@ -95,7 +95,7 @@ def load_prices(path, tickers=None) -> list:
     plain = {}  # ticker -> plain_ticker(ticker), checked once per distinct ticker
     iso = {}  # date -> iso_date(date), checked once per distinct date
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")  # Excel's "CSV UTF-8" starts with a BOM
     except OSError as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
     with fh:
@@ -267,12 +267,12 @@ class _NpzEntries:
             fh.write(value.tobytes())
 
     @contextlib.contextmanager
-    def rows(self, name: str, shape: tuple, dtype=np.float64):
-        """Add an array of this shape and dtype from row blocks: yields
-        put(block), which appends the rows of a (k, *shape[1:]) block of
-        dtype.  A block that does not fit, or fewer than shape[0] rows in
+    def rows(self, name: str, shape: tuple):
+        """Add a float64 array of this shape from row blocks: yields
+        put(block), which appends the rows of a (k, *shape[1:]) float64
+        block.  A block that does not fit, or fewer than shape[0] rows in
         all, raises ValueError."""
-        dtype, shape = np.dtype(dtype), tuple(shape)
+        dtype, shape = np.dtype(np.float64), tuple(shape)
         written = 0
 
         def put(block):

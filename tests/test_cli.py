@@ -223,6 +223,27 @@ class TestPrepare:
         with open(out / "per_ticker.csv", newline="", encoding="utf-8") as fh:
             assert {len(row) for row in csv.reader(fh)} == {11}
 
+    def test_csv_with_byte_order_mark(self, workspace, tmp_path):
+        # as Excel's "CSV UTF-8" export writes it
+        _, prices, data, _ = workspace
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + prices.read_bytes())
+        out = tmp_path / "bom"
+        assert main(["prepare", "--prices", str(bom), "--out", str(out), "--window", "5"]) == 0
+        assert file_hash(out / "SYNTH.dataset.npz") == file_hash(data / "SYNTH.dataset.npz")
+
+    def test_tickers_entries_are_stripped(self, workspace, tmp_path, capsys):
+        _, prices, _, _ = workspace
+        rows = prices.read_text().splitlines()
+        both = tmp_path / "both.csv"
+        both.write_text("\n".join(rows + [r.replace(",SYNTH,", ",OTHER,") for r in rows[1:]]) + "\n")
+        out = tmp_path / "both"
+        capsys.readouterr()
+        assert main(["prepare", "--prices", str(both), "--out", str(out), "--window", "5",
+                     "--tickers", " SYNTH, OTHER "]) == 0
+        assert capsys.readouterr().out == f"prepared 2 ticker dataset(s) in {out}\n"
+        assert sorted(p.name for p in out.glob("*.dataset.npz")) == ["OTHER.dataset.npz", "SYNTH.dataset.npz"]
+
 
 class TestRun:
     def test_small_grid(self, workspace):
@@ -259,6 +280,23 @@ class TestRun:
         assert rc == 1
         assert "embedding filter removed every template" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_embedding_filter_entries_are_stripped(self, workspace):
+        tmp_path, _, data, config = workspace
+        out = tmp_path / "spaced"
+        assert main(["run", "--data", str(data), "--config", str(config),
+                     "--out", str(out), "--embeddings", "raw, classical_esn"]) == 0
+        rows = (out / "cells.csv").read_text().splitlines()[1:]
+        assert sorted(r.split(",")[0] for r in rows) == ["classical_esn", "raw"]
+
+    def test_config_with_byte_order_mark(self, workspace):
+        tmp_path, _, data, config = workspace
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+        for name, path in (("plain", config), ("bom", bom)):
+            assert main(["run", "--data", str(data), "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        for name in ("cells.csv", "per_ticker.csv", "report.txt"):
+            assert file_hash(tmp_path / "bom" / name) == file_hash(tmp_path / "plain" / name)
 
     @pytest.mark.parametrize("data, words", [("absent", "data directory not found"),
                                              ("empty", "no *.dataset.npz files in")])

@@ -385,14 +385,22 @@ class TestCache:
         cfg = EmbeddingConfig.make("raw")
         path = write_embedded("T", cfg, tmp_path, "abc", np.eye(2))
         cached = read_embedded("T", cfg, tmp_path)
-        assert np.array_equal(cached_rows(cached, "T", cfg, tmp_path, "abc", (2, 2)), np.eye(2))
-        assert cached_rows(cached, "T", cfg, tmp_path, "other", (2, 2)) is None
-        assert cached_rows(None, "T", cfg, tmp_path, "abc", (2, 2)) is None
+        ds = make_dataset(2, 2)
+        assert np.array_equal(cached_rows(cached, "T", cfg, tmp_path, "abc", ds), np.eye(2))
+        assert cached_rows(cached, "T", cfg, tmp_path, "other", ds) is None
+        assert cached_rows(None, "T", cfg, tmp_path, "abc", ds) is None
         with pytest.raises(IngestionError, match=re.escape(path) + ".*2 feature rows of 2 columns, "
                            "its dataset and config give 3 of 2"):
-            cached_rows(cached, "T", cfg, tmp_path, "abc", (3, 2))
+            cached_rows(cached, "T", cfg, tmp_path, "abc", make_dataset(3, 2))
         with pytest.raises(IngestionError, match=re.escape(path) + ".*give 2 of 3"):
-            cached_rows(cached, "T", cfg, tmp_path, "abc", (2, 3))
+            cached_rows(cached, "T", cfg, tmp_path, "abc", make_dataset(2, 3))
+
+    def test_rows_must_be_float64(self, tmp_path):
+        cfg = EmbeddingConfig.make("raw")
+        for rows in (np.eye(2, dtype=np.float32), np.eye(2, dtype=np.int64)):
+            with pytest.raises(ValueError, match="features"):
+                write_embedded("T", cfg, tmp_path, "abc", rows)
+        assert os.listdir(tmp_path) == []
 
     def test_miss_returns_none(self, tmp_path):
         assert read_embedded("T", EmbeddingConfig.make("raw"), tmp_path) is None
@@ -455,13 +463,13 @@ class TestStreamEmbedded:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to count open files")
     def test_stream_failure_leaves_no_file(self, tmp_path, monkeypatch):
-        # the second dataset's embedding raises on its second block
+        # the second dataset's embedding raises, after the first's rows are written
         real = quantum.quantum_embed
         calls = []
 
         def failing_embed(*args):
             calls.append(len(args[0]))
-            if len(calls) == 4:
+            if len(calls) == 2:
                 raise RuntimeError("embedding failed")
             return real(*args)
 
@@ -471,6 +479,6 @@ class TestStreamEmbedded:
         with pytest.raises(RuntimeError, match="embedding failed"):
             stream_embedded([("A", datasets[0], "a"), ("B", datasets[1], "b")], EmbeddingConfig.make("quantum"),
                             tmp_path)
-        assert calls == [quantum.BLOCK, 1, quantum.BLOCK, 3]
+        assert calls == [quantum.BLOCK + 1, quantum.BLOCK + 3]
         assert os.listdir(tmp_path) == []
         assert len(os.listdir("/proc/self/fd")) == open_files
