@@ -9,7 +9,10 @@ Exit codes: 0 success, 1 validation error, 2 I/O error, 3 internal error.
 Each command writes a manifest listing input and artifact hashes so a
 run can be replayed and verified: synth to `<out>.manifest.json` beside
 its CSV, prepare and run to `manifest.json` in their output directory,
-which they hold locked (_output_lock) while they write it.
+which they hold locked (_output_lock) while they write it.  Every file
+is put in place by pipeline.replacing, and each command removes its
+old manifest before it writes anything and writes the new one last, so
+a manifest exists only once its command has finished.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ def _write_manifest(path, command, args_dict, inputs, artifacts, **fields):
         "artifacts": {str(p): _sha256(p) for p in artifacts},
         **fields,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with pipeline.replacing(path, encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -77,7 +80,9 @@ def _output_lock(out_dir):
 
     A POSIX flock on `.qrcvol.lock`: the kernel releases it when the
     holder exits, however it exits.  The file stays, since a run that
-    removed it could let two later runs lock two different files.
+    removed it could let two later runs lock two different files.  The
+    holder first removes the directory's manifest, which it writes last,
+    so a manifest exists only once its command has finished.
     """
     path = os.path.join(str(out_dir), ".qrcvol.lock")
     fd = os.open(path, os.O_CREAT | os.O_WRONLY, 0o666)
@@ -86,6 +91,8 @@ def _output_lock(out_dir):
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             raise IngestionError(f"output directory is locked by another run ({path})") from None
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(str(out_dir), "manifest.json"))
         yield
     finally:
         os.close(fd)
@@ -99,10 +106,11 @@ def cmd_synth(args) -> int:
         regimes, seed=args.seed, ticker=args.ticker, start_price=args.start_price
     )
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        fh.write("date,ticker,adj_close\n")
-        for date, price in zip(series.dates, series.prices):
-            fh.write(f"{date},{series.ticker},{price:.17g}\n")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(f"{args.out}.manifest.json")  # written last, once the CSV is in place
+    pipeline.write_csv(args.out, ["date", "ticker", "adj_close"],
+                       ([date, series.ticker, f"{price:.17g}"]
+                        for date, price in zip(series.dates, series.prices)))
     _write_manifest(
         f"{args.out}.manifest.json",
         "synth",
@@ -168,7 +176,7 @@ def cmd_prepare(args) -> int:
 
 def cmd_run(args) -> int:
     grid = harness.load_grid_config(args.config)
-    if args.embeddings:
+    if args.embeddings is not None:  # "" is an empty filter, not no filter
         wanted = {kind.strip() for kind in args.embeddings.split(",")}
         unknown = wanted - set(KINDS)
         if unknown:

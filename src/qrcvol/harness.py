@@ -51,7 +51,7 @@ from .embeddings import (
     write_fit,
 )
 from .errors import ConfigError, IngestionError
-from .pipeline import PriceSeries
+from .pipeline import PriceSeries, replacing, write_csv
 # fit_logistic, fit_ridge, predict_scores and evaluate stay bound here:
 # benchmarks/tracing.py wraps the readout functions by their names in
 # this module
@@ -415,12 +415,6 @@ def _params_json(cfg: EmbeddingConfig) -> str:
     return json.dumps(d, sort_keys=True)
 
 
-def _write_csv(path, columns: list, rows) -> None:
-    """Header and rows of already formatted fields, joined by commas."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.writelines(",".join(row) + "\n" for row in itertools.chain([columns], rows))
-
-
 def emit_report(report: ExperimentReport, out_dir) -> dict:
     """Write cells.csv, per_ticker.csv and report.txt; returns the paths.
 
@@ -440,14 +434,14 @@ def emit_report(report: ExperimentReport, out_dir) -> dict:
          cell.readout_kind, f"{cell.regularization:.17g}"]
         for cell in ordered
     ]
-    _write_csv(
+    write_csv(
         cells_path,
         CELL_COLUMNS + ["n_tickers", "mean_accuracy", "mean_average_precision"],
         (prefix + [str(len(cell.per_ticker)), f"{cell.mean_accuracy:.6f}",
                    f"{cell.mean_average_precision:.6f}"]
          for prefix, cell in zip(prefixes, ordered)),
     )
-    _write_csv(
+    write_csv(
         per_ticker_path,
         CELL_COLUMNS + ["ticker", "accuracy", "average_precision", "tp", "fp", "tn", "fn"],
         (prefix + [ticker, f"{res.accuracy:.6f}", f"{res.average_precision:.6f}",
@@ -473,7 +467,7 @@ def emit_report(report: ExperimentReport, out_dir) -> dict:
     if report.excluded:
         excluded = [f"  {ticker}: {reason}" for ticker, reason in sorted(report.excluded.items())]
         lines += ["Excluded tickers:", *excluded, ""]
-    with open(text_path, "w", encoding="utf-8") as fh:
+    with replacing(text_path, encoding="utf-8") as fh:
         fh.write("\n".join(lines))
     return {"cells": cells_path, "per_ticker": per_ticker_path, "text": text_path}
 
@@ -485,7 +479,7 @@ def load_grid_config(path) -> GridSpec:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON is UTF-8 text
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")

@@ -1,4 +1,4 @@
-"""Price ingestion, log returns, rolling volatility, labels, windows and their `.npz` storage.
+"""Price ingestion, log returns, rolling volatility, labels, windows, and file storage.
 
 The labeling pipeline passes plain arrays from stage to stage:
   prices -> log returns r_t (log_returns) -> rolling sample std
@@ -95,48 +95,49 @@ def load_prices(path, tickers=None) -> list:
     plain = {}  # ticker -> plain_ticker(ticker), checked once per distinct ticker
     iso = {}  # date -> iso_date(date), checked once per distinct date
     try:
-        fh = open(path, newline="", encoding="utf-8-sig")  # Excel's "CSV UTF-8" starts with a BOM
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # Excel's "CSV UTF-8" starts with a BOM
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or not {"date", "ticker", "adj_close"} <= set(
+                reader.fieldnames
+            ):
+                raise IngestionError(
+                    f"{path}: expected header date,ticker,adj_close, got {reader.fieldnames}"
+                )
+            for lineno, row in enumerate(reader, start=2):
+                date = (row.get("date") or "").strip()
+                ticker = (row.get("ticker") or "").strip()
+                raw_price = (row.get("adj_close") or "").strip()
+                if not date or not ticker or not raw_price:
+                    log.warning("%s row %d: missing field, row rejected", path, lineno)
+                    continue
+                if ticker not in plain:
+                    plain[ticker] = plain_ticker(ticker)
+                if not plain[ticker]:
+                    log.warning("%s row %d: ticker %r cannot name a file or CSV field, row rejected",
+                                path, lineno, ticker)
+                    continue
+                if wanted is not None and ticker not in wanted:
+                    continue
+                if date not in iso:
+                    iso[date] = iso_date(date)
+                if not iso[date]:
+                    log.warning("%s row %d: date %r is not a YYYY-MM-DD calendar date, row rejected",
+                                path, lineno, date)
+                    continue
+                try:
+                    price = float(raw_price)
+                except ValueError:
+                    log.warning("%s row %d: unparseable price %r, row rejected", path, lineno, raw_price)
+                    continue
+                if not math.isfinite(price) or price <= 0:
+                    log.warning("%s row %d: non-finite or non-positive price %s, row rejected",
+                                path, lineno, price)
+                    continue
+                rows_by_ticker.setdefault(ticker, []).append((date, price))
     except OSError as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"date", "ticker", "adj_close"} <= set(
-            reader.fieldnames
-        ):
-            raise IngestionError(
-                f"{path}: expected header date,ticker,adj_close, got {reader.fieldnames}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            date = (row.get("date") or "").strip()
-            ticker = (row.get("ticker") or "").strip()
-            raw_price = (row.get("adj_close") or "").strip()
-            if not date or not ticker or not raw_price:
-                log.warning("%s row %d: missing field, row rejected", path, lineno)
-                continue
-            if ticker not in plain:
-                plain[ticker] = plain_ticker(ticker)
-            if not plain[ticker]:
-                log.warning("%s row %d: ticker %r cannot name a file or CSV field, row rejected",
-                            path, lineno, ticker)
-                continue
-            if wanted is not None and ticker not in wanted:
-                continue
-            if date not in iso:
-                iso[date] = iso_date(date)
-            if not iso[date]:
-                log.warning("%s row %d: date %r is not a YYYY-MM-DD calendar date, row rejected",
-                            path, lineno, date)
-                continue
-            try:
-                price = float(raw_price)
-            except ValueError:
-                log.warning("%s row %d: unparseable price %r, row rejected", path, lineno, raw_price)
-                continue
-            if not math.isfinite(price) or price <= 0:
-                log.warning("%s row %d: non-finite or non-positive price %s, row rejected",
-                            path, lineno, price)
-                continue
-            rows_by_ticker.setdefault(ticker, []).append((date, price))
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not UTF-8 text: {exc}") from exc
     if not rows_by_ticker:
         raise IngestionError(f"{path}: no usable rows")
 
@@ -235,7 +236,7 @@ def prepare_dataset(p: PriceSeries, w: int = 9, lam: float = 1.0, stride: int = 
     return windowize(p.ticker, r, labels, w, stride, tau, lam)
 
 
-# --- storage: one deterministic .npz format for datasets and caches -----
+# --- storage: one file writer (replacing), one deterministic .npz format --
 
 FORMAT_VERSION = 1
 # Every zip entry carries this date, so equal arrays give equal bytes
@@ -291,26 +292,38 @@ class _NpzEntries:
 
 
 @contextlib.contextmanager
-def npz_writer(path):
-    """The one `.npz` writer: yields the entries of an uncompressed `.npz`
-    for path, which starts with FORMAT_VERSION and gains an entry per
-    array or rows call.
-
-    The file is built at `<path>.tmp` and renamed into place when the
-    block ends, so path never holds a partial file; a block that raises
-    closes and removes it.
-    """
+def replacing(path, mode="w", **open_kwargs):
+    """The one way qrcvol puts a file in place: yields the file
+    `<path>.tmp`, opened with mode and open_kwargs, and renames it onto
+    path when the block ends, so path never holds a partial file; a
+    block that raises closes and removes it."""
     tmp = f"{path}.tmp"
     try:
-        with zipfile.ZipFile(tmp, "w") as zf:
-            entries = _NpzEntries(zf)
-            entries.array("format", FORMAT_VERSION)
-            yield entries
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_csv(path, columns: list, rows) -> None:
+    """Write a header and rows of formatted fields, joined by commas, at path (see replacing)."""
+    with replacing(path, newline="", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
+@contextlib.contextmanager
+def npz_writer(path):
+    """The one `.npz` writer: yields the entries of an uncompressed `.npz`
+    for path (see replacing), which starts with FORMAT_VERSION and gains
+    an entry per array or rows call."""
+    with replacing(path, "wb") as fh, zipfile.ZipFile(fh, "w") as zf:
+        entries = _NpzEntries(zf)
+        entries.array("format", FORMAT_VERSION)
+        yield entries
 
 
 def save_arrays(path, **arrays) -> None:

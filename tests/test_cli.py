@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import qrcvol
-from qrcvol import cli
+from qrcvol import cli, harness, pipeline
 from qrcvol.cli import main
 from qrcvol.errors import StateError
 from qrcvol.pipeline import load_arrays, save_arrays
@@ -32,6 +32,13 @@ SMALL_CONFIG = {
 
 def file_hash(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def two_ticker_prices(prices, path):
+    """Write at path the rows of the price file prices twice, as SYNTH and as OTHER."""
+    rows = Path(prices).read_text().splitlines()
+    path.write_text("\n".join(rows + [r.replace(",SYNTH,", ",OTHER,") for r in rows[1:]]) + "\n")
+    return path
 
 
 @pytest.fixture
@@ -116,6 +123,19 @@ class TestSynth:
             assert manifest["artifacts"] == {str(out): file_hash(out)}
             assert manifest["seed"] == seed
         assert not (tmp_path / "manifest.json").exists()
+
+    def test_interrupted_rewrite_leaves_old_csv_and_no_manifest(self, tmp_path, monkeypatch):
+        out = tmp_path / "p.csv"
+        assert main(["synth", "--regimes", "50:0.01", "--out", str(out)]) == 0
+        before = out.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        assert main(["synth", "--regimes", "50:0.01", "--seed", "1", "--out", str(out)]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv"]
+        assert out.read_bytes() == before
 
 
 class TestPrepare:
@@ -232,11 +252,39 @@ class TestPrepare:
         assert main(["prepare", "--prices", str(bom), "--out", str(out), "--window", "5"]) == 0
         assert file_hash(out / "SYNTH.dataset.npz") == file_hash(data / "SYNTH.dataset.npz")
 
+    def test_non_utf8_price_file_exit_two(self, workspace, tmp_path, capsys):
+        _, prices, _, _ = workspace
+        latin = tmp_path / "latin.csv"
+        latin.write_bytes(prices.read_bytes().replace(b",SYNTH,", b",SYN\xffTH,", 1))
+        out = tmp_path / "latin"
+        assert main(["prepare", "--prices", str(latin), "--out", str(out), "--window", "5"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {latin}: not UTF-8 text: " in err and "0xff" in err
+        assert not out.exists()
+
+    def test_interrupted_reprepare_leaves_no_manifest(self, workspace, tmp_path, monkeypatch):
+        _, prices, _, _ = workspace
+        both = two_ticker_prices(prices, tmp_path / "both.csv")
+        out = tmp_path / "again"
+        assert main(["prepare", "--prices", str(both), "--out", str(out), "--window", "5"]) == 0
+        write_dataset = pipeline.write_dataset
+        written = []
+
+        def second_fails(ds, path):
+            written.append(path)
+            if len(written) == 2:
+                raise OSError("disk full")
+            write_dataset(ds, path)
+
+        monkeypatch.setattr(pipeline, "write_dataset", second_fails)
+        assert main(["prepare", "--prices", str(both), "--out", str(out), "--window", "5",
+                     "--lambda", "0.5"]) == 2
+        assert len(written) == 2
+        assert not (out / "manifest.json").exists()
+
     def test_tickers_entries_are_stripped(self, workspace, tmp_path, capsys):
         _, prices, _, _ = workspace
-        rows = prices.read_text().splitlines()
-        both = tmp_path / "both.csv"
-        both.write_text("\n".join(rows + [r.replace(",SYNTH,", ",OTHER,") for r in rows[1:]]) + "\n")
+        both = two_ticker_prices(prices, tmp_path / "both.csv")
         out = tmp_path / "both"
         capsys.readouterr()
         assert main(["prepare", "--prices", str(both), "--out", str(out), "--window", "5",
@@ -266,11 +314,15 @@ class TestRun:
         rows = (out / "cells.csv").read_text().splitlines()[1:]
         assert all(r.startswith("raw,") for r in rows)
 
-    def test_unknown_embedding_filter(self, workspace):
+    def test_unknown_embedding_filter(self, workspace, capsys):
         tmp_path, _, data, config = workspace
-        rc = main(["run", "--data", str(data), "--config", str(config),
-                   "--out", str(tmp_path / "x"), "--embeddings", "warp"])
-        assert rc == 1
+        out = tmp_path / "x"
+        for kinds, unknown in (("warp", "['warp']"), ("", "['']")):
+            rc = main(["run", "--data", str(data), "--config", str(config),
+                       "--out", str(out), "--embeddings", kinds])
+            assert rc == 1, kinds
+            assert f"unknown embedding kinds in filter: {unknown}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_embedding_filter_removing_every_template(self, workspace, capsys):
         tmp_path, _, data, config = workspace
@@ -297,6 +349,30 @@ class TestRun:
             assert main(["run", "--data", str(data), "--config", str(path), "--out", str(tmp_path / name)]) == 0
         for name in ("cells.csv", "per_ticker.csv", "report.txt"):
             assert file_hash(tmp_path / "bom" / name) == file_hash(tmp_path / "plain" / name)
+
+    def test_non_utf8_config_exit_one(self, workspace, capsys):
+        tmp_path, _, data, config = workspace
+        latin = tmp_path / "latin.json"
+        latin.write_bytes(config.read_bytes().replace(b'"raw"', b'"r\xe4w"'))
+        out = tmp_path / "latin"
+        assert main(["run", "--data", str(data), "--config", str(latin), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: config {latin} is not valid JSON: " in err and "0xe4" in err
+        assert not out.exists()
+
+    def test_interrupted_rerun_leaves_no_manifest(self, workspace, monkeypatch):
+        tmp_path, _, data, config = workspace
+        out = tmp_path / "again"
+        assert main(["run", "--data", str(data), "--config", str(config), "--out", str(out)]) == 0
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({**SMALL_CONFIG, "embeddings": [{"kind": "raw"}]}))
+
+        def fail(report, out_dir):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness, "emit_report", fail)
+        assert main(["run", "--data", str(data), "--config", str(other), "--out", str(out)]) == 2
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("data, words", [("absent", "data directory not found"),
                                              ("empty", "no *.dataset.npz files in")])
@@ -702,3 +778,88 @@ def test_other_package_error_exit_three(tmp_path, capsys, monkeypatch):
     rc = main(["synth", "--regimes", "50:0.01", "--out", str(tmp_path / "p.csv")])
     assert rc == 3
     assert capsys.readouterr().err == "internal error: statevector norm deviates from 1 by 0.5\n"
+
+
+def tree(directory):
+    """Every file under directory but the lock file, as bytes by relative path."""
+    return {p.relative_to(directory).as_posix(): p.read_bytes()
+            for p in Path(directory).rglob("*") if p.is_file() and p.name != ".qrcvol.lock"}
+
+
+class TestInterruptedCommand:
+    """A command whose k-th os.replace raises, for every k, as a crash
+    between two files would leave it: no `.tmp` file, no manifest, and
+    every other file holds a clean run's bytes or its own earlier bytes."""
+
+    @staticmethod
+    def renames(monkeypatch, fail_at=0):
+        """Count os.replace calls, and make call number fail_at raise."""
+        calls = []
+        replace = os.replace
+
+        def counted(src, dst):
+            calls.append(dst)
+            if len(calls) == fail_at:
+                raise OSError(f"rename {fail_at} interrupted")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", counted)
+        return calls
+
+    def check_every_interruption(self, monkeypatch, tmp_path, command, earlier=None):
+        """command(out) and earlier(out) are argvs writing into out; earlier,
+        if given, fills out before each attempt."""
+        with monkeypatch.context() as m:
+            calls = self.renames(m)
+            assert main(command(tmp_path / "clean")) == 0
+        clean = tree(tmp_path / "clean")
+        assert len(calls) == len(clean) == len(set(calls))  # one rename per file it leaves
+        clean.pop("manifest.json")
+        for k in range(1, len(clean) + 3):
+            out = tmp_path / f"out{k}"
+            if earlier is not None:
+                assert main(earlier(out)) == 0
+            before = tree(out) if out.exists() else {}
+            with monkeypatch.context() as m:
+                calls = self.renames(m, fail_at=k)
+                rc = main(command(out))
+            if rc == 0:  # k is past the command's last rename
+                assert len(calls) == k - 1 and k > 1
+                break
+            assert rc == 2, k
+            after = tree(out)
+            assert "manifest.json" not in after, k
+            assert not [p for p in after if p.endswith(".tmp")], k
+            for path, data in after.items():
+                assert data in (clean.get(path), before.get(path)), (k, path)
+            assert main(command(out)) == 0
+            rerun = tree(out)
+            assert rerun.pop("manifest.json")
+            assert {path: rerun.pop(path) for path in clean} == clean, k
+            assert all(before[path] == data for path, data in rerun.items()), k
+        else:
+            pytest.fail("the command never finished")
+
+    @pytest.mark.parametrize("again", [False, True], ids=["fresh", "over-earlier"])
+    def test_prepare(self, workspace, tmp_path, monkeypatch, again):
+        _, prices, _, _ = workspace
+        both = two_ticker_prices(prices, tmp_path / "both.csv")
+
+        def prepare(*extra):
+            return lambda out: ["prepare", "--prices", str(both), "--out", str(out), "--window", "5", *extra]
+
+        self.check_every_interruption(monkeypatch, tmp_path, prepare(),
+                                      earlier=prepare("--lambda", "0.5") if again else None)
+
+    @pytest.mark.parametrize("again", [False, True], ids=["fresh", "over-earlier"])
+    def test_cold_run(self, workspace, monkeypatch, again):
+        tmp_path, _, data, config = workspace
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({**SMALL_CONFIG, "embeddings": [{"kind": "raw"}],
+                                     "readouts": [{"kind": "logistic", "regularization": [1.0]}]}))
+
+        def run(path):
+            return lambda out: ["run", "--data", str(data), "--config", str(path), "--out", str(out)]
+
+        self.check_every_interruption(monkeypatch, tmp_path, run(config),
+                                      earlier=run(other) if again else None)
