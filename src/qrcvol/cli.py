@@ -12,7 +12,9 @@ its CSV, prepare and run to `manifest.json` in their output directory,
 which they hold locked (_output_lock) while they write it.  Every file
 is put in place by pipeline.replacing, and each command removes its
 old manifest before it writes anything and writes the new one last, so
-a manifest exists only once its command has finished.
+a manifest exists only once its command has finished; run reads only a
+--data directory that has one, and prepare writes into no --out that
+holds another ticker's dataset.
 """
 
 from __future__ import annotations
@@ -152,6 +154,13 @@ def cmd_prepare(args) -> int:
     # a rejected command leaves no --out behind
     if not datasets:
         raise InsufficientDataError("no ticker produced a dataset: " + "; ".join(skipped.values()))
+    # a dataset left in --out would be run beside the new ones, under a manifest that omits it
+    written = {f"{ds.ticker}{DATASET_SUFFIX}" for ds in datasets}
+    stale = sorted(name for name in (os.listdir(args.out) if os.path.isdir(args.out) else ())
+                   if name.endswith(DATASET_SUFFIX) and name not in written)
+    if stale:
+        raise ConfigError(f"{args.out} holds datasets of tickers this prepare does not write: "
+                          f"{', '.join(stale)}; remove them or choose another --out")
     os.makedirs(args.out, exist_ok=True)
     with _output_lock(args.out):
         artifacts = []
@@ -193,6 +202,8 @@ def cmd_run(args) -> int:
     )
     if not dataset_paths:
         raise IngestionError(f"no *{DATASET_SUFFIX} files in {args.data}")
+    if not os.path.isfile(os.path.join(args.data, "manifest.json")):
+        raise IngestionError(f"{args.data} has no manifest.json: its prepare did not finish, run it again")
     datasets = {}
     sources = {}  # ticker -> the file holding it
     for path in dataset_paths:

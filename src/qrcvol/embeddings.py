@@ -271,8 +271,8 @@ def embed_dataset(datasets: list, cfg: EmbeddingConfig) -> list:
 def dataset_sha256(ds: WindowedDataset) -> str:
     """SHA-256 of a dataset's window shape and values, labels and split index."""
     digest = hashlib.sha256(f"{ds.windows.shape} {ds.split_index}\n".encode())
-    digest.update(np.ascontiguousarray(ds.windows, dtype=np.float64).tobytes())
-    digest.update(np.ascontiguousarray(ds.labels, dtype=np.int64).tobytes())
+    digest.update(np.ascontiguousarray(ds.windows, dtype=np.float64))  # hashed in place, not as a bytes copy
+    digest.update(np.ascontiguousarray(ds.labels, dtype=np.int64))
     return digest.hexdigest()
 
 

@@ -23,7 +23,9 @@ import io
 import logging
 import math
 import os
+import struct
 import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +57,7 @@ class PriceSeries:
 @dataclass
 class WindowedDataset:
     ticker: str
-    windows: np.ndarray  # (m, w) return windows ending at t_index[k]
+    windows: np.ndarray  # (m, w) return windows ending at t_index[k]; may be a read-only view of one series
     labels: np.ndarray  # (m,) in {0, 1}
     t_index: np.ndarray  # (m,) return index of each window's last element
     split_index: int  # first test row
@@ -192,13 +194,20 @@ def normalize_and_label(raw: np.ndarray, lam: float):
     return labels, float(tau)
 
 
+def _windows_view(series: np.ndarray, w: int, stride: int) -> np.ndarray:
+    """The (m, w) windows series[k*stride : k*stride + w], as one
+    read-only view of series, so each value is held once."""
+    return np.lib.stride_tricks.sliding_window_view(series, w)[::stride]
+
+
 def windowize(ticker: str, returns: np.ndarray, labels: np.ndarray, w: int, stride: int,
               tau: float, lam: float) -> WindowedDataset:
     """Pair each return window with the regime label at its final index.
 
     labels[k] must correspond to return index w-1+k (where rolling vol is
     defined).  The chronological split index is floor(TRAIN_FRACTION * m)
-    over the m emitted windows.
+    over the m emitted windows, and the windows are a read-only view of
+    returns.
     """
     if stride < 1:
         raise InputShapeError("stride must be >= 1")
@@ -210,10 +219,9 @@ def windowize(ticker: str, returns: np.ndarray, labels: np.ndarray, w: int, stri
     t_index = np.arange(w - 1, m_ret, stride)
     if len(t_index) == 0:
         raise InsufficientDataError("no complete windows")
-    windows = np.lib.stride_tricks.sliding_window_view(returns, w)[::stride].copy()
     return WindowedDataset(
         ticker=ticker,
-        windows=windows,
+        windows=_windows_view(returns, w, stride),
         labels=labels[t_index - (w - 1)],
         t_index=t_index,
         split_index=int(np.floor(TRAIN_FRACTION * len(t_index))),
@@ -350,37 +358,71 @@ def _npy_header(header: bytes):
     return read(fp)
 
 
-def _npy_array(data: bytes) -> np.ndarray:
-    """The writable array of one `.npy` entry's bytes, as np.load gives it
-    with allow_pickle=False."""
-    if not data.startswith(np.lib.format.MAGIC_PREFIX):
+# a zip entry's local header: signature, 22 bytes of fields the central
+# directory repeats, then the sizes of the name and extra fields that
+# come before the entry's data
+_LOCAL_HEADER = struct.Struct("<4s22xHH")
+
+
+def _read_entry(fh, info: zipfile.ZipInfo, file_size: int) -> np.ndarray:
+    """The writable array of one stored `.npy` entry of the zip in fh, as
+    np.load gives it with allow_pickle=False: its header is parsed by
+    _npy_header, its data read straight into the array and checked
+    against the entry's CRC-32."""
+    if info.compress_type != zipfile.ZIP_STORED:
+        raise ValueError(f"entry {info.filename!r} is compressed")
+    fh.seek(info.header_offset)
+    local = fh.read(_LOCAL_HEADER.size)
+    if len(local) != _LOCAL_HEADER.size or not local.startswith(b"PK\x03\x04"):
+        raise ValueError(f"entry {info.filename!r} has no local header")
+    _, name_size, extra_size = _LOCAL_HEADER.unpack(local)
+    start = info.header_offset + _LOCAL_HEADER.size + name_size + extra_size
+    if start + info.file_size > file_size:
+        raise ValueError(f"entry {info.filename!r} runs past the end of the file")
+    fh.seek(start)
+    head = fh.read(12)  # magic, version and either size of header length field
+    if not head.startswith(np.lib.format.MAGIC_PREFIX):
         raise ValueError("not a .npy entry")
-    size = 2 if data[6:7] == b"\x01" else 4  # of the header length field
-    end = 8 + size + int.from_bytes(data[8 : 8 + size], "little")
-    shape, fortran_order, dtype = _npy_header(data[:end])
+    size = 2 if head[6:7] == b"\x01" else 4  # of the header length field
+    end = 8 + size + int.from_bytes(head[8 : 8 + size], "little")
+    if end > info.file_size:
+        raise ValueError(f"entry {info.filename!r} ends inside its .npy header")
+    fh.seek(start)
+    header = fh.read(end)
+    shape, fortran_order, dtype = _npy_header(header)
     if dtype.hasobject:
         raise ValueError("object arrays cannot be loaded when allow_pickle=False")
     count = math.prod(shape)
-    if len(data) - end < count * dtype.itemsize:
-        raise ValueError(f"array data of {len(data) - end} bytes, expected {count * dtype.itemsize}")
-    flat = np.frombuffer(data, dtype, count, end).copy()
+    if info.file_size - end < count * dtype.itemsize:
+        raise ValueError(f"array data of {info.file_size - end} bytes, expected {count * dtype.itemsize}")
+    flat = np.empty(count, dtype)
+    data = flat.view(np.uint8)
+    if fh.readinto(data) != data.nbytes:
+        raise ValueError(f"entry {info.filename!r} is short")
+    crc = zlib.crc32(data, zlib.crc32(header))
+    crc = zlib.crc32(fh.read(info.file_size - end - data.nbytes), crc)  # any bytes after the array
+    if crc != info.CRC:
+        raise ValueError(f"bad CRC-32 for entry {info.filename!r}")
     return flat.reshape(shape[::-1]).T if fortran_order else flat.reshape(shape)
 
 
 def load_arrays(path):
     """Arrays of a file written by save_arrays by name, 0-d ones as Python scalars.
 
-    The file is read in one call, each entry is built with np.frombuffer,
-    and its header is parsed by numpy's np.lib.format readers, once per
-    distinct header.
+    The zip is opened on the file, and each entry's data is read into
+    its array, so a read holds each array once; each entry's `.npy`
+    header is parsed by numpy's np.lib.format readers, once per distinct
+    header.
 
     Returns None for a file of another format version; a file that is
-    not a readable `.npz` of `.npy` entries (a bad zip, a CRC error, an
-    object array, short array data) raises IngestionError naming path.
+    not a readable `.npz` of stored `.npy` entries (a bad zip, a CRC
+    error, a compressed entry, an object array, short array data) raises
+    IngestionError naming path.
     """
     try:
-        with open(path, "rb") as fh, zipfile.ZipFile(io.BytesIO(fh.read())) as zf:
-            arrays = {info.filename.removesuffix(".npy"): _npy_array(zf.read(info))
+        with open(path, "rb") as fh, zipfile.ZipFile(fh) as zf:
+            file_size = os.fstat(fh.fileno()).st_size
+            arrays = {info.filename.removesuffix(".npy"): _read_entry(fh, info, file_size)
                       for info in zf.infolist()}
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
@@ -399,7 +441,11 @@ def read_dataset(path) -> WindowedDataset:
     type of every field; the windows must be at least 2 wide and the stride
     at least 1, as prepare writes them, and the stored ticker must pass
     plain_ticker, since it names cache files and CSV fields.  Each failed
-    check raises IngestionError naming path and the field."""
+    check raises IngestionError naming path and the field.
+
+    Windows that overlap as the windows of one series, bit for bit, come
+    back as a read-only view of that series, as windowize makes them;
+    any others as the stored array."""
     arrays = load_arrays(path)
     if arrays is None:
         raise IngestionError(f"{path}: dataset file of another format version, run prepare again")
@@ -433,4 +479,12 @@ def read_dataset(path) -> WindowedDataset:
         raise IngestionError(f"{path}: split_index {ds.split_index} outside [0, {rows}]")
     if not (isinstance(ds.ticker, str) and plain_ticker(ds.ticker)):
         raise IngestionError(f"{path}: stored ticker {ds.ticker!r} cannot name a file or CSV field")
+    if rows and ds.stride < ds.w:
+        # overlapping windows, as windowize makes them: the first row, then
+        # each later row's last stride values, give the series they view
+        series = np.concatenate((windows[0], windows[1:, ds.w - ds.stride :].ravel()))
+        view = _windows_view(series, ds.w, ds.stride)
+        # compared byte for byte, so -0.0 differs from 0.0
+        if np.array_equal(view.view(np.uint8), np.ascontiguousarray(windows).view(np.uint8)):
+            ds.windows = view
     return ds

@@ -45,7 +45,9 @@ class Standardizer:
         return cls(mean, std, constant)
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.mean) / self.std
+        out = x - self.mean
+        out /= self.std  # (x - mean) / std, without a second (m, d) array
+        return out
 
 
 @dataclass

@@ -282,6 +282,23 @@ class TestPrepare:
         assert len(written) == 2
         assert not (out / "manifest.json").exists()
 
+    def test_narrower_reprepare_exit_one_naming_other_datasets(self, workspace, tmp_path, capsys):
+        _, prices, _, _ = workspace
+        both = two_ticker_prices(prices, tmp_path / "both.csv")
+        out = tmp_path / "both"
+        assert main(["prepare", "--prices", str(both), "--out", str(out), "--window", "5"]) == 0
+        before = tree(out)
+        capsys.readouterr()
+        assert main(["prepare", "--prices", str(both), "--out", str(out), "--window", "5",
+                     "--tickers", "SYNTH", "--lambda", "0.5"]) == 1
+        err = capsys.readouterr().err
+        assert "OTHER.dataset.npz" in err and "SYNTH.dataset.npz" not in err
+        assert tree(out) == before  # nothing written, the manifest kept
+        # the same tickers again may replace their datasets
+        assert main(["prepare", "--prices", str(both), "--out", str(out), "--window", "5",
+                     "--tickers", "OTHER,SYNTH", "--lambda", "0.5"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["args"]["lambda"] == 0.5
+
     def test_tickers_entries_are_stripped(self, workspace, tmp_path, capsys):
         _, prices, _, _ = workspace
         both = two_ticker_prices(prices, tmp_path / "both.csv")
@@ -383,6 +400,16 @@ class TestRun:
         rc = main(["run", "--data", str(tmp_path / data), "--config", str(config), "--out", str(out)])
         assert rc == 2
         assert words in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_data_directory_without_manifest_exit_two(self, workspace, capsys):
+        # as an interrupted prepare leaves it
+        tmp_path, _, data, config = workspace
+        (data / "manifest.json").unlink()
+        out = tmp_path / "out"
+        rc = main(["run", "--data", str(data), "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert f"{data} has no manifest.json" in capsys.readouterr().err
         assert not out.exists()
 
     def test_determinism_across_runs(self, workspace):

@@ -5,6 +5,7 @@ import itertools
 import logging
 import re
 import time
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -251,6 +252,12 @@ class TestWindowize:
         with pytest.raises(InputShapeError):
             windowize("T", np.arange(10.0), np.zeros(5, dtype=int), 9, 1, 1.0, 1.0)
 
+    def test_windows_are_a_read_only_view_of_returns(self):
+        returns = np.arange(40.0)
+        ds = windowize("T", returns, np.zeros(32, dtype=int), 9, 2, 1.0, 1.0)
+        assert np.shares_memory(ds.windows, returns) and not ds.windows.flags.writeable
+        assert np.array_equal(ds.windows, [returns[k : k + 9] for k in range(0, 32, 2)])
+
     def test_chronological_split_no_leakage(self):
         ds = windowize("T", np.arange(40.0), np.zeros(32, dtype=int), 9, 1, 1.0, 1.0)
         train_t = ds.t_index[: ds.split_index]
@@ -321,6 +328,59 @@ class TestPrepareDataset:
             save_arrays(path, a=np.array([object()], dtype=object))
         assert [p.name for p in tmp_path.iterdir()] == ["x.npz"]
         assert path.read_bytes() == written
+
+
+def span(array) -> int:
+    """How many elements lie between an array's first and last byte."""
+    low, high = np.lib.array_utils.byte_bounds(array)
+    return (high - low) // array.itemsize
+
+
+class TestDatasetWindowsView:
+    """Overlapping windows read back as one read-only view of their series
+    when that view gives the stored windows bit for bit."""
+
+    @pytest.mark.parametrize("stride", [1, 2, 4, 8])
+    def test_prepared_dataset_reads_back_as_a_view_of_its_series(self, tmp_path, stride):
+        rng = np.random.default_rng(stride)
+        prices = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.01, size=120)))
+        dates = [f"2020-{1 + d // 28:02d}-{1 + d % 28:02d}" for d in range(120)]
+        ds = prepare_dataset(PriceSeries("T", dates, prices), w=9, lam=1.0, stride=stride)
+        path = tmp_path / "T.dataset.npz"
+        write_dataset(ds, path)
+        back = read_dataset(path)
+        m = len(back.labels)
+        assert not back.windows.flags.writeable
+        assert span(back.windows) == 9 + (m - 1) * stride
+        with np.load(path, allow_pickle=False) as npz:
+            stored = npz["windows"]
+        assert back.windows.dtype == stored.dtype and back.windows.tobytes() == stored.tobytes()
+
+    def test_fortran_ordered_windows_read_back_as_the_view(self, tmp_path):
+        ds = random_walk_dataset()
+        path = tmp_path / "T.dataset.npz"
+        np.savez(path, format=FORMAT_VERSION, **{**vars(ds), "windows": np.asfortranarray(ds.windows)})
+        back = read_dataset(path)
+        assert not back.windows.flags.writeable and back.windows.tobytes() == ds.windows.tobytes()
+
+    @pytest.mark.parametrize("case", ["unrelated rows", "one zero of another sign", "disjoint windows"])
+    def test_other_windows_read_back_as_their_own_array(self, tmp_path, case):
+        ds = random_walk_dataset()
+        if case == "unrelated rows":
+            windows = np.random.default_rng(4).normal(0, 0.01, ds.windows.shape)
+        else:
+            series = np.concatenate([np.arange(1.0, 40.0), [0.0], np.arange(41.0, 80.0)])
+            windows = np.lib.stride_tricks.sliding_window_view(series, 9)[: len(ds.labels)].copy()
+            if case == "one zero of another sign":
+                windows[35, 4] = -0.0  # the series' 0.0 as the fifth return of window 35
+            else:
+                ds.stride = 9  # at stride w no window overlaps the next, whatever the file holds
+        ds.windows = windows
+        path = tmp_path / "T.dataset.npz"
+        write_dataset(ds, path)
+        back = read_dataset(path)
+        assert back.windows.flags.writeable and span(back.windows) == windows.size
+        assert back.windows.tobytes() == windows.tobytes()
 
 
 def npy_bytes(array, **kwargs):
@@ -423,6 +483,42 @@ class TestLoadArrays:
         assert all(np.array_equal(second[name], first[name]) for name in first)
         pipeline._npy_header.cache_clear()  # the patch does reach the parser
         with pytest.raises(AssertionError, match="header parsed again"):
+            load_arrays(path)
+
+
+class TestLoadArraysReadsInPlace:
+    def test_read_peaks_near_its_arrays(self, tmp_path):
+        rows = np.random.default_rng(5).normal(size=(992, 100))
+        path = tmp_path / "T__abc.emb.npz"
+        save_arrays(path, features=rows, dataset_sha256="0" * 64)
+        load_arrays(path)  # headers parsed once, so the traced read holds only the arrays
+        tracemalloc.start()
+        try:
+            arrays = load_arrays(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(arrays["features"], rows)
+        assert peak <= 1.1 * rows.nbytes
+
+    def test_compressed_entry_raises_naming_path(self, tmp_path):
+        path = tmp_path / "a.npz"
+        np.savez_compressed(path, format=FORMAT_VERSION, a=np.arange(100))
+        with pytest.raises(IngestionError, match=re.escape(str(path)) + ".*compressed"):
+            load_arrays(path)
+
+    def test_entry_past_the_end_of_the_file_raises_naming_path(self, tmp_path):
+        path = tmp_path / "a.npz"
+        save_arrays(path, a=np.arange(100, dtype="<i8"))
+        raw = bytearray(path.read_bytes())
+        # entry a.npy's central directory record claims a megabyte more data
+        record = raw.rindex(b"PK\x01\x02")
+        assert raw[record + 46 : record + 51] == b"a.npy"
+        for field in (record + 20, record + 24):  # its stored and its unpacked size
+            size = int.from_bytes(raw[field : field + 4], "little")
+            raw[field : field + 4] = (size + 2**20).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(IngestionError, match=re.escape(str(path)) + ".*past the end"):
             load_arrays(path)
 
 
