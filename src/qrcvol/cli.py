@@ -10,11 +10,12 @@ Each command writes a manifest listing input and artifact hashes so a
 run can be replayed and verified: synth to `<out>.manifest.json` beside
 its CSV, prepare and run to `manifest.json` in their output directory,
 which they hold locked (_output_lock) while they write it.  Every file
-is put in place by pipeline.replacing, and each command removes its
-old manifest before it writes anything and writes the new one last, so
-a manifest exists only once its command has finished; run reads only a
---data directory that has one, and prepare writes into no --out that
-holds another ticker's dataset.
+is put in place by pipeline.replacing, and _manifest alone owns the
+manifest's rule: it removes the old manifest before the command writes
+anything and writes the new one last, so a manifest exists only once
+its command has finished; run reads only a --data directory that has
+one, and prepare writes into no --out that holds another ticker's
+dataset.
 """
 
 from __future__ import annotations
@@ -59,8 +60,16 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(path, command, args_dict, inputs, artifacts, **fields):
-    """Write a manifest at path; fields (seed, skipped, ...) are top-level keys."""
+@contextlib.contextmanager
+def _manifest(path, command, args_dict, inputs, **fields):
+    """The one owner of a manifest: removes the one at path, yields the
+    list of artifacts that the block fills, and writes the manifest at
+    path once the block finishes, so a manifest exists only once its
+    command has finished.  fields (seed, skipped, ...) are top-level keys."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(path)
+    artifacts = []
+    yield artifacts
     manifest = {
         "tool": "qrcvol",
         "version": __version__,
@@ -82,9 +91,7 @@ def _output_lock(out_dir):
 
     A POSIX flock on `.qrcvol.lock`: the kernel releases it when the
     holder exits, however it exits.  The file stays, since a run that
-    removed it could let two later runs lock two different files.  The
-    holder first removes the directory's manifest, which it writes last,
-    so a manifest exists only once its command has finished.
+    removed it could let two later runs lock two different files.
     """
     path = os.path.join(str(out_dir), ".qrcvol.lock")
     fd = os.open(path, os.O_CREAT | os.O_WRONLY, 0o666)
@@ -93,8 +100,6 @@ def _output_lock(out_dir):
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             raise IngestionError(f"output directory is locked by another run ({path})") from None
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(str(out_dir), "manifest.json"))
         yield
     finally:
         os.close(fd)
@@ -108,20 +113,14 @@ def cmd_synth(args) -> int:
         regimes, seed=args.seed, ticker=args.ticker, start_price=args.start_price
     )
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(f"{args.out}.manifest.json")  # written last, once the CSV is in place
-    pipeline.write_csv(args.out, ["date", "ticker", "adj_close"],
-                       ([date, series.ticker, f"{price:.17g}"]
-                        for date, price in zip(series.dates, series.prices)))
-    _write_manifest(
-        f"{args.out}.manifest.json",
-        "synth",
-        {"regimes": args.regimes, "seed": args.seed, "ticker": args.ticker,
-         "start_price": args.start_price, "out": args.out},
-        inputs=[],
-        artifacts=[args.out],
-        seed=args.seed,
-    )
+    with _manifest(f"{args.out}.manifest.json", "synth",
+                   {"regimes": args.regimes, "seed": args.seed, "ticker": args.ticker,
+                    "start_price": args.start_price, "out": args.out},
+                   inputs=[], seed=args.seed) as artifacts:
+        pipeline.write_csv(args.out, ["date", "ticker", "adj_close"],
+                           ([date, series.ticker, f"{price:.17g}"]
+                            for date, price in zip(series.dates, series.prices)))
+        artifacts.append(args.out)
     print(f"wrote {len(series.prices)} price rows to {args.out}")
     return EXIT_OK
 
@@ -162,21 +161,15 @@ def cmd_prepare(args) -> int:
         raise ConfigError(f"{args.out} holds datasets of tickers this prepare does not write: "
                           f"{', '.join(stale)}; remove them or choose another --out")
     os.makedirs(args.out, exist_ok=True)
-    with _output_lock(args.out):
-        artifacts = []
+    with _output_lock(args.out), _manifest(
+            os.path.join(args.out, "manifest.json"), "prepare",
+            {"prices": args.prices, "window": args.window, "lambda": args.lam,
+             "stride": args.stride, "tickers": args.tickers},
+            inputs=[args.prices], skipped=skipped) as artifacts:
         for ds in datasets:
             path = os.path.join(args.out, f"{ds.ticker}{DATASET_SUFFIX}")
             pipeline.write_dataset(ds, path)
             artifacts.append(path)
-        _write_manifest(
-            os.path.join(args.out, "manifest.json"),
-            "prepare",
-            {"prices": args.prices, "window": args.window, "lambda": args.lam,
-             "stride": args.stride, "tickers": args.tickers},
-            inputs=[args.prices],
-            artifacts=artifacts,
-            skipped=skipped,
-        )
     print(f"prepared {len(artifacts)} ticker dataset(s) in {args.out}")
     for ticker, reason in sorted(skipped.items()):
         print(f"skipped {ticker}: {reason}")
@@ -213,18 +206,15 @@ def cmd_run(args) -> int:
         datasets[ds.ticker], sources[ds.ticker] = ds, path
     harness.preflight(datasets, grid)  # a rejected run leaves no --out behind
     os.makedirs(args.out, exist_ok=True)
-    with _output_lock(args.out):
+    params = {key: sorted({getattr(ds, attr) for ds in datasets.values()})
+              for key, attr in (("window", "w"), ("lambda", "lam"), ("stride", "stride"))}
+    with _output_lock(args.out), _manifest(
+            os.path.join(args.out, "manifest.json"), "run",
+            {"data": args.data, "config": args.config, "embeddings": args.embeddings},
+            inputs=[args.config] + dataset_paths, **params) as artifacts:
         report = harness.run_grid(datasets, grid, os.path.join(args.out, "cache"))
         paths = harness.emit_report(report, args.out)
-        _write_manifest(
-            os.path.join(args.out, "manifest.json"),
-            "run",
-            {"data": args.data, "config": args.config, "embeddings": args.embeddings},
-            inputs=[args.config] + dataset_paths,
-            artifacts=sorted(paths.values()),
-            **{key: sorted({getattr(ds, attr) for ds in datasets.values()})
-               for key, attr in (("window", "w"), ("lambda", "lam"), ("stride", "stride"))},
-        )
+        artifacts += sorted(paths.values())
     print(f"evaluated {len(report.cells)} grid cell(s) over {len(datasets)} ticker(s)")
     print("cache: " + " and ".join(f"{reused} of {reused + recomputed} {name}"
                                    for name, (reused, recomputed) in report.cache_counts.items())

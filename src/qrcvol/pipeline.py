@@ -206,8 +206,9 @@ def windowize(ticker: str, returns: np.ndarray, labels: np.ndarray, w: int, stri
 
     labels[k] must correspond to return index w-1+k (where rolling vol is
     defined).  The chronological split index is floor(TRAIN_FRACTION * m)
-    over the m emitted windows, and the windows are a read-only view of
-    returns.
+    over the m emitted windows.  The windows are read-only: a view of
+    returns where they overlap (stride < w), else their own array, which
+    holds no return outside them.
     """
     if stride < 1:
         raise InputShapeError("stride must be >= 1")
@@ -219,9 +220,13 @@ def windowize(ticker: str, returns: np.ndarray, labels: np.ndarray, w: int, stri
     t_index = np.arange(w - 1, m_ret, stride)
     if len(t_index) == 0:
         raise InsufficientDataError("no complete windows")
+    windows = _windows_view(returns, w, stride)
+    if stride >= w:
+        windows = windows.copy()
+        windows.setflags(write=False)
     return WindowedDataset(
         ticker=ticker,
-        windows=_windows_view(returns, w, stride),
+        windows=windows,
         labels=labels[t_index - (w - 1)],
         t_index=t_index,
         split_index=int(np.floor(TRAIN_FRACTION * len(t_index))),
@@ -273,7 +278,7 @@ class _NpzEntries:
         """Add value as one whole array."""
         value = np.asarray(value, order="C")
         with self._entry(name, value.shape, value.dtype) as fh:
-            fh.write(value.tobytes())
+            fh.write(value)  # through the buffer protocol, not as a bytes copy
 
     @contextlib.contextmanager
     def rows(self, name: str, shape: tuple):
@@ -290,7 +295,7 @@ class _NpzEntries:
             if block.dtype != dtype or block.shape[1:] != shape[1:] or written + len(block) > shape[0]:
                 raise ValueError(f"entry {name!r} of {dtype} {shape}: a {block.dtype} block of shape "
                                  f"{block.shape} does not fit after {written} rows")
-            fh.write(np.ascontiguousarray(block).tobytes())
+            fh.write(np.ascontiguousarray(block))
             written += len(block)
 
         with self._entry(name, shape, dtype) as fh:

@@ -85,7 +85,7 @@ BLOCK = 64  # windows per evolve call in quantum_embed; see Memory above
 
 @dataclass
 class FeatureVector:
-    """Z and ZZ expectation values; length n + n(n-1)/2 along the last axis."""
+    """quantum_embed's Z and ZZ expectation values; length n + n(n-1)/2 along the last axis."""
 
     values: np.ndarray
 
@@ -206,34 +206,32 @@ def _chebyshev_series(diag, x, coef, n):
     coef (K+1, m) real, one column per state.  The recurrence overwrites
     diag and x.  H' and |0...0> are real, so the recurrence runs in real
     arithmetic on (2^n, m) arrays, one state per column: even rows of
-    coef make the real part, odd rows the imaginary part.
+    coef make the real part, odd rows the imaginary part.  Its first step,
+    from T_{-1} = 0, gives 2 H' T_0, halved exactly: each entry of H' T_0
+    is an entry of x, diag[0] or a signed zero, and doubling and halving
+    such a value, subnormal or not, gives it back.
     """
     dim, m = diag.shape
-    prev = np.zeros((dim, m))  # T_0 = |0...0>
-    prev[0] = 1.0
-    acc = [coef[0] * prev, np.zeros_like(prev)]
-    if len(coef) > 1:
-        cur, work, tmp = (np.empty_like(prev) for _ in range(3))
-        _sum_x(prev, cur, n)  # T_1 = H' T_0
-        cur *= x
-        np.multiply(diag, prev, out=tmp)
-        cur += tmp
-        np.multiply(coef[1], cur, out=tmp)
-        acc[1] += tmp
-        diag *= 2.0  # the recurrence applies 2 H'
-        x *= 2.0
-        for k in range(2, len(coef)):
-            # T_k = 2 H' T_{k-1} - T_{k-2}, written over T_{k-2}
-            _sum_x(cur, work, n)
-            work *= x
-            np.multiply(diag, cur, out=tmp)
-            work += tmp
-            np.subtract(work, prev, out=prev)
-            prev, cur = cur, prev
-            np.multiply(coef[k], cur, out=tmp)
-            acc[k % 2] += tmp
-        del cur, work, tmp
-    del prev, diag  # the recurrence's arrays go before the complex output comes
+    prev = np.zeros((dim, m))  # T_{-1}
+    cur = np.zeros((dim, m))  # T_0 = |0...0>
+    cur[0] = 1.0
+    acc = [coef[0] * cur, np.zeros_like(cur)]
+    work, tmp = np.empty_like(cur), np.empty_like(cur)
+    diag *= 2.0  # the recurrence applies 2 H'
+    x *= 2.0
+    for k in range(1, len(coef)):
+        # T_k = 2 H' T_{k-1} - T_{k-2}, written over T_{k-2}
+        _sum_x(cur, work, n)
+        work *= x
+        np.multiply(diag, cur, out=tmp)
+        work += tmp
+        np.subtract(work, prev, out=prev)
+        prev, cur = cur, prev
+        if k == 1:
+            cur *= 0.5  # T_1 = H' T_0
+        np.multiply(coef[k], cur, out=tmp)
+        acc[k % 2] += tmp
+    del prev, cur, work, tmp, diag  # the recurrence's arrays go before the complex output comes
     out = np.empty((m, dim), dtype=complex)
     out.real = acc[0].T
     out.imag = acc[1].T
@@ -277,8 +275,8 @@ def evolve(h: Hamiltonian, t: float) -> np.ndarray:
     return out.reshape(shape)
 
 
-def measure_features(amplitudes: np.ndarray) -> FeatureVector:
-    """Z and ZZ expectation values from exact Born probabilities, per state."""
+def measure_features(amplitudes: np.ndarray) -> np.ndarray:
+    """Z and ZZ expectation values from exact Born probabilities: (..., d), one row per state."""
     amplitudes = np.asarray(amplitudes)
     n = amplitudes.shape[-1].bit_length() - 1
     probs = amplitudes.real**2 + amplitudes.imag**2
@@ -287,7 +285,7 @@ def measure_features(amplitudes: np.ndarray) -> FeatureVector:
         raise StateError(f"statevector norm deviates from 1 by {np.max(deviation)}")
     # one (1, 2^n) @ table product per state, so a state's features do
     # not depend on how many states share the call
-    return FeatureVector((probs[..., None, :] @ _feature_signs(n))[..., 0, :])
+    return (probs[..., None, :] @ _feature_signs(n))[..., 0, :]
 
 
 def quantum_embed(windows, a_x, a_z, a_zz, t) -> FeatureVector:
@@ -300,9 +298,7 @@ def quantum_embed(windows, a_x, a_z, a_zz, t) -> FeatureVector:
     if windows.ndim not in (1, 2) or len(windows) == 0:
         raise InputShapeError(f"expected a window (n,) or windows (m, n), got shape {windows.shape}")
     batch = np.atleast_2d(windows)
-    rows = []
-    for start in range(0, len(batch), BLOCK):
-        h = build_hamiltonian(batch[start : start + BLOCK], (a_x, a_z, a_zz))
-        rows.append(measure_features(evolve(h, t)).values)
-    values = np.concatenate(rows)
+    blocks = (build_hamiltonian(batch[start : start + BLOCK], (a_x, a_z, a_zz))
+              for start in range(0, len(batch), BLOCK))
+    values = np.concatenate([measure_features(evolve(h, t)) for h in blocks])
     return FeatureVector(values if windows.ndim == 2 else values[0])

@@ -245,18 +245,15 @@ def fit_ridge(x, y, alpha=1.0) -> LinearModel:
 
 
 def _path_scores(models, xs: np.ndarray) -> np.ndarray:
-    """(B, n) scores of B models on rows xs that their scaler standardized.
+    """(B, n) scores of B models of one kind on rows xs that their scaler standardized.
 
     One stacked matmul gives each model the gemv of xs @ weights, as in
-    _loss_grad_rows; logistic rows then pass through the sigmoid.
+    _loss_grad_rows; a logistic path then passes through the sigmoid.
     """
     weights = np.array([model.weights for model in models], dtype=float)
     bias = np.array([model.bias for model in models], dtype=float)
     z = np.matmul(xs[None], weights[:, :, None])[:, :, 0] + bias[:, None]
-    logistic = [model.kind == "logistic" for model in models]
-    if any(logistic):
-        z[logistic] = _sigmoid(z[logistic])
-    return z
+    return _sigmoid(z) if models[0].kind == "logistic" else z
 
 
 def predict_scores(model: LinearModel, x) -> np.ndarray:
@@ -308,9 +305,8 @@ def average_precision(scores, labels) -> tuple:
     return res.average_precision, res.ap_defined
 
 
-def _evaluate_rows(scores: np.ndarray, labels, thresholds) -> list:
-    """One EvalResult per row of a (B, n) score array, each row at its own
-    threshold, against one label vector."""
+def _evaluate_rows(scores: np.ndarray, labels, threshold) -> list:
+    """One EvalResult per row of a (B, n) score array at one threshold, against one label vector."""
     labels = np.asarray(labels)
     if scores.shape[1] == 0 or scores.shape[1] != len(labels):
         raise EvaluationError("scores and labels must be equal-length and non-empty")
@@ -321,7 +317,7 @@ def _evaluate_rows(scores: np.ndarray, labels, thresholds) -> list:
     if not np.isfinite(scores).all():
         raise EvaluationError("scores must be finite")
     # counts of (prediction, label) = (0, 0), (0, 1), (1, 0), (1, 1), offset by 4 per row
-    codes = 2 * (scores > np.array(thresholds)[:, None]) + labels
+    codes = 2 * (scores > threshold) + labels
     codes += np.arange(0, 4 * len(scores), 4)[:, None]
     counts = np.bincount(codes.ravel(), minlength=4 * len(scores)).reshape(-1, 4).tolist()
     aps, defined = _average_precision_rows(scores, labels)
@@ -334,14 +330,15 @@ def _evaluate_rows(scores: np.ndarray, labels, thresholds) -> list:
 
 def evaluate(scores, labels, threshold) -> EvalResult:
     """Accuracy at the given score threshold plus step-wise AP."""
-    return _evaluate_rows(np.asarray(scores, dtype=float)[None], labels, [threshold])[0]
+    return _evaluate_rows(np.asarray(scores, dtype=float)[None], labels, threshold)[0]
 
 
 def evaluate_path(models, x, labels) -> list:
     """evaluate(predict_scores(model, x), labels, model.threshold) of each
     model, bit for bit, with every model scored and evaluated as one batch.
 
-    The models share one Standardizer, as the models of a fitted path do.
+    The models share one Standardizer and one kind, as the models of a
+    fitted path do.
     """
     models = list(models)
     if not models:
@@ -349,7 +346,7 @@ def evaluate_path(models, x, labels) -> list:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or any(len(model.weights) != x.shape[1] for model in models):
         raise InputShapeError(f"features of shape {x.shape}, models expect {len(models[0].weights)} columns")
-    scaler = models[0].scaler
-    if any(model.scaler is not scaler for model in models):
-        raise InputShapeError("the models of a path share one Standardizer")
-    return _evaluate_rows(_path_scores(models, scaler.transform(x)), labels, [model.threshold for model in models])
+    first = models[0]
+    if any(model.scaler is not first.scaler or model.kind != first.kind for model in models):
+        raise InputShapeError("the models of a path share one Standardizer and one kind")
+    return _evaluate_rows(_path_scores(models, first.scaler.transform(x)), labels, first.threshold)

@@ -66,9 +66,9 @@ def test_criterion_2_unitarity_and_feature_bounds():
         state = evolve(h, t)
         worst_norm = max(worst_norm, abs(np.linalg.norm(state) - 1.0))
         fv = measure_features(state)
-        assert len(fv.values) == 45
-        feat_min = min(feat_min, fv.values.min())
-        feat_max = max(feat_max, fv.values.max())
+        assert len(fv) == 45
+        feat_min = min(feat_min, fv.min())
+        feat_max = max(feat_max, fv.max())
     elapsed = time.time() - start
     ok = worst_norm < 1e-10 and feat_min >= -1.0 - 1e-12 and feat_max <= 1.0 + 1e-12 and elapsed < 60
     report(

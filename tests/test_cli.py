@@ -70,6 +70,12 @@ class TestSynth:
         assert rc == 1
         assert "segment" in capsys.readouterr().err
 
+    def test_unparseable_segment_exit_one(self, tmp_path, capsys):
+        rc = main(["synth", "--regimes", "10:abc", "--out", str(tmp_path / "p.csv")])
+        assert rc == 1
+        assert "regime segment 1 ('10:abc')" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("ticker", ["A,B", 'A"B', "A\nB", "A\rB", "../x", ""])
     def test_ticker_that_breaks_csv_rejected(self, tmp_path, capsys, ticker):
         out = tmp_path / "p.csv"
@@ -402,6 +408,36 @@ class TestRun:
         assert words in capsys.readouterr().err
         assert not out.exists()
 
+    def test_every_ticker_excluded_exit_one(self, tmp_path, capsys):
+        # 10 returns at window 9 give 2 windows: 1 train and 1 test
+        prices, data, out = tmp_path / "p.csv", tmp_path / "data", tmp_path / "out"
+        assert main(["synth", "--regimes", "10:0.01", "--out", str(prices)]) == 0
+        assert main(["prepare", "--prices", str(prices), "--out", str(data)]) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "window": 9}))
+        capsys.readouterr()
+        assert main(["run", "--data", str(data), "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "every ticker is degenerate" in err and "has 1/1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["directory", "missing.json"])
+    def test_unreadable_config_exit_one(self, workspace, capsys, name):
+        tmp_path, _, data, _ = workspace
+        (tmp_path / "directory").mkdir()
+        config, out = tmp_path / name, tmp_path / "out"
+        assert main(["run", "--data", str(data), "--config", str(config), "--out", str(out)]) == 1
+        assert f"cannot read config {config}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readout_without_regularization_exit_one(self, workspace, capsys):
+        tmp_path, _, data, config = workspace
+        config.write_text(json.dumps({**SMALL_CONFIG, "readouts": [{"kind": "ridge"}]}))
+        out = tmp_path / "out"
+        assert main(["run", "--data", str(data), "--config", str(config), "--out", str(out)]) == 1
+        assert "readout 'ridge' has no regularization values" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_data_directory_without_manifest_exit_two(self, workspace, capsys):
         # as an interrupted prepare leaves it
         tmp_path, _, data, config = workspace
@@ -726,6 +762,32 @@ class TestRun:
         err = capsys.readouterr().err
         assert str(path) in err and "of 3 columns" in err
 
+    def test_fit_file_of_another_cell_count_exit_two(self, workspace, capsys):
+        # the file keeps its dataset's fingerprint and readout paths, but holds two rows of results
+        tmp_path, _, data, config = workspace
+        config.write_text(json.dumps({**SMALL_CONFIG, "embeddings": [{"kind": "raw"}]}))
+        out = tmp_path / "out"
+        argv = ["run", "--data", str(data), "--config", str(config), "--out", str(out)]
+        assert main(argv) == 0
+        (path,) = (out / "cache").glob("*.fit.npz")
+        arrays = load_arrays(path)
+        arrays["results"] = np.concatenate([arrays["results"]] * 2)
+        save_arrays(path, **arrays)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "results of 2 cells, expected 1" in err
+
+    def test_dataset_file_without_dataset_fields_exit_two(self, workspace, capsys):
+        tmp_path, _, data, config = workspace
+        path = data / "SYNTH.dataset.npz"
+        save_arrays(path, ticker="SYNTH")
+        out = tmp_path / "out"
+        assert main(["run", "--data", str(data), "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "not a dataset file" in err
+        assert not out.exists()
+
     def test_two_dataset_files_of_one_ticker_exit_two(self, workspace, capsys):
         tmp_path, _, data, config = workspace
         shutil.copy(data / "SYNTH.dataset.npz", data / "COPY.dataset.npz")
@@ -833,15 +895,17 @@ class TestInterruptedCommand:
         monkeypatch.setattr(os, "replace", counted)
         return calls
 
-    def check_every_interruption(self, monkeypatch, tmp_path, command, earlier=None):
-        """command(out) and earlier(out) are argvs writing into out; earlier,
-        if given, fills out before each attempt."""
+    def check_every_interruption(self, monkeypatch, tmp_path, command, earlier=None,
+                                 manifest="manifest.json"):
+        """command(out) and earlier(out) are argvs writing into out, and
+        manifest the name of the manifest they write there; earlier, if
+        given, fills out before each attempt."""
         with monkeypatch.context() as m:
             calls = self.renames(m)
             assert main(command(tmp_path / "clean")) == 0
         clean = tree(tmp_path / "clean")
         assert len(calls) == len(clean) == len(set(calls))  # one rename per file it leaves
-        clean.pop("manifest.json")
+        clean.pop(manifest)
         for k in range(1, len(clean) + 3):
             out = tmp_path / f"out{k}"
             if earlier is not None:
@@ -855,13 +919,13 @@ class TestInterruptedCommand:
                 break
             assert rc == 2, k
             after = tree(out)
-            assert "manifest.json" not in after, k
+            assert manifest not in after, k
             assert not [p for p in after if p.endswith(".tmp")], k
             for path, data in after.items():
                 assert data in (clean.get(path), before.get(path)), (k, path)
             assert main(command(out)) == 0
             rerun = tree(out)
-            assert rerun.pop("manifest.json")
+            assert rerun.pop(manifest)
             assert {path: rerun.pop(path) for path in clean} == clean, k
             assert all(before[path] == data for path, data in rerun.items()), k
         else:
@@ -890,3 +954,11 @@ class TestInterruptedCommand:
 
         self.check_every_interruption(monkeypatch, tmp_path, run(config),
                                       earlier=run(other) if again else None)
+
+    @pytest.mark.parametrize("again", [False, True], ids=["fresh", "over-earlier"])
+    def test_synth(self, tmp_path, monkeypatch, again):
+        def synth(seed):
+            return lambda out: ["synth", "--regimes", "50:0.01", "--seed", seed, "--out", str(out / "p.csv")]
+
+        self.check_every_interruption(monkeypatch, tmp_path, synth("4"),
+                                      earlier=synth("5") if again else None, manifest="p.csv.manifest.json")

@@ -258,6 +258,20 @@ class TestWindowize:
         assert np.shares_memory(ds.windows, returns) and not ds.windows.flags.writeable
         assert np.array_equal(ds.windows, [returns[k : k + 9] for k in range(0, 32, 2)])
 
+    @pytest.mark.parametrize("stride, rows", [(18, 56), (36, 28)])
+    def test_disjoint_windows_hold_only_their_own_values(self, stride, rows):
+        # 1000 returns at w = 9: 504 window values at stride 18, 252 at stride 36
+        prices = 100.0 * np.exp(np.cumsum(np.random.default_rng(8).normal(0, 0.01, size=1001)))
+        series = PriceSeries("T", [f"{k:04d}" for k in range(1001)], prices)
+        ds = prepare_dataset(series, w=9, lam=1.0, stride=stride)
+        returns = log_returns(prices)
+        assert np.array_equal(ds.windows, [returns[k : k + 9] for k in range(0, 992, stride)])
+        assert ds.windows.shape == (rows, 9) and not ds.windows.flags.writeable
+        held = ds.windows
+        while getattr(held, "base", None) is not None:
+            held = held.base
+        assert held.nbytes == ds.windows.nbytes  # not the 1000 returns a view would keep
+
     def test_chronological_split_no_leakage(self):
         ds = windowize("T", np.arange(40.0), np.zeros(32, dtype=int), 9, 1, 1.0, 1.0)
         train_t = ds.t_index[: ds.split_index]
@@ -519,6 +533,32 @@ class TestLoadArraysReadsInPlace:
             raw[field : field + 4] = (size + 2**20).to_bytes(4, "little")
         path.write_bytes(bytes(raw))
         with pytest.raises(IngestionError, match=re.escape(str(path)) + ".*past the end"):
+            load_arrays(path)
+
+
+    @pytest.mark.parametrize("damage, words", [
+        ("local header signature", "has no local header"),
+        ("header length", "ends inside its .npy header"),
+        ("version 3.0", "unsupported .npy format version"),
+    ])
+    def test_malformed_entry_raises_naming_path(self, tmp_path, damage, words):
+        path = tmp_path / "a.npz"
+        data = np.arange(100, dtype="<i8")
+        if damage == "version 3.0":
+            npy = bytearray(npy_bytes(data, version=(2, 0)))
+            npy[6] = 3  # the major version byte after the magic string
+            write_zip(path, {"a.npy": bytes(npy)})
+        else:
+            write_zip(path, {"a.npy": npy_bytes(data)})
+            raw = bytearray(path.read_bytes())
+            local = raw.index(b"PK\x03\x04", 1)  # a.npy's local header, after format.npy's
+            if damage == "local header signature":
+                raw[local : local + 4] = b"PK\x07\x08"
+            else:  # a.npy's 2-byte .npy header length claims 64 KiB
+                start = raw.index(np.lib.format.MAGIC_PREFIX, local)
+                raw[start + 8 : start + 10] = b"\xff\xff"
+            path.write_bytes(bytes(raw))
+        with pytest.raises(IngestionError, match=re.escape(str(path)) + ".*" + re.escape(words)):
             load_arrays(path)
 
 

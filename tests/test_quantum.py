@@ -111,7 +111,7 @@ class TestEvolve:
     def test_z_eigenstate_only_phase(self):
         h = build_hamiltonian((0.83,), (0.0, 1.0, 0.0))
         out = evolve(h, t=5.21)
-        assert abs(measure_features(out).values[0] - 1.0) < 1e-12
+        assert abs(measure_features(out)[0] - 1.0) < 1e-12
 
     def test_norm_preservation(self):
         rng = np.random.default_rng(7)
@@ -215,19 +215,19 @@ class TestRadiusBound:
 class TestMeasureFeatures:
     def test_basis_state_00(self):
         fv = measure_features(zero_state(2))
-        assert np.array_equal(fv.values, [1.0, 1.0, 1.0])
+        assert np.array_equal(fv, [1.0, 1.0, 1.0])
 
     def test_basis_state_qubit1_set(self):
         amps = np.zeros(4, dtype=complex)
         amps[2] = 1.0  # bit 1 set, bit 0 clear
         fv = measure_features(amps)
-        assert np.array_equal(fv.values, [1.0, -1.0, -1.0])
+        assert np.array_equal(fv, [1.0, -1.0, -1.0])
 
     def test_bell_state(self):
         amps = np.zeros(4, dtype=complex)
         amps[0] = amps[3] = 1 / np.sqrt(2)
         fv = measure_features(amps)
-        assert np.max(np.abs(fv.values - np.array([0.0, 0.0, 1.0]))) < 1e-12
+        assert np.max(np.abs(fv - np.array([0.0, 0.0, 1.0]))) < 1e-12
 
     def test_feature_ordering(self):
         # basis state with qubits 1 and 3 set: <Z_i Z_j> = -1 exactly when
@@ -235,7 +235,7 @@ class TestMeasureFeatures:
         amps = np.zeros(16, dtype=complex)
         amps[0b1010] = 1.0
         fv = measure_features(amps)
-        assert np.array_equal(fv.values, [1, -1, 1, -1, -1, 1, -1, -1, 1, -1])
+        assert np.array_equal(fv, [1, -1, 1, -1, -1, 1, -1, -1, 1, -1])
 
     def test_rejects_unnormalized_state(self):
         with pytest.raises(StateError):
@@ -246,8 +246,8 @@ class TestMeasureFeatures:
         for _ in range(50):
             n = int(rng.integers(1, 7))
             fv = measure_features(random_state(rng, n))
-            assert np.all(fv.values >= -1.0 - 1e-12)
-            assert np.all(fv.values <= 1.0 + 1e-12)
+            assert np.all(fv >= -1.0 - 1e-12)
+            assert np.all(fv <= 1.0 + 1e-12)
 
     def test_product_state_factorization(self):
         rng = np.random.default_rng(19)
@@ -261,9 +261,9 @@ class TestMeasureFeatures:
             for v in singles[1:]:
                 amps = np.kron(v, amps)  # qubit 0 stays the LSB
             fv = measure_features(amps)
-            z = fv.values[:n]
+            z = fv[:n]
             for k, (i, j) in enumerate(itertools.combinations(range(n), 2)):
-                assert abs(fv.values[n + k] - z[i] * z[j]) < 1e-10
+                assert abs(fv[n + k] - z[i] * z[j]) < 1e-10
 
 
 class TestQuantumEmbed:

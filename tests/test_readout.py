@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -541,6 +542,13 @@ class TestEvaluatePath:
         with pytest.raises(InputShapeError, match="Standardizer"):
             evaluate_path(models, x, y)
         assert evaluate_path([], x, y) == []
+
+    def test_models_must_share_one_kind(self):
+        x, y = separable_1d()
+        (model,) = fit_logistic_path(x, y, [1.0])
+        ridge = dataclasses.replace(model, kind="ridge")  # the same Standardizer
+        with pytest.raises(InputShapeError, match="one kind"):
+            evaluate_path([model, ridge], x, y)
 
     def test_feature_count_checked(self):
         x, y = separable_1d()
