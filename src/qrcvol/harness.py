@@ -348,12 +348,12 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir) -> ExperimentReport:
 
 
 def _check_regimes(regimes) -> None:
-    """ConfigError unless every segment has length >= 1 and a finite sigma >= 0."""
+    """ConfigError unless every segment has an integer length >= 1 and a finite sigma >= 0."""
     if not regimes:
         raise ConfigError("empty regime schedule")
     for pos, (length, sigma) in enumerate(regimes, start=1):
-        if int(length) < 1:
-            raise ConfigError(f"regime segment {pos}: length must be >= 1, got {length}")
+        if not (_is_a(int, length) and length >= 1):
+            raise ConfigError(f"regime segment {pos}: length must be an integer >= 1, got {length!r}")
         if not np.isfinite(sigma) or sigma < 0:
             raise ConfigError(f"regime segment {pos}: sigma must be finite and >= 0, got {sigma}")
 
@@ -368,12 +368,12 @@ def synth_regime_series(regimes, seed, ticker="SYNTH", start_price=100.0) -> Pri
     """
     if not (math.isfinite(start_price) and start_price > 0):
         raise ConfigError(f"start price must be finite and > 0, got {start_price}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if not (_is_a(int, seed) and seed >= 0):
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     _check_regimes(regimes)
     rng = np.random.default_rng(seed)
     rets = np.concatenate(
-        [rng.normal(0.0, sigma, size=int(length)) for length, sigma in regimes]
+        [rng.normal(0.0, sigma, size=length) for length, sigma in regimes]
     )
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN sum fails the check below
         log_prices = np.log(start_price) + np.concatenate([[0.0], np.cumsum(rets)])

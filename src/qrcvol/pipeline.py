@@ -56,6 +56,9 @@ class PriceSeries:
 
 @dataclass
 class WindowedDataset:
+    """One ticker's labeled windows.  A field that breaks the rule of __post_init__ raises
+    InputShapeError naming it, whoever makes the dataset: windowize, read_dataset or a caller."""
+
     ticker: str
     windows: np.ndarray  # (m, w) return windows ending at t_index[k]; may be a read-only view of one series
     labels: np.ndarray  # (m,) in {0, 1}
@@ -65,9 +68,39 @@ class WindowedDataset:
     lam: float
     stride: int = 1
 
+    def __post_init__(self):
+        windows = self.windows = np.asarray(self.windows)
+        if windows.ndim != 2 or windows.dtype.kind != "f" or windows.shape[1] < 2:
+            raise InputShapeError("windows must be a 2-D float array at least 2 wide, "
+                                  f"got {windows.dtype} of shape {windows.shape}")
+        if not np.isfinite(windows).all():
+            raise InputShapeError("windows must be finite")
+        rows = len(windows)
+        for name, value in (("labels", self.labels), ("t_index", self.t_index)):
+            if np.shape(value) != (rows,):
+                raise InputShapeError(f"{name} of shape {np.shape(value)}, expected ({rows},)")
+        if not np.isin(self.labels, (0, 1)).all():
+            raise InputShapeError("labels must be 0 or 1")
+        self.split_index = _integer("split_index", self.split_index, 0, rows)
+        self.stride = _integer("stride", self.stride, 1)
+        for name, value in (("lam", self.lam), ("threshold", self.threshold)):
+            if not (isinstance(value, float) and math.isfinite(value)):
+                raise InputShapeError(f"{name} must be a finite float, got {value!r}")
+        if not (isinstance(self.ticker, str) and plain_ticker(self.ticker)):
+            raise InputShapeError(f"ticker {self.ticker!r} cannot name a file or CSV field")
+
     @property
     def w(self) -> int:
         return self.windows.shape[1]
+
+
+def _integer(name: str, value, least: int, most=math.inf) -> int:
+    """value, an integer in [least, most] (a numpy one too, not a bool), as an int; else InputShapeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputShapeError(f"{name} must be int, got {value!r}")
+    if not least <= value <= most:
+        raise InputShapeError(f"{name} {value} outside [{least}, {most}]")
+    return int(value)
 
 
 def plain_ticker(ticker: str) -> bool:
@@ -210,8 +243,7 @@ def windowize(ticker: str, returns: np.ndarray, labels: np.ndarray, w: int, stri
     returns where they overlap (stride < w), else their own array, which
     holds no return outside them.
     """
-    if stride < 1:
-        raise InputShapeError("stride must be >= 1")
+    stride = _integer("stride", stride, 1)  # before the windows are cut at it
     m_ret = len(returns)
     if len(labels) != m_ret - w + 1:
         raise InputShapeError(
@@ -442,11 +474,9 @@ def write_dataset(ds: WindowedDataset, path) -> None:
 
 
 def read_dataset(path) -> WindowedDataset:
-    """Read a dataset file written by write_dataset, checking the shape and
-    type of every field; the windows must be at least 2 wide and the stride
-    at least 1, as prepare writes them, and the stored ticker must pass
-    plain_ticker, since it names cache files and CSV fields.  Each failed
-    check raises IngestionError naming path and the field.
+    """Read a dataset file written by write_dataset.  A file without the
+    dataset fields, or whose fields break WindowedDataset's rule, raises
+    IngestionError naming path and the field.
 
     Windows that overlap as the windows of one series, bit for bit, come
     back as a read-only view of that series, as windowize makes them;
@@ -458,38 +488,14 @@ def read_dataset(path) -> WindowedDataset:
         ds = WindowedDataset(**arrays)
     except TypeError as exc:
         raise IngestionError(f"{path}: not a dataset file: {exc}") from exc
-    windows = np.asarray(ds.windows)
-    if windows.ndim != 2 or windows.dtype.kind != "f":
-        raise IngestionError(
-            f"{path}: windows must be a 2-D float array, got {windows.dtype} of shape {windows.shape}")
-    if not np.isfinite(windows).all():
-        raise IngestionError(f"{path}: windows must be finite")
-    if ds.w < 2:
-        raise IngestionError(f"{path}: windows of width {ds.w}, expected >= 2")
-    rows = len(windows)
-    for name in ("labels", "t_index"):
-        if np.shape(getattr(ds, name)) != (rows,):
-            raise IngestionError(f"{path}: {name} of shape {np.shape(getattr(ds, name))}, expected ({rows},)")
-    if not np.isin(ds.labels, (0, 1)).all():
-        raise IngestionError(f"{path}: labels must be 0 or 1")
-    for name, types in (("split_index", int), ("stride", int), ("lam", float), ("threshold", float)):
-        value = getattr(ds, name)
-        if not isinstance(value, types) or isinstance(value, bool):
-            raise IngestionError(f"{path}: {name} must be {types.__name__}, got {value!r}")
-        if not math.isfinite(value):
-            raise IngestionError(f"{path}: {name} must be finite, got {value!r}")
-    if ds.stride < 1:
-        raise IngestionError(f"{path}: stride {ds.stride}, expected >= 1")
-    if not 0 <= ds.split_index <= rows:
-        raise IngestionError(f"{path}: split_index {ds.split_index} outside [0, {rows}]")
-    if not (isinstance(ds.ticker, str) and plain_ticker(ds.ticker)):
-        raise IngestionError(f"{path}: stored ticker {ds.ticker!r} cannot name a file or CSV field")
-    if rows and ds.stride < ds.w:
+    except InputShapeError as exc:
+        raise IngestionError(f"{path}: {exc}") from exc
+    if len(ds.windows) and ds.stride < ds.w:
         # overlapping windows, as windowize makes them: the first row, then
         # each later row's last stride values, give the series they view
-        series = np.concatenate((windows[0], windows[1:, ds.w - ds.stride :].ravel()))
+        series = np.concatenate((ds.windows[0], ds.windows[1:, ds.w - ds.stride :].ravel()))
         view = _windows_view(series, ds.w, ds.stride)
         # compared byte for byte, so -0.0 differs from 0.0
-        if np.array_equal(view.view(np.uint8), np.ascontiguousarray(windows).view(np.uint8)):
+        if np.array_equal(view.view(np.uint8), np.ascontiguousarray(ds.windows).view(np.uint8)):
             ds.windows = view
     return ds

@@ -13,7 +13,9 @@ stacked solve.  evaluate_path scores and evaluates the models of a path
 as one batch.  Each model and result of a path equals its own single
 fit (fit_logistic, fit_ridge) and evaluation (predict_scores, evaluate)
 bit for bit; those one-row wrappers of the batched code, with
-average_precision, are the public API for a single model.
+average_precision, are the public API for a single model and make
+exactly their path's checks, each stage's in one place.  Regularization
+values must be finite: logistic l2 >= 0, ridge alpha > 0, as in a grid.
 """
 
 from __future__ import annotations
@@ -141,8 +143,8 @@ def fit_logistic_path(x, y, l2s) -> list:
     """
     l2s = list(l2s)
     lam = np.array(l2s, dtype=float)
-    if not np.all(lam >= 0):
-        raise InputShapeError("logistic l2 must be >= 0")
+    if not np.all((lam >= 0) & (lam < np.inf)):  # NaN fails both
+        raise InputShapeError("logistic l2 must be finite and >= 0")
     x, y = _features_and_labels(x, y)
     scaler = Standardizer.fit(x)
     # one class; np.unique would import numpy.ma on a process's first fit
@@ -219,8 +221,9 @@ def fit_ridge_path(x, y, alphas) -> list:
     solve gives every alpha's weights.
     """
     alphas = list(alphas)
-    if any(alpha <= 0 for alpha in alphas):
-        raise InputShapeError("ridge alpha must be > 0")
+    lam = np.array(alphas, dtype=float)
+    if not np.all((lam > 0) & (lam < np.inf)):  # NaN fails both
+        raise InputShapeError("ridge alpha must be finite and > 0")
     x, y = _features_and_labels(x, y)
     scaler = Standardizer.fit(x)
     xs = scaler.transform(x)
@@ -228,7 +231,7 @@ def fit_ridge_path(x, y, alphas) -> list:
     d = xs.shape[1]
     gram, rhs = xs.T @ xs, xs.T @ targets
     # per alpha the same gesv as solving (X^T X + alpha I) w = X^T y alone
-    lhs = gram + np.array(alphas, dtype=float)[:, None, None] * np.eye(d)
+    lhs = gram + lam[:, None, None] * np.eye(d)
     solved = np.linalg.solve(lhs, np.broadcast_to(rhs[:, None], (len(alphas), d, 1)))[:, :, 0]
     weights = np.where(scaler.constant, 0.0, solved)
     # standardized features have zero mean, so the intercept is the
@@ -244,26 +247,27 @@ def fit_ridge(x, y, alpha=1.0) -> LinearModel:
     return fit_ridge_path(x, y, [alpha])[0]
 
 
-def _path_scores(models, xs: np.ndarray) -> np.ndarray:
-    """(B, n) scores of B models of one kind on rows xs that their scaler standardized.
-
-    One stacked matmul gives each model the gemv of xs @ weights, as in
-    _loss_grad_rows; a logistic path then passes through the sigmoid.
-    """
+def _path_scores(models, x) -> np.ndarray:
+    """(B, n) scores on the 2-D rows x of B models of one kind and one
+    Standardizer, as a path's are (else InputShapeError): one stacked
+    matmul gives each model the gemv of its standardized rows @ weights,
+    as in _loss_grad_rows; a logistic path then passes the sigmoid."""
+    x = np.asarray(x, dtype=float)
+    first = models[0]
+    if x.ndim != 2 or any(len(model.weights) != x.shape[1] for model in models):
+        raise InputShapeError(f"features of shape {x.shape}, models expect {len(first.weights)} columns")
+    if any(model.scaler is not first.scaler or model.kind != first.kind for model in models):
+        raise InputShapeError("the models of a path share one Standardizer and one kind")
+    xs = first.scaler.transform(x)
     weights = np.array([model.weights for model in models], dtype=float)
     bias = np.array([model.bias for model in models], dtype=float)
     z = np.matmul(xs[None], weights[:, :, None])[:, :, 0] + bias[:, None]
-    return _sigmoid(z) if models[0].kind == "logistic" else z
+    return _sigmoid(z) if first.kind == "logistic" else z
 
 
 def predict_scores(model: LinearModel, x) -> np.ndarray:
     """Logistic: sigmoid probability; ridge: raw margin."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[1] != len(model.weights):
-        raise InputShapeError(
-            f"{x.shape[1]} features, model expects {len(model.weights)}"
-        )
-    return _path_scores([model], model.scaler.transform(x))[0]
+    return _path_scores([model], x)[0]
 
 
 def _average_precision_rows(scores: np.ndarray, labels: np.ndarray):
@@ -308,8 +312,8 @@ def average_precision(scores, labels) -> tuple:
 def _evaluate_rows(scores: np.ndarray, labels, threshold) -> list:
     """One EvalResult per row of a (B, n) score array at one threshold, against one label vector."""
     labels = np.asarray(labels)
-    if scores.shape[1] == 0 or scores.shape[1] != len(labels):
-        raise EvaluationError("scores and labels must be equal-length and non-empty")
+    if scores.ndim != 2 or labels.ndim != 1 or not len(labels) or scores.shape[1] != len(labels):
+        raise EvaluationError("scores and labels must be 1-D, equal-length and non-empty")
     # checked before the cast, which would truncate a fractional label
     if not ((labels == 0) | (labels == 1)).all():
         raise EvaluationError("labels must be binary")
@@ -335,18 +339,7 @@ def evaluate(scores, labels, threshold) -> EvalResult:
 
 def evaluate_path(models, x, labels) -> list:
     """evaluate(predict_scores(model, x), labels, model.threshold) of each
-    model, bit for bit, with every model scored and evaluated as one batch.
-
-    The models share one Standardizer and one kind, as the models of a
-    fitted path do.
-    """
+    model of a path (one Standardizer, one kind), bit for bit, with every
+    model scored and evaluated as one batch."""
     models = list(models)
-    if not models:
-        return []
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or any(len(model.weights) != x.shape[1] for model in models):
-        raise InputShapeError(f"features of shape {x.shape}, models expect {len(models[0].weights)} columns")
-    first = models[0]
-    if any(model.scaler is not first.scaler or model.kind != first.kind for model in models):
-        raise InputShapeError("the models of a path share one Standardizer and one kind")
-    return _evaluate_rows(_path_scores(models, first.scaler.transform(x)), labels, first.threshold)
+    return _evaluate_rows(_path_scores(models, x), labels, models[0].threshold) if models else []

@@ -81,6 +81,8 @@ class TestSynthSeries:
             synth_regime_series([(0, 0.1)], seed=0)
         with pytest.raises(ConfigError):
             synth_regime_series([(10, -0.1)], seed=0)
+        with pytest.raises(ConfigError, match="regime segment 1: length must be an integer"):
+            synth_regime_series([(2.5, 0.1)], seed=0)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"start_price": float("nan")}, "start price"),
@@ -88,6 +90,8 @@ class TestSynthSeries:
         ({"start_price": -1.0}, "start price"),
         ({"start_price": 0.0}, "start price"),
         ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
     ])
     def test_invalid_start_price_or_seed(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):

@@ -16,6 +16,7 @@ from qrcvol.errors import IngestionError, InputShapeError, InsufficientDataError
 from qrcvol.pipeline import (
     FORMAT_VERSION,
     PriceSeries,
+    WindowedDataset,
     load_arrays,
     load_prices,
     log_returns,
@@ -277,6 +278,48 @@ class TestWindowize:
         train_t = ds.t_index[: ds.split_index]
         test_t = ds.t_index[ds.split_index :]
         assert train_t.max() < test_t.min()
+
+    def test_numpy_integer_stride_taken_as_int(self):
+        ds = windowize("T", np.arange(40.0), np.zeros(32, dtype=int), 9, np.int64(2), 1.0, 1.0)
+        assert type(ds.stride) is int and ds.stride == 2 and np.array_equal(ds.t_index, np.arange(8, 40, 2))
+        for stride in (2.5, True, 0):
+            with pytest.raises(InputShapeError, match="stride"):
+                windowize("T", np.arange(40.0), np.zeros(32, dtype=int), 9, stride, 1.0, 1.0)
+
+
+class TestWindowedDataset:
+    """A dataset checks its own fields when it is made, however it is made."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("windows", np.full((5, 9), np.nan)),
+        ("windows", np.zeros((5, 1))),
+        ("windows", np.zeros((5, 9), dtype=int)),
+        ("labels", np.array([0, 1, 2, 0, 1])),
+        ("t_index", np.arange(4)),
+        ("split_index", 6),
+        ("split_index", 2.0),
+        ("stride", 0),
+        ("stride", 2.5),
+        ("stride", True),
+        ("lam", float("nan")),
+        ("threshold", float("inf")),
+        ("threshold", 1),
+        ("ticker", "a/b"),
+    ])
+    def test_invalid_field_raises_when_made(self, field, value):
+        fields = {"ticker": "T", "windows": np.zeros((5, 9)), "labels": np.array([0, 1, 0, 1, 1]),
+                  "t_index": np.arange(8, 13), "split_index": 3, "threshold": 1.0, "lam": 1.0}
+        WindowedDataset(**fields)
+        with pytest.raises(InputShapeError, match=field):
+            WindowedDataset(**{**fields, field: value})
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_prepare_rejects_a_lambda_its_file_could_not_hold(self, lam):
+        rng = np.random.default_rng(21)
+        prices = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.01, size=60)))
+        series = PriceSeries("T", [f"2020-{1 + d // 28:02d}-{1 + d % 28:02d}" for d in range(60)], prices)
+        with pytest.raises(InputShapeError, match="lam"):
+            prepare_dataset(series, w=9, lam=lam)
 
 
 class TestPrepareDataset:

@@ -197,7 +197,7 @@ class TestLogisticPath:
                 assert same_bits(model.weights, weights) and same_bits(model.bias, bias)
                 assert model.converged == converged
 
-    @pytest.mark.parametrize("l2", [-1.0, -1e-12, float("nan")])
+    @pytest.mark.parametrize("l2", [-1.0, -1e-12, float("nan"), float("inf")])
     def test_negative_or_nan_l2_rejected(self, l2):
         x, y = separable_1d()
         with pytest.raises(InputShapeError, match="l2"):
@@ -222,9 +222,12 @@ class TestRidgePath:
                 assert model.regularization == alpha and model.kind == "ridge"
             assert len(models) == len(alphas)
 
-    def test_nonpositive_alpha_anywhere_rejected(self):
-        with pytest.raises(InputShapeError):
-            fit_ridge_path(np.eye(2), np.array([0, 1]), [1.0, 0.0])
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+    def test_nonpositive_alpha_anywhere_rejected(self, alpha):
+        with pytest.raises(InputShapeError, match="alpha"):
+            fit_ridge_path(np.eye(2), np.array([0, 1]), [1.0, alpha])
+        with pytest.raises(InputShapeError, match="alpha"):
+            fit_ridge(np.eye(2), np.array([0, 1]), alpha=alpha)
 
 
 @pytest.mark.parametrize("kind, fit_path", [("logistic", fit_logistic_path), ("ridge", fit_ridge_path)])
@@ -363,11 +366,13 @@ class TestPredictScores:
         diffs = np.diff(scores) * np.sign(model.weights[0])
         assert np.all(diffs > 0) or np.all(diffs < 0)
 
-    def test_dimension_mismatch(self):
-        x, y = separable_1d()
-        model = fit_logistic(x, y)
-        with pytest.raises(InputShapeError):
-            predict_scores(model, np.zeros((3, 2)))
+    @pytest.mark.parametrize("x", [np.zeros((3, 2)), [0.5, 1.5], np.zeros((2, 1, 1))],
+                             ids=["two columns", "1-D", "3-D"])
+    def test_dimension_mismatch(self, x):
+        x_fit, y = separable_1d()
+        for model in (fit_logistic(x_fit, y), fit_ridge(x_fit, y)):
+            with pytest.raises(InputShapeError):
+                predict_scores(model, x)
 
 
 class TestEvaluate:
@@ -448,7 +453,9 @@ class TestEvaluate:
         ([np.nan, 0.1], [1, 0], "finite"),
         ([0.9, 0.1], [1, 0, 1], "equal-length"),
         ([], [], "non-empty"),
-    ], ids=["fractional label", "label 2", "NaN score", "length mismatch", "empty"])
+        (0.9, [1], "1-D"),
+        ([0.9], 1, "1-D"),
+    ], ids=["fractional label", "label 2", "NaN score", "length mismatch", "empty", "0-d score", "0-d label"])
     def test_average_precision_checks_input_as_evaluate_does(self, scores, labels, message):
         with pytest.raises(EvaluationError, match=message):
             evaluate(scores, labels, 0.5)
@@ -518,7 +525,7 @@ class TestEvaluatePath:
             for models in (fit_logistic_path(x_tr, y_tr, l2s), fit_ridge_path(x_tr, y_tr, alphas)):
                 batch = evaluate_path(models, x_te, y_te)
                 assert len(batch) == len(models)
-                batch_scores = _path_scores(models, models[0].scaler.transform(x_te))
+                batch_scores = _path_scores(models, x_te)
                 for model, res, row in zip(models, batch, batch_scores):
                     assert res == evaluate(predict_scores(model, x_te), y_te, model.threshold), case
                     accuracy, ap, confusion, scores = reference_evaluation(model, x_te, y_te)
@@ -555,6 +562,12 @@ class TestEvaluatePath:
         models = fit_logistic_path(x, y, [1e-2, 1.0])
         with pytest.raises(InputShapeError):
             evaluate_path(models, np.zeros((3, 2)), [0, 1, 0])
+
+    def test_labels_checked_as_evaluate_checks_them(self):
+        x, y = separable_1d()
+        models = fit_logistic_path(x, y, [1e-2, 1.0])
+        with pytest.raises(EvaluationError, match="1-D"):
+            evaluate_path(models, x[:1], 1)
 
 
 class TestStandardizer:
