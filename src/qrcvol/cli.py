@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import datetime
 import fcntl
 import hashlib
@@ -177,15 +178,18 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if os.path.realpath(args.out) == os.path.realpath(args.data):
+        raise ConfigError(f"--out {args.out} is the --data directory {args.data}: choose another --out")
     grid = harness.load_grid_config(args.config)
     if args.embeddings is not None:  # "" is an empty filter, not no filter
         wanted = {kind.strip() for kind in args.embeddings.split(",")}
         unknown = wanted - set(KINDS)
         if unknown:
             raise ConfigError(f"unknown embedding kinds in filter: {sorted(unknown)}")
-        grid.embeddings = [t for t in grid.embeddings if t["kind"] in wanted]
-        if not grid.embeddings:
+        kept = [t for t in grid.embeddings if t["kind"] in wanted]
+        if not kept:
             raise ConfigError("embedding filter removed every template")
+        grid = dataclasses.replace(grid, embeddings=kept)
     if not os.path.isdir(args.data):
         raise IngestionError(f"data directory not found: {args.data}")
     dataset_paths = sorted(

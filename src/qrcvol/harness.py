@@ -27,7 +27,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,8 +89,10 @@ DEFAULT_GRID_READOUTS = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridSpec:
+    """A grid, checked when it is made: an invalid one is a ConfigError
+    that lists every problem.  No field can be assigned once it is made."""
     embeddings: list  # templates: {"kind": ..., param: [values...]}
     readouts: list  # templates: {"kind": ..., "regularization": [values...]}
     # the window, lambda and stride every dataset must have been
@@ -99,8 +101,12 @@ class GridSpec:
     lam: float = None
     stride: int = None
     workers: int = 1
+    configs: list = field(init=False)  # each distinct EmbeddingConfig once, in first-seen order
+    # (kind, [regularization values]) of each readout template, each (kind, value) once
+    # in first-seen order; a template left with no value drops out
+    paths: list = field(init=False)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         problems = []
         for name, templates in (("embedding", self.embeddings), ("readout", self.readouts)):
             if not isinstance(templates, list) or not all(isinstance(t, dict) for t in templates):
@@ -115,7 +121,7 @@ class GridSpec:
                 problems += _template_problems(tpl, _PARAM_TYPES[kind], f"embedding {kind!r}")
         for tpl in self.readouts:
             kind = tpl.get("kind")
-            if kind not in FIT_PATH:
+            if kind not in list(FIT_PATH):  # a JSON list or object kind cannot be hashed
                 problems.append(f"unknown readout kind {kind!r}")
             found = _template_problems(tpl, {"regularization": (int, float)}, f"readout {kind!r}")
             problems += found
@@ -134,21 +140,12 @@ class GridSpec:
             problems.append(f"workers must be an integer >= 1, got {self.workers!r}")
         if problems:
             raise ConfigError("; ".join(problems))
-
-    def expand_embeddings(self) -> list:
-        """Each distinct config of the templates once, in first-seen order."""
         configs = {}
         for tpl in self.embeddings:
             params = {k: v for k, v in tpl.items() if k != "kind"}
             keys = sorted(params)
             for combo in itertools.product(*(params[k] for k in keys)):
                 configs.setdefault(EmbeddingConfig.make(tpl["kind"], **dict(zip(keys, combo))))
-        return list(configs)
-
-    def readout_paths(self) -> list:
-        """(kind, [regularization values]) of each readout template, each
-        (kind, value) kept once in first-seen order; a template left with
-        no value drops out."""
         seen = set()
         paths = []
         for tpl in self.readouts:
@@ -157,7 +154,8 @@ class GridSpec:
             seen.update((tpl["kind"], reg) for reg in regs)
             if regs:
                 paths.append((tpl["kind"], regs))
-        return paths
+        object.__setattr__(self, "configs", list(configs))
+        object.__setattr__(self, "paths", paths)
 
 
 @dataclass
@@ -203,7 +201,7 @@ def ProcessPoolExecutor(max_workers):
 
 
 def preflight(datasets: dict, grid: GridSpec):
-    """Every check of a run that needs no file: (usable, excluded, configs).
+    """Every check of a run that needs no file, past the grid's own: (usable, excluded).
 
     datasets maps ticker -> WindowedDataset.  A dataset whose window,
     lambda or stride differs from one the grid sets is a ConfigError.
@@ -213,7 +211,6 @@ def preflight(datasets: dict, grid: GridSpec):
     config whose window exceeds quantum.MAX_QUBITS or whose
     quantum.radius_bound times |t| exceeds quantum.MAX_PHASE.
     """
-    grid.validate()
     if not datasets:
         raise ConfigError("no tickers to evaluate")
     mismatches = [
@@ -239,8 +236,7 @@ def preflight(datasets: dict, grid: GridSpec):
             usable[ticker] = ds
     if not usable:
         raise ConfigError("every ticker is degenerate: " + "; ".join(excluded.values()))
-    embed_cfgs = grid.expand_embeddings()
-    for cfg in embed_cfgs:
+    for cfg in grid.configs:
         e, q = cfg.esn, cfg.quantum
         for ticker, ds in usable.items():
             if e is not None and e.reservoir_size < ds.w:
@@ -255,19 +251,19 @@ def preflight(datasets: dict, grid: GridSpec):
                 raise ConfigError(
                     f"ticker {ticker}: quantum params a_x {q.a_x}, a_z {q.a_z}, a_zz {q.a_zz} and t {q.t}: "
                     f"spectral radius times |t| may reach {phase:.6g}, above the {quantum.MAX_PHASE} guard")
-    return usable, excluded, embed_cfgs
+    return usable, excluded
 
 
 def run_grid(datasets: dict, grid: GridSpec, cache_dir) -> ExperimentReport:
-    """Evaluate every grid cell on every usable ticker (see preflight).
+    """Evaluate every cell of grid.configs x grid.paths on every usable ticker (see preflight).
 
     Fitting only ever sees training rows.  cache_dir holds the embedding
     and fit files, and is created once preflight passes; an empty one
     makes every lookup a miss.
     """
-    usable, excluded, embed_cfgs = preflight(datasets, grid)
+    usable, excluded = preflight(datasets, grid)
     os.makedirs(cache_dir, exist_ok=True)
-    paths = grid.readout_paths()
+    embed_cfgs, paths = grid.configs, grid.paths
     readouts = [(kind, reg) for kind, regs in paths for reg in regs]  # one per cell
 
     fingerprints = {ticker: dataset_sha256(ds) for ticker, ds in usable.items()}
@@ -473,7 +469,8 @@ def emit_report(report: ExperimentReport, out_dir) -> dict:
 
 
 def load_grid_config(path) -> GridSpec:
-    """Read a GridSpec from a JSON config file, reporting all problems."""
+    """The GridSpec of a JSON config file: its unknown keys and the
+    problems the GridSpec finds are listed in one ConfigError."""
     try:
         with open(path, encoding="utf-8-sig") as fh:  # with or without a BOM
             raw = json.load(fh)
@@ -487,16 +484,10 @@ def load_grid_config(path) -> GridSpec:
     problems = [f"unknown config key {key!r}" for key in raw if key not in known]
     if "seed" in raw:
         log.warning("config key 'seed' is ignored: ESN seeds come from the embedding templates")
-    grid = GridSpec(
-        embeddings=raw.get("embeddings", DEFAULT_GRID_EMBEDDINGS),
-        readouts=raw.get("readouts", DEFAULT_GRID_READOUTS),
-        w=raw.get("window"),
-        lam=raw.get("lambda"),
-        stride=raw.get("stride"),
-        workers=raw.get("workers", 1),
-    )
     try:
-        grid.validate()
+        grid = GridSpec(embeddings=raw.get("embeddings", DEFAULT_GRID_EMBEDDINGS),
+                        readouts=raw.get("readouts", DEFAULT_GRID_READOUTS), w=raw.get("window"),
+                        lam=raw.get("lambda"), stride=raw.get("stride"), workers=raw.get("workers", 1))
     except ConfigError as exc:
         problems.append(str(exc))
     if problems:

@@ -173,6 +173,8 @@ def load_prices(path, tickers=None) -> list:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise IngestionError(f"{path}: not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise IngestionError(f"{path} line {reader.reader.line_num}: not readable as CSV: {exc}") from exc
     if not rows_by_ticker:
         raise IngestionError(f"{path}: no usable rows")
 

@@ -1,7 +1,7 @@
 """What benchmarks/run.py and benchmarks/tracing.py bind in the package.
 
-The tracer replaces these names on qrcvol.harness and qrcvol.quantum and
-reads the arguments it notes by name; run.py reads embedding caches back
+The tracer replaces these names on the qrcvol modules and reads the
+arguments it notes by name; run.py reads embedding caches back
 through them.  A change that breaks one fails here, in tier 1, and not
 only in the benchmark's own self-test.
 """
@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from qrcvol import embeddings, harness, pipeline, quantum, readout
+from qrcvol import cli, embeddings, harness, pipeline, quantum, readout
 from qrcvol.embeddings import EmbeddingConfig
 
 # name on harness -> the module that defines it
@@ -26,6 +26,15 @@ HARNESS_BOUND = {
 }
 
 
+# module -> the other names the tracer wraps on it
+TRACED = {
+    pipeline: ("load_prices", "prepare_dataset"),
+    harness: ("load_grid_config", "run_grid", "emit_report"),
+    readout: ("average_precision",),
+    quantum: ("build_hamiltonian", "evolve", "measure_features"),
+}
+
+
 def parameters(fn) -> set:
     return set(inspect.signature(fn).parameters)
 
@@ -33,6 +42,19 @@ def parameters(fn) -> set:
 def test_harness_binds_the_traced_names():
     for name, module in HARNESS_BOUND.items():
         assert getattr(harness, name) is getattr(module, name), name
+
+
+def test_main_dispatches_through_the_module_names(monkeypatch):
+    # the tracer replaces cmd_prepare and cmd_run on cli: main must look them up when it runs
+    called = []
+    for name in ("cmd_prepare", "cmd_run"):
+        monkeypatch.setattr(cli, name, lambda args, name=name: called.append(name) or cli.EXIT_OK)
+    assert cli.main(["prepare", "--prices", "prices.csv", "--out", "data"]) == cli.EXIT_OK
+    assert cli.main(["run", "--data", "data", "--config", "grid.json", "--out", "out"]) == cli.EXIT_OK
+    assert called == ["cmd_prepare", "cmd_run"]
+    for module, names in TRACED.items():
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
 
 
 def test_traced_arguments_keep_their_names():

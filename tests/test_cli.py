@@ -268,6 +268,17 @@ class TestPrepare:
         assert f"error: {latin}: not UTF-8 text: " in err and "0xff" in err
         assert not out.exists()
 
+    def test_price_file_the_csv_module_rejects_exit_two(self, workspace, tmp_path, capsys):
+        _, prices, _, _ = workspace
+        huge = tmp_path / "huge.csv"
+        huge.write_text(prices.read_text() + "2030-01-01,SYNTH," + "1" * 200000 + "\n")
+        out = tmp_path / "huge"
+        assert main(["prepare", "--prices", str(huge), "--out", str(out), "--window", "5"]) == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: {huge} line 153: not readable as CSV: field larger than field limit (131072)"]
+        assert "Traceback" not in err and not out.exists()
+
     def test_interrupted_reprepare_leaves_no_manifest(self, workspace, tmp_path, monkeypatch):
         _, prices, _, _ = workspace
         both = two_ticker_prices(prices, tmp_path / "both.csv")
@@ -372,6 +383,17 @@ class TestRun:
             assert main(["run", "--data", str(data), "--config", str(path), "--out", str(tmp_path / name)]) == 0
         for name in ("cells.csv", "per_ticker.csv", "report.txt"):
             assert file_hash(tmp_path / "bom" / name) == file_hash(tmp_path / "plain" / name)
+
+    @pytest.mark.parametrize("spelling", ["{data}", "{data}/."])
+    def test_out_that_is_the_data_directory_exit_one(self, workspace, capsys, spelling):
+        _, _, data, config = workspace
+        manifest = (data / "manifest.json").read_bytes()
+        out = spelling.format(data=data)
+        assert main(["run", "--data", str(data), "--config", str(config), "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out} is the --data directory {data}")
+        assert (data / "manifest.json").read_bytes() == manifest
+        assert not (data / "cells.csv").exists() and not (data / "cache").exists()
 
     def test_non_utf8_config_exit_one(self, workspace, capsys):
         tmp_path, _, data, config = workspace
@@ -562,6 +584,8 @@ class TestRun:
         {"readouts": [{"kind": "ridge", "regularization": 1.0}]},
         {"readouts": [{"kind": "ridge", "regularization": [float("nan")]}]},
         {"readouts": [{"kind": "logistic", "regularization": [0.01, -1.0]}]},
+        {"readouts": [{"kind": ["ridge"], "regularization": [1.0]}]},
+        {"readouts": [{"kind": {}, "regularization": [1.0]}]},
     ])
     def test_malformed_config_value_exit_one(self, workspace, capsys, change):
         tmp_path, _, data, _ = workspace

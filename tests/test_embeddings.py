@@ -296,10 +296,10 @@ def test_negation_symmetry_bounds_esn_and_raw_accuracy():
     labels = np.concatenate([ds.labels[k:], ds.labels[k:]])
     p = labels.mean()
     assert 0 < p < 1
-    for cfg in grid.expand_embeddings():
+    for cfg in grid.configs:
         rows, negated_rows = embed_dataset([ds, negated], cfg)
         closed = np.concatenate([rows[k:], negated_rows[k:]])
-        for kind, regs in grid.readout_paths():
+        for kind, regs in grid.paths:
             models = harness.FIT_PATH[kind](rows[:k], ds.labels[:k], regs)
             for reg, res in zip(regs, harness.evaluate_path(models, closed, labels)):
                 assert res.accuracy <= 1 - min(p, 1 - p) / 2, (cfg, kind, reg)

@@ -282,17 +282,35 @@ class TestRunGrid:
         with pytest.raises(ConfigError):
             run_grid({}, small_grid(), tmp_path)
         with pytest.raises(ConfigError):
-            small_grid(embeddings=[]).validate()
+            small_grid(embeddings=[])
         with pytest.raises(ConfigError):
-            small_grid(readouts=[{"kind": "ridge", "regularization": [-1.0]}]).validate()
+            small_grid(readouts=[{"kind": "ridge", "regularization": [-1.0]}])
         with pytest.raises(ConfigError, match="logistic regularization"):
-            small_grid(readouts=[{"kind": "logistic", "regularization": [-1.0]}]).validate()
-        small_grid(readouts=[{"kind": "logistic", "regularization": [0.0]}]).validate()
+            small_grid(readouts=[{"kind": "logistic", "regularization": [-1.0]}])
+        small_grid(readouts=[{"kind": "logistic", "regularization": [0.0]}])
+
+    def test_hand_built_grid_checked_when_made(self):
+        with pytest.raises(ConfigError) as err:
+            GridSpec([{"kind": "warp"}, {"kind": "raw", "a_x": [1.0]}],
+                     [{"kind": "ridge", "regularization": [0.0]}, {"kind": ["ridge"], "regularization": [1.0]}],
+                     w=1, lam="x", stride=0, workers=0)
+        assert str(err.value) == "; ".join([
+            "unknown embedding kind 'warp'", "embedding 'raw' takes no parameter 'a_x'",
+            "ridge regularization values must be > 0", "unknown readout kind ['ridge']",
+            "window must be an integer >= 2, got 1", "stride must be an integer >= 1, got 0",
+            "lambda must be a finite number, got 'x'", "workers must be an integer >= 1, got 0"])
+
+    def test_grid_fields_cannot_be_assigned(self):
+        grid = small_grid()
+        for name, value in (("embeddings", []), ("workers", 2), ("configs", []), ("paths", [])):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(grid, name, value)
+        assert grid.configs == [EmbeddingConfig.make("raw")] and grid.paths == [("ridge", [1.0])]
 
     def test_workers_below_one_rejected(self, tmp_path):
         for workers in (0, -3):
             with pytest.raises(ConfigError, match="workers"):
-                small_grid(workers=workers).validate()
+                small_grid(workers=workers)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "workers": 0,
@@ -322,9 +340,9 @@ class TestRunGrid:
         )
         emit_report(run_grid(datasets, grid, tmp_path / "cache"), tmp_path / "paths")
         cells = []
-        for cfg in grid.expand_embeddings():
+        for cfg in grid.configs:
             features = dict(zip(datasets, embed_dataset(list(datasets.values()), cfg)))
-            for kind, regs in grid.readout_paths():
+            for kind, regs in grid.paths:
                 for reg in regs:
                     per_ticker = {}
                     for ticker, x in features.items():
@@ -353,7 +371,7 @@ class TestRunGrid:
 
         monkeypatch.setattr(harness, "stream_embedded", recording_stream)
         grid = small_grid(embeddings=[{"kind": "quantum", "a_x": [1.0, 1.0, 1]}])
-        assert len(grid.expand_embeddings()) == 1
+        assert len(grid.configs) == 1
         report = run_grid({"S": synth_dataset(0)}, grid, cache_dir=tmp_path)
         assert len(jobs) == 1
         assert len(list(tmp_path.glob("*.emb.npz"))) == 1
@@ -437,7 +455,7 @@ class TestRunGrid:
         grid = small_grid(readouts=[{"kind": "ridge", "regularization": [1.0, 1.0, 2.0]},
                                     {"kind": "logistic", "regularization": [1.0]},
                                     {"kind": "ridge", "regularization": [1, 2.0]}])
-        assert grid.readout_paths() == [("ridge", [1.0, 2.0]), ("logistic", [1.0])]
+        assert grid.paths == [("ridge", [1.0, 2.0]), ("logistic", [1.0])]
         report = run_grid({"S": synth_dataset(0)}, grid, tmp_path)
         assert [(c.readout_kind, c.regularization) for c in report.cells] == [
             ("ridge", 1.0), ("ridge", 2.0), ("logistic", 1.0)]
@@ -470,7 +488,7 @@ class TestRunGrid:
                 {"kind": "raw"},
             ]
         )
-        cfgs = grid.expand_embeddings()
+        cfgs = grid.configs
         assert len(cfgs) == 5
         assert {c.kind for c in cfgs} == {"quantum", "raw"}
 
@@ -574,7 +592,7 @@ class TestFitCache:
             arrays = load_arrays(tmp_path / name)
             ticker = name.split("__")[0]
             assert arrays["dataset_sha256"] == dataset_sha256(datasets[ticker])
-            assert arrays["readouts"] == json.dumps(grid.readout_paths())
+            assert arrays["readouts"] == json.dumps(grid.paths)
             assert arrays["results"].shape == (len(report.cells) // 2, 6)
 
     def test_fit_file_of_other_format_version_is_rewritten(self, tmp_path):
@@ -815,6 +833,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("config, words", [
         ([{"kind": "raw"}], "config root must be a JSON object"),
         ({"readouts": [{"kind": "svm", "regularization": [1.0]}]}, "unknown readout kind 'svm'"),
+        ({"readouts": [{"kind": ["ridge"], "regularization": [1.0]}]}, r"unknown readout kind \['ridge'\]"),
     ])
     def test_root_and_readout_kind_checked(self, tmp_path, config, words):
         path = tmp_path / "cfg.json"

@@ -54,6 +54,11 @@ class TestLoadPrices:
         assert series[0].ticker == "A"
         assert np.array_equal(series[0].prices, [100.0, 110.0])
 
+    def test_field_the_csv_module_rejects_names_its_line(self, tmp_path):
+        path = make_csv(tmp_path, ["2020-01-01,A,100", "2020-01-02,A," + "1" * 200000])
+        with pytest.raises(IngestionError, match=re.escape(f"{path} line 3: not readable as CSV: ")):
+            load_prices(path)
+
     def test_out_of_order_dates_sorted_with_warning(self, tmp_path, caplog):
         path = make_csv(tmp_path, ["2020-01-02,A,110", "2020-01-01,A,100"])
         with caplog.at_level(logging.WARNING):
