@@ -14,7 +14,7 @@ without holding a whole batch's rows.
   after the window's last element.  The datasets of one call are
   stepped together, each with its own state: one stacked matrix-vector
   product per time step for all of them.
-* raw: the window itself, as a read-only view.
+* raw: the window itself, the dataset's own read-only array.
 """
 
 from __future__ import annotations
@@ -228,17 +228,14 @@ def embed_blocks(datasets: list, cfg: EmbeddingConfig):
     on the blocks: ESN rows come ESN_CHUNK time steps at a time (see
     reservoir_blocks), quantum rows as one block per dataset from one
     quantum_embed call, which bounds its own evolve working set, and raw
-    rows as one read-only view of the dataset's windows.
+    rows as the dataset's own read-only windows.
     """
     if any(len(d.labels) == 0 for d in datasets):
         raise ConfigError("cannot embed an empty dataset")
     if cfg.kind == "classical_esn":
         yield from reservoir_blocks(cfg.esn, [d.windows for d in datasets])
     elif cfg.kind == "raw":
-        for j, d in enumerate(datasets):
-            view = d.windows.view()
-            view.flags.writeable = False
-            yield j, view
+        yield from enumerate(d.windows for d in datasets)
     else:
         q = cfg.quantum
         for j, d in enumerate(datasets):
@@ -249,7 +246,7 @@ def embed_dataset(datasets: list, cfg: EmbeddingConfig) -> list:
     """The (m, d) feature rows of each dataset, in order, one row per window.
 
     A dataset's rows do not depend on which datasets share the call.  Raw
-    rows are read-only views of the dataset's windows, not copies.
+    rows are the dataset's own read-only windows, not copies.
     """
     blocks = [[] for _ in datasets]
     for j, rows in embed_blocks(datasets, cfg):

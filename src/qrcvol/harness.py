@@ -21,6 +21,7 @@ of one pair at a time.
 from __future__ import annotations
 
 import contextlib
+import copy
 import datetime
 import itertools
 import json
@@ -92,7 +93,8 @@ DEFAULT_GRID_READOUTS = [
 @dataclass(frozen=True)
 class GridSpec:
     """A grid, checked when it is made: an invalid one is a ConfigError
-    that lists every problem.  No field can be assigned once it is made."""
+    that lists every problem.  No field can be assigned once it is made,
+    and its templates are its own copies, so no caller's list can change it."""
     embeddings: list  # templates: {"kind": ..., param: [values...]}
     readouts: list  # templates: {"kind": ..., "regularization": [values...]}
     # the window, lambda and stride every dataset must have been
@@ -113,6 +115,7 @@ class GridSpec:
                 raise ConfigError(f"{name} templates must be a list of objects")
             if not templates:
                 problems.append(f"grid has no {name} templates")
+            object.__setattr__(self, name + "s", copy.deepcopy(templates))
         for tpl in self.embeddings:
             kind = tpl.get("kind")
             if kind not in KINDS:

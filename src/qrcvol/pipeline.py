@@ -54,13 +54,16 @@ class PriceSeries:
             raise InputShapeError("dates must be strictly increasing")
 
 
-@dataclass
+@dataclass(frozen=True)
 class WindowedDataset:
     """One ticker's labeled windows.  A field that breaks the rule of __post_init__ raises
-    InputShapeError naming it, whoever makes the dataset: windowize, read_dataset or a caller."""
+    InputShapeError naming it, whoever makes the dataset: windowize, read_dataset or a caller.
+    No field can then be assigned, and every array is read-only and the dataset's own: windows that
+    overlap as those of one series, bit for bit, are one view of a copy of it, so each return is
+    held once; any other windows, labels and t_index are C-ordered copies."""
 
     ticker: str
-    windows: np.ndarray  # (m, w) return windows ending at t_index[k]; may be a read-only view of one series
+    windows: np.ndarray  # (m, w) float64 return windows ending at t_index[k]
     labels: np.ndarray  # (m,) in {0, 1}
     t_index: np.ndarray  # (m,) return index of each window's last element
     split_index: int  # first test row
@@ -69,25 +72,38 @@ class WindowedDataset:
     stride: int = 1
 
     def __post_init__(self):
-        windows = self.windows = np.asarray(self.windows)
-        if windows.ndim != 2 or windows.dtype.kind != "f" or windows.shape[1] < 2:
-            raise InputShapeError("windows must be a 2-D float array at least 2 wide, "
+        windows = np.asarray(self.windows)
+        if windows.ndim != 2 or windows.dtype != np.float64 or windows.shape[1] < 2:
+            raise InputShapeError("windows must be a 2-D float64 array at least 2 wide, "
                                   f"got {windows.dtype} of shape {windows.shape}")
         if not np.isfinite(windows).all():
             raise InputShapeError("windows must be finite")
-        rows = len(windows)
-        for name, value in (("labels", self.labels), ("t_index", self.t_index)):
-            if np.shape(value) != (rows,):
-                raise InputShapeError(f"{name} of shape {np.shape(value)}, expected ({rows},)")
-        if not np.isin(self.labels, (0, 1)).all():
+        rows, w = windows.shape
+        labels, t_index = np.array(self.labels), np.array(self.t_index)  # copies, so no caller's array
+        for name, value in (("labels", labels), ("t_index", t_index)):
+            if value.shape != (rows,):
+                raise InputShapeError(f"{name} of shape {value.shape}, expected ({rows},)")
+        if not np.isin(labels, (0, 1)).all():
             raise InputShapeError("labels must be 0 or 1")
-        self.split_index = _integer("split_index", self.split_index, 0, rows)
-        self.stride = _integer("stride", self.stride, 1)
+        split_index = _integer("split_index", self.split_index, 0, rows)
+        stride = _integer("stride", self.stride, 1)
         for name, value in (("lam", self.lam), ("threshold", self.threshold)):
             if not (isinstance(value, float) and math.isfinite(value)):
                 raise InputShapeError(f"{name} must be a finite float, got {value!r}")
         if not (isinstance(self.ticker, str) and plain_ticker(self.ticker)):
             raise InputShapeError(f"ticker {self.ticker!r} cannot name a file or CSV field")
+        view = None
+        if rows and stride < w:  # the first row, then each later row's last stride values, give their series
+            series = np.concatenate((windows[0], windows[1:, w - stride :].ravel()))
+            view = _windows_view(series, w, stride)
+        # the view only if it gives the windows bit for bit, so -0.0 is not 0.0
+        if view is None or not np.array_equal(view.view(np.int64), windows.view(np.int64)):
+            series = view = np.array(windows, order="C")
+        for array in (series, labels, t_index):
+            array.setflags(write=False)
+        for name, value in (("windows", view), ("labels", labels), ("t_index", t_index),
+                            ("split_index", split_index), ("stride", stride)):
+            object.__setattr__(self, name, value)
 
     @property
     def w(self) -> int:
@@ -241,9 +257,7 @@ def windowize(ticker: str, returns: np.ndarray, labels: np.ndarray, w: int, stri
 
     labels[k] must correspond to return index w-1+k (where rolling vol is
     defined).  The chronological split index is floor(TRAIN_FRACTION * m)
-    over the m emitted windows.  The windows are read-only: a view of
-    returns where they overlap (stride < w), else their own array, which
-    holds no return outside them.
+    over the m emitted windows, which the dataset holds as its rule says.
     """
     stride = _integer("stride", stride, 1)  # before the windows are cut at it
     m_ret = len(returns)
@@ -254,13 +268,9 @@ def windowize(ticker: str, returns: np.ndarray, labels: np.ndarray, w: int, stri
     t_index = np.arange(w - 1, m_ret, stride)
     if len(t_index) == 0:
         raise InsufficientDataError("no complete windows")
-    windows = _windows_view(returns, w, stride)
-    if stride >= w:
-        windows = windows.copy()
-        windows.setflags(write=False)
     return WindowedDataset(
         ticker=ticker,
-        windows=windows,
+        windows=_windows_view(returns, w, stride),
         labels=labels[t_index - (w - 1)],
         t_index=t_index,
         split_index=int(np.floor(TRAIN_FRACTION * len(t_index))),
@@ -478,26 +488,14 @@ def write_dataset(ds: WindowedDataset, path) -> None:
 def read_dataset(path) -> WindowedDataset:
     """Read a dataset file written by write_dataset.  A file without the
     dataset fields, or whose fields break WindowedDataset's rule, raises
-    IngestionError naming path and the field.
-
-    Windows that overlap as the windows of one series, bit for bit, come
-    back as a read-only view of that series, as windowize makes them;
-    any others as the stored array."""
+    IngestionError naming path and the field.  The loaded arrays are held
+    as WindowedDataset's rule says."""
     arrays = load_arrays(path)
     if arrays is None:
         raise IngestionError(f"{path}: dataset file of another format version, run prepare again")
     try:
-        ds = WindowedDataset(**arrays)
+        return WindowedDataset(**arrays)
     except TypeError as exc:
         raise IngestionError(f"{path}: not a dataset file: {exc}") from exc
     except InputShapeError as exc:
         raise IngestionError(f"{path}: {exc}") from exc
-    if len(ds.windows) and ds.stride < ds.w:
-        # overlapping windows, as windowize makes them: the first row, then
-        # each later row's last stride values, give the series they view
-        series = np.concatenate((ds.windows[0], ds.windows[1:, ds.w - ds.stride :].ravel()))
-        view = _windows_view(series, ds.w, ds.stride)
-        # compared byte for byte, so -0.0 differs from 0.0
-        if np.array_equal(view.view(np.uint8), np.ascontiguousarray(ds.windows).view(np.uint8)):
-            ds.windows = view
-    return ds

@@ -838,6 +838,7 @@ class TestRun:
     @pytest.mark.parametrize("field, change", [
         ("windows", lambda a: a.ravel()),
         ("windows", lambda a: a.astype(np.int64)),
+        ("windows", lambda a: a.astype(np.float32)),
         ("labels", lambda a: a[:-5]),
         ("labels", lambda a: a[:, None]),
         ("t_index", lambda a: a[1:]),
@@ -853,7 +854,7 @@ class TestRun:
         ("threshold", lambda a: float("inf")),
         ("windows", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 7, np.nan, a)),
         ("labels", lambda a: np.where(np.arange(len(a)) == 3, 2, a)),
-    ], ids=["windows-1d", "windows-int", "labels-short", "labels-2d", "t_index-short",
+    ], ids=["windows-1d", "windows-int", "windows-float32", "labels-short", "labels-2d", "t_index-short",
             "split_index-huge", "split_index-negative", "split_index-float", "stride-float",
             "stride-negative", "windows-zero-width",
             "lam-str", "threshold-bool", "lam-nan", "threshold-inf", "windows-nan", "labels-not-binary"])

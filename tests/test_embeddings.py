@@ -87,9 +87,9 @@ class TestEmbedDataset:
         (rows,) = embed_dataset([ds], EmbeddingConfig.make("raw"))
         assert rows.shape == (12, 9)
         assert np.array_equal(rows, ds.windows)
-        # a read-only view, not a copy; the dataset's own array stays writeable
+        # the dataset's own read-only windows, not a copy
         assert np.shares_memory(rows, ds.windows)
-        assert not rows.flags.writeable and ds.windows.flags.writeable
+        assert not rows.flags.writeable and not ds.windows.flags.writeable
 
     def test_quantum_dimension(self):
         ds = make_dataset(n_rows=3)
@@ -110,8 +110,7 @@ class TestEmbedDataset:
 
     def test_quantum_window_reversal_changes_embedding(self):
         ds = make_dataset(n_rows=1, seed=3)
-        rev = make_dataset(n_rows=1, seed=3)
-        rev.windows = rev.windows[:, ::-1].copy()
+        rev = dataclasses.replace(ds, windows=ds.windows[:, ::-1])
         cfg = EmbeddingConfig.make("quantum")
         a, b = embed_dataset([ds, rev], cfg)
         assert not np.allclose(a[0], b[0])
@@ -120,11 +119,8 @@ class TestEmbedDataset:
         ds = make_dataset(n_rows=4)
         cfg = EmbeddingConfig.make("quantum")
         (full,) = embed_dataset([ds], cfg)
-        single = make_dataset(n_rows=4)
-        single.windows = ds.windows[2:3]
-        single.labels = ds.labels[2:3]
-        single.t_index = ds.t_index[2:3]
-        single.split_index = 1
+        single = dataclasses.replace(ds, windows=ds.windows[2:3], labels=ds.labels[2:3],
+                                     t_index=ds.t_index[2:3], split_index=1)
         (alone,) = embed_dataset([single], cfg)
         assert np.array_equal(full[2], alone[0])
 
@@ -162,8 +158,7 @@ class TestEmbedDataset:
 
     def test_empty_dataset_rejected(self):
         ds = make_dataset(n_rows=1)
-        ds.windows = ds.windows[:0]
-        ds.labels = ds.labels[:0]
+        ds = dataclasses.replace(ds, windows=ds.windows[:0], labels=ds.labels[:0], t_index=ds.t_index[:0])
         with pytest.raises(ConfigError):
             embed_dataset([ds], EmbeddingConfig.make("raw"))
 
@@ -310,8 +305,7 @@ def test_golden_esn_features():
     # and 0.02, under the ESN-50 of the readout-sweep benchmark and the
     # ESN-100 of cache-rerun
     golden = json.loads((Path(__file__).parent / "golden_esn_readout.json").read_text())
-    ds = make_dataset(n_rows=3)
-    ds.windows = np.array(golden["windows"])
+    ds = dataclasses.replace(make_dataset(n_rows=3), windows=np.array(golden["windows"]))
     for case in golden["esn"]:
         (rows,) = embed_dataset([ds], EmbeddingConfig.make("classical_esn", **case["params"]))
         assert np.max(np.abs(rows - case["features"])) <= 1e-12, (

@@ -149,10 +149,8 @@ class TestRunGrid:
     def test_degenerate_ticker_excluded(self, tmp_path):
         good = synth_dataset(3)
         tiny = synth_dataset(4)
-        tiny.windows = tiny.windows[:2]
-        tiny.labels = tiny.labels[:2]
-        tiny.t_index = tiny.t_index[:2]
-        tiny.split_index = 2  # no test rows
+        tiny = dataclasses.replace(tiny, windows=tiny.windows[:2], labels=tiny.labels[:2],
+                                   t_index=tiny.t_index[:2], split_index=2)  # no test rows
         report = run_grid({"GOOD": good, "TINY": tiny}, small_grid(), tmp_path)
         assert "TINY" in report.excluded
         assert set(report.cells[0].per_ticker) == {"GOOD"}
@@ -772,7 +770,7 @@ class TestEmitReport:
 
     def test_excluded_tickers_listed(self, tmp_path):
         tiny = synth_dataset(4)
-        tiny.split_index = len(tiny.labels)  # no test rows
+        tiny = dataclasses.replace(tiny, split_index=len(tiny.labels))  # no test rows
         report = run_grid({"GOOD": synth_dataset(3), "TINY": tiny}, small_grid(), tmp_path / "cache")
         text = Path(emit_report(report, tmp_path / "out")["text"]).read_text()
         assert text.endswith(f"\nExcluded tickers:\n  TINY: needs >= 2 train and >= 1 test windows, "
@@ -840,6 +838,22 @@ class TestConfigFile:
         path.write_text(json.dumps(config))
         with pytest.raises(ConfigError, match=words):
             load_grid_config(path)
+
+    def test_grid_holds_its_own_templates(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("{}")
+        defaults = json.dumps([harness.DEFAULT_GRID_EMBEDDINGS, harness.DEFAULT_GRID_READOUTS])
+        grid = load_grid_config(path)
+        grid.embeddings.append({"kind": "warp"})
+        grid.embeddings[0]["kind"] = "warp"
+        grid.readouts[0]["regularization"].append(-1.0)
+        assert json.dumps([harness.DEFAULT_GRID_EMBEDDINGS, harness.DEFAULT_GRID_READOUTS]) == defaults
+        again = load_grid_config(path)
+        assert json.dumps([again.embeddings, again.readouts]) == defaults
+        templates = [{"kind": "raw"}]
+        grid = small_grid(embeddings=templates)
+        templates[0]["kind"] = "warp"
+        assert grid.embeddings == [{"kind": "raw"}]
 
     def test_seed_key_ignored_with_warning(self, tmp_path, caplog):
         path = tmp_path / "cfg.json"

@@ -1,8 +1,10 @@
 import ast
 import csv
+import dataclasses
 import io
 import itertools
 import logging
+import os
 import re
 import time
 import tracemalloc
@@ -38,6 +40,12 @@ def random_walk_dataset():
     prices = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.01, size=60)))
     dates = [f"2020-{1 + d // 28:02d}-{1 + d % 28:02d}" for d in range(60)]
     return prepare_dataset(PriceSeries("T", dates, prices), w=9, lam=1.0)
+
+
+def dataset_fields():
+    """The fields of a valid 5-window dataset, each array new."""
+    return {"ticker": "T", "windows": np.zeros((5, 9)), "labels": np.array([0, 1, 0, 1, 1]),
+            "t_index": np.arange(8, 13), "split_index": 3, "threshold": 1.0, "lam": 1.0}
 
 
 def make_csv(tmp_path, rows, header="date,ticker,adj_close"):
@@ -261,7 +269,10 @@ class TestWindowize:
     def test_windows_are_a_read_only_view_of_returns(self):
         returns = np.arange(40.0)
         ds = windowize("T", returns, np.zeros(32, dtype=int), 9, 2, 1.0, 1.0)
-        assert np.shares_memory(ds.windows, returns) and not ds.windows.flags.writeable
+        # a view of the dataset's own series of (m-1)*stride + w values, the returns they cover
+        series = owner(ds.windows)
+        assert not ds.windows.flags.writeable and not series.flags.writeable and span(ds.windows) == len(series)
+        assert np.array_equal(series, returns[: (len(ds.labels) - 1) * 2 + 9])
         assert np.array_equal(ds.windows, [returns[k : k + 9] for k in range(0, 32, 2)])
 
     @pytest.mark.parametrize("stride, rows", [(18, 56), (36, 28)])
@@ -273,10 +284,7 @@ class TestWindowize:
         returns = log_returns(prices)
         assert np.array_equal(ds.windows, [returns[k : k + 9] for k in range(0, 992, stride)])
         assert ds.windows.shape == (rows, 9) and not ds.windows.flags.writeable
-        held = ds.windows
-        while getattr(held, "base", None) is not None:
-            held = held.base
-        assert held.nbytes == ds.windows.nbytes  # not the 1000 returns a view would keep
+        assert owner(ds.windows).nbytes == ds.windows.nbytes  # not the 1000 returns a view would keep
 
     def test_chronological_split_no_leakage(self):
         ds = windowize("T", np.arange(40.0), np.zeros(32, dtype=int), 9, 1, 1.0, 1.0)
@@ -312,11 +320,36 @@ class TestWindowedDataset:
         ("ticker", "a/b"),
     ])
     def test_invalid_field_raises_when_made(self, field, value):
-        fields = {"ticker": "T", "windows": np.zeros((5, 9)), "labels": np.array([0, 1, 0, 1, 1]),
-                  "t_index": np.arange(8, 13), "split_index": 3, "threshold": 1.0, "lam": 1.0}
+        fields = dataset_fields()
         WindowedDataset(**fields)
         with pytest.raises(InputShapeError, match=field):
             WindowedDataset(**{**fields, field: value})
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, ">f8"])
+    def test_windows_must_be_float64(self, dtype):
+        windows = np.zeros((5, 9), dtype=dtype)
+        with pytest.raises(InputShapeError, match=re.escape(
+                f"windows must be a 2-D float64 array at least 2 wide, got {windows.dtype} of shape (5, 9)")):
+            WindowedDataset(**{**dataset_fields(), "windows": windows})
+
+    def test_fields_cannot_be_assigned(self):
+        ds = WindowedDataset(**dataset_fields())
+        for field in dataclasses.fields(ds):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ds, field.name, getattr(ds, field.name))
+
+    # zero windows are the windows of one series, held as a view of the dataset's copy of it
+    @pytest.mark.parametrize("windows", [np.zeros((5, 9)), np.arange(45.0).reshape(5, 9)],
+                             ids=["overlapping", "other"])
+    def test_a_callers_arrays_cannot_change_the_dataset(self, windows):
+        fields = {**dataset_fields(), "windows": windows}
+        ds = WindowedDataset(**fields)
+        for name in ("windows", "labels", "t_index"):
+            held = getattr(ds, name)
+            kept = held.copy()
+            fields[name][...] = 7
+            assert not held.flags.writeable and not owner(held).flags.writeable
+            assert np.array_equal(held, kept) and not np.shares_memory(held, fields[name])
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
     def test_prepare_rejects_a_lambda_its_file_could_not_hold(self, lam):
@@ -392,6 +425,13 @@ class TestPrepareDataset:
         assert path.read_bytes() == written
 
 
+def owner(array) -> np.ndarray:
+    """The array that holds the data array views."""
+    while getattr(array, "base", None) is not None:
+        array = array.base
+    return array
+
+
 def span(array) -> int:
     """How many elements lie between an array's first and last byte."""
     low, high = np.lib.array_utils.byte_bounds(array)
@@ -435,13 +475,13 @@ class TestDatasetWindowsView:
             windows = np.lib.stride_tricks.sliding_window_view(series, 9)[: len(ds.labels)].copy()
             if case == "one zero of another sign":
                 windows[35, 4] = -0.0  # the series' 0.0 as the fifth return of window 35
-            else:
-                ds.stride = 9  # at stride w no window overlaps the next, whatever the file holds
-        ds.windows = windows
+            else:  # at stride w no window overlaps the next, whatever the file holds
+                ds = dataclasses.replace(ds, stride=9)
+        ds = dataclasses.replace(ds, windows=windows)
         path = tmp_path / "T.dataset.npz"
         write_dataset(ds, path)
         back = read_dataset(path)
-        assert back.windows.flags.writeable and span(back.windows) == windows.size
+        assert not back.windows.flags.writeable and span(back.windows) == windows.size
         assert back.windows.tobytes() == windows.tobytes()
 
 
@@ -530,6 +570,17 @@ class TestLoadArrays:
             path.write_bytes(bytes(raw))
         with pytest.raises(IngestionError, match=re.escape(str(path))):
             load_arrays(path)
+
+    def test_entry_cut_inside_its_data_is_short(self, tmp_path):
+        path = tmp_path / "a.npz"
+        data = np.arange(100, dtype="<i8")
+        save_arrays(path, a=data)
+        size = path.stat().st_size
+        with open(path, "rb") as fh, zipfile.ZipFile(fh) as zf:
+            info = zf.getinfo("a.npy")
+            os.truncate(path, path.read_bytes().index(data.tobytes()) + 100)
+            with pytest.raises(ValueError, match="entry 'a.npy' is short"):
+                pipeline._read_entry(fh, info, size)
 
     def test_each_distinct_header_parsed_once(self, tmp_path, monkeypatch):
         path = tmp_path / "a.npz"
