@@ -195,12 +195,10 @@ def reservoir_blocks(params: EsnParams, windows: list):
                 drive_in[pos, : len(chunk)] = chunk
             drive_in *= params.input_scaling
             out = np.empty((active, steps, size))
-            running = active
+            # an array that ends inside the chunk steps on zero input; its extra rows are never yielded
+            s, pre_s, drive_s = state[:active], pre[:active], drive[:active]
             for i in range(steps):
-                while lengths[running - 1] <= start + i:
-                    running -= 1
-                s, pre_s, drive_s = state[:running], pre[:running], drive[:running]
-                np.multiply(drive_in[:running, i, :, None], w_in, out=drive_s)
+                np.multiply(drive_in[:, i, :, None], w_in, out=drive_s)
                 for k in range(w):
                     np.matmul(weights[None], s[:, :, None], out=pre_s[:, :, None])
                     pre_s += drive_s[:, k]
@@ -208,7 +206,7 @@ def reservoir_blocks(params: EsnParams, windows: list):
                     pre_s *= leak
                     s *= 1.0 - leak
                     s += pre_s
-                out[:running, i] = s
+                out[:, i] = s
             for pos, j in enumerate(members[:active]):
                 yield j, out[pos, : min(lengths[pos] - start, steps)]
 

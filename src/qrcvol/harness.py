@@ -94,7 +94,8 @@ DEFAULT_GRID_READOUTS = [
 class GridSpec:
     """A grid, checked when it is made: an invalid one is a ConfigError
     that lists every problem.  No field can be assigned once it is made,
-    and its templates are its own copies, so no caller's list can change it."""
+    and its templates are its own copies, so no caller's list can change it;
+    dataclasses.replace makes a changed grid, checked again."""
     embeddings: list  # templates: {"kind": ..., param: [values...]}
     readouts: list  # templates: {"kind": ..., "regularization": [values...]}
     # the window, lambda and stride every dataset must have been

@@ -60,7 +60,10 @@ class WindowedDataset:
     InputShapeError naming it, whoever makes the dataset: windowize, read_dataset or a caller.
     No field can then be assigned, and every array is read-only and the dataset's own: windows that
     overlap as those of one series, bit for bit, are one view of a copy of it, so each return is
-    held once; any other windows, labels and t_index are C-ordered copies."""
+    held once; any other windows, labels and t_index are C-ordered copies.  The rule: finite
+    2-D float64 windows at least 2 wide, one 0/1 label and one t_index per window, an int
+    split_index in [0, rows], an int stride >= 1, finite float threshold and lam, and a ticker
+    that passes plain_ticker."""
 
     ticker: str
     windows: np.ndarray  # (m, w) float64 return windows ending at t_index[k]
@@ -366,7 +369,8 @@ def replacing(path, mode="w", **open_kwargs):
 
 
 def write_csv(path, columns: list, rows) -> None:
-    """Write a header and rows of formatted fields, joined by commas, at path (see replacing)."""
+    """The one CSV writer, of the synth CSV and both reports: a header and
+    rows of formatted fields, joined by commas, at path (see replacing)."""
     with replacing(path, newline="", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
         fh.writelines(",".join(row) + "\n" for row in rows)

@@ -16,6 +16,11 @@ bit for bit; those one-row wrappers of the batched code, with
 average_precision, are the public API for a single model and make
 exactly their path's checks, each stage's in one place.  Regularization
 values must be finite: logistic l2 >= 0, ridge alpha > 0, as in a grid.
+A fit takes finite 2-D rows with one 0/1 label each, and scoring takes
+2-D rows of the models' width (else InputShapeError); evaluate,
+average_precision and evaluate_path take 1-D scores and labels and
+raise EvaluationError on empty, mismatched, non-binary or non-finite
+input.
 """
 
 from __future__ import annotations

@@ -654,6 +654,16 @@ class TestRun:
         assert err.startswith("error:") and "t 215.0" in err and "above the 2000.0 guard" in err, err
         assert not out.exists()
 
+    def test_reservoir_smaller_than_window_exit_one(self, workspace, capsys):
+        tmp_path, _, data, config = workspace
+        config.write_text(json.dumps({**SMALL_CONFIG, "embeddings": [
+            {"kind": "raw"}, {"kind": "classical_esn", "reservoir_size": [4]}]}))
+        out = tmp_path / "small"
+        capsys.readouterr()
+        assert main(["run", "--data", str(data), "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: ticker SYNTH: reservoir_size 4 < window size 5\n"
+        assert not out.exists()
+
     def test_seed_key_ignored_with_warning(self, workspace, caplog):
         tmp_path, _, data, _ = workspace
         config = tmp_path / "seeded.json"
@@ -801,6 +811,22 @@ class TestRun:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "results of 2 cells, expected 1" in err
+
+    @pytest.mark.parametrize("damage", ["not a zip", "no results entry"])
+    def test_unreadable_cache_file_exit_two(self, workspace, capsys, damage):
+        tmp_path, _, data, config = workspace
+        argv = ["run", "--data", str(data), "--config", str(config), "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        path = sorted((tmp_path / "out" / "cache").glob("*.fit.npz"))[0]
+        if damage == "not a zip":
+            path.write_bytes(b"not a zip file")
+        else:
+            arrays = load_arrays(path)
+            del arrays["results"]
+            save_arrays(path, **arrays)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_dataset_file_without_dataset_fields_exit_two(self, workspace, capsys):
         tmp_path, _, data, config = workspace
