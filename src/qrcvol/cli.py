@@ -6,6 +6,8 @@ Subcommands:
   run      grid-search embeddings x readouts over prepared caches
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 internal error.
+main returns every one of them and raises for no argv: a usage error
+that argparse reports is exit 1, and --help and --version are exit 0.
 Each command writes a manifest listing input and artifact hashes so a
 run can be replayed and verified: synth to `<out>.manifest.json` beside
 its CSV, prepare and run to `manifest.json` in their output directory,
@@ -110,13 +112,10 @@ def cmd_synth(args) -> int:
     if not pipeline.plain_ticker(args.ticker):
         raise ConfigError(f"ticker {args.ticker!r} cannot name a file or CSV field")
     regimes = harness.parse_regime_spec(args.regimes)
-    series = harness.synth_regime_series(
-        regimes, seed=args.seed, ticker=args.ticker, start_price=args.start_price
-    )
+    series = harness.synth_regime_series(regimes, seed=args.seed, ticker=args.ticker)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     with _manifest(f"{args.out}.manifest.json", "synth",
-                   {"regimes": args.regimes, "seed": args.seed, "ticker": args.ticker,
-                    "start_price": args.start_price, "out": args.out},
+                   {"regimes": args.regimes, "seed": args.seed, "ticker": args.ticker, "out": args.out},
                    inputs=[], seed=args.seed) as artifacts:
         pipeline.write_csv(args.out, ["date", "ticker", "adj_close"],
                            ([date, series.ticker, f"{price:.17g}"]
@@ -136,8 +135,6 @@ def cmd_prepare(args) -> int:
     for pos, ticker in enumerate(tickers or (), start=1):
         if not pipeline.plain_ticker(ticker):
             raise ConfigError(f"--tickers entry {pos} ({ticker!r}) cannot name a file or CSV field")
-    if not os.path.exists(args.prices):
-        raise IngestionError(f"price file not found: {args.prices}")
     series = pipeline.load_prices(args.prices, tickers=tickers)
     datasets = []
     skipped = {}
@@ -240,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="schedule as len:sigma[,len:sigma]*")
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--ticker", default="SYNTH")
-    p_synth.add_argument("--start-price", type=float, default=100.0)
     p_synth.add_argument("--out", required=True)
     p_synth.set_defaults(func=cmd_synth)
 
@@ -265,10 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse's exit, once it has printed --help, --version or a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     except (ConfigError, InputShapeError, InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -67,9 +67,10 @@ _PARAM_TYPES = {
 }
 _PARAM_TYPES["raw"] = {}
 
-# the domain of each parameter that has one: (test, description)
+# the domain of each parameter that has one: (test, description); reservoir_size
+# caps the dense (size, size) reservoir whose eigenvalues reservoir_weights finds
 _RANGES = {
-    "reservoir_size": (lambda v: v >= 1, ">= 1"),
+    "reservoir_size": (lambda v: 1 <= v <= 4096, "in [1, 4096]"),
     "spectral_radius": (lambda v: 0 < v < 1.5, "in (0, 1.5)"),
     "leak_rate": (lambda v: 0 < v <= 1, "in (0, 1]"),
     "seed": (lambda v: v >= 0, ">= 0"),

@@ -358,16 +358,14 @@ def _check_regimes(regimes) -> None:
             raise ConfigError(f"regime segment {pos}: sigma must be finite and >= 0, got {sigma}")
 
 
-def synth_regime_series(regimes, seed, ticker="SYNTH", start_price=100.0) -> PriceSeries:
-    """Geometric random walk whose log-return std follows a regime schedule.
+def synth_regime_series(regimes, seed, ticker="SYNTH") -> PriceSeries:
+    """Geometric random walk from 100.0 whose log-return std follows a regime schedule.
 
     regimes is a list of (length, sigma) segments; the series has
     sum(lengths) returns and one extra initial price row, dated daily
     from 2015-01-02.  A walk whose log-price leaves the range on which
     np.exp gives a finite, positive, normal float is a ConfigError.
     """
-    if not (math.isfinite(start_price) and start_price > 0):
-        raise ConfigError(f"start price must be finite and > 0, got {start_price}")
     if not (_is_a(int, seed) and seed >= 0):
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     _check_regimes(regimes)
@@ -376,7 +374,7 @@ def synth_regime_series(regimes, seed, ticker="SYNTH", start_price=100.0) -> Pri
         [rng.normal(0.0, sigma, size=length) for length, sigma in regimes]
     )
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN sum fails the check below
-        log_prices = np.log(start_price) + np.concatenate([[0.0], np.cumsum(rets)])
+        log_prices = np.log(100.0) + np.concatenate([[0.0], np.cumsum(rets)])
     lo, hi = np.log(np.finfo(float).tiny), np.log(np.finfo(float).max)
     outside = ~((log_prices >= lo) & (log_prices <= hi))  # NaN fails both
     if outside.any():

@@ -85,13 +85,9 @@ class TestSynth:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("option, value", [
-        ("--start-price", "nan"), ("--start-price", "inf"), ("--start-price", "-1"),
-        ("--start-price", "0"), ("--seed", "-1"),
-    ])
-    def test_bad_start_price_or_seed_exit_one(self, tmp_path, capsys, option, value):
+    def test_negative_seed_exit_one(self, tmp_path, capsys):
         out = tmp_path / "p.csv"
-        rc = main(["synth", "--regimes", "50:0.01", f"{option}={value}", "--out", str(out)])
+        rc = main(["synth", "--regimes", "50:0.01", "--seed=-1", "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
@@ -578,6 +574,7 @@ class TestRun:
         {"embeddings": [{"kind": "quantum", "bogus": [1]}]},
         {"embeddings": [{"kind": "raw", "a_x": [1.0]}]},
         {"embeddings": [{"kind": "classical_esn", "reservoir_size": [20.5]}]},
+        {"embeddings": [{"kind": "classical_esn", "reservoir_size": [20, 4097]}]},
         {"embeddings": [{"kind": "classical_esn", "seed": [True]}]},
         {"embeddings": [{"kind": "classical_esn", "leak_rate": ["0.3"]}]},
         {"readouts": [{"kind": "ridge", "regularization": ["a"]}]},
@@ -596,7 +593,7 @@ class TestRun:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error:") and "Traceback" not in err
-        assert not (tmp_path / "m" / "cells.csv").exists()
+        assert not (tmp_path / "m").exists()
 
     @pytest.mark.parametrize("window, template, words", [
         (16, {"kind": "quantum"}, ["window size 16", "14-qubit guard"]),
@@ -908,6 +905,34 @@ class TestRun:
         a1 = {os.path.basename(k): v for k, v in m1["artifacts"].items()}
         a2 = {os.path.basename(k): v for k, v in m2["artifacts"].items()}
         assert a1 == a2
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["run", "--data", "d"], "the following arguments are required: --config, --out"),
+    (["prepare", "--prices", "p.csv", "--out", "d", "--window", "abc"], "invalid int value: 'abc'"),
+    (["prepare", "--prices", "p.csv", "--out", "d", "--lambda", "one"], "invalid float value: 'one'"),
+    (["synth", "--regimes", "50:0.01", "--start-price", "5", "--out", "p.csv"],
+     "unrecognized arguments: --start-price 5"),
+    ([], "the following arguments are required: command"),
+    (["bogus"], "invalid choice: 'bogus'"),
+], ids=["missing option", "malformed int", "malformed float", "unknown option",
+        "missing command", "unknown command"])
+def test_usage_error_exit_one(tmp_path, capsys, monkeypatch, argv, words):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: qrcvol") and words in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, words", [
+    ("--help", "usage: qrcvol"),
+    ("--version", f"qrcvol {qrcvol.__version__}"),
+], ids=["help", "version"])
+def test_help_and_version_exit_zero(capsys, flag, words):
+    assert main([flag]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(words) and err == ""
 
 
 def test_other_package_error_exit_three(tmp_path, capsys, monkeypatch):

@@ -65,6 +65,8 @@ class TestConfig:
         ("classical_esn", {"reservoir_size": 20.5}, "reservoir_size values must be integers"),
         ("classical_esn", {"seed": 1.5}, "seed values must be integers"),
         ("classical_esn", {"input_scaling": float("inf")}, "input_scaling values must be finite numbers"),
+        ("classical_esn", {"reservoir_size": 4097}, r"reservoir_size values must be in \[1, 4096\]"),
+        ("bogus", {}, "unknown embedding kind 'bogus'"),
     ])
     def test_make_checks_parameter_names_and_types(self, kind, params, words):
         with pytest.raises(ConfigError, match=words):

@@ -168,6 +168,16 @@ def test_price_series_rejects_non_finite_or_non_positive_prices(price):
         PriceSeries("T", ["2020-01-01", "2020-01-02"], [100.0, price])
 
 
+@pytest.mark.parametrize("dates, words", [
+    (["2020-01-01"], "differ in length"),
+    (["2020-01-02", "2020-01-01"], "strictly increasing"),
+    (["2020-01-01", "2020-01-01"], "strictly increasing"),
+])
+def test_price_series_rejects_dates_that_do_not_fit_prices(dates, words):
+    with pytest.raises(InputShapeError, match=words):
+        PriceSeries("T", dates, [100.0, 101.0])
+
+
 class TestLogReturns:
     def test_exact_logs(self):
         r = log_returns(np.array([1.0, np.e, np.e**2]))
@@ -265,6 +275,10 @@ class TestWindowize:
     def test_label_count_mismatch(self):
         with pytest.raises(InputShapeError):
             windowize("T", np.arange(10.0), np.zeros(5, dtype=int), 9, 1, 1.0, 1.0)
+
+    def test_one_return_fewer_than_the_window(self):
+        with pytest.raises(InsufficientDataError, match="no complete windows"):
+            windowize("T", np.arange(8.0), np.zeros(0, dtype=int), 9, 1, 1.0, 1.0)
 
     def test_windows_are_a_read_only_view_of_returns(self):
         returns = np.arange(40.0)

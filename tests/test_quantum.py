@@ -48,6 +48,10 @@ class TestBuildHamiltonian:
         with pytest.raises(InputShapeError):
             build_hamiltonian((1.0,), scalers=(np.inf, 1, 1))
 
+    def test_scalar_window_rejected(self):
+        with pytest.raises(InputShapeError, match="1-D array"):
+            build_hamiltonian(0.1, scalers=(1.0, 1.0, 0.5))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_window(self, bad):
         with pytest.raises(InputShapeError):
@@ -98,6 +102,11 @@ class TestAssembleDense:
 
 
 class TestEvolve:
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(InputShapeError, match="evolution time must be finite"):
+            evolve(build_hamiltonian((0.1, 0.2), (1.0, 1.0, 0.5)), t)
+
     def test_empty_hamiltonian_identity(self):
         out = evolve(build_hamiltonian(np.zeros(3), (0.0, 1.0, 1.0)), t=2.7)
         assert np.array_equal(out, zero_state(3))
@@ -267,6 +276,11 @@ class TestMeasureFeatures:
 
 
 class TestQuantumEmbed:
+    @pytest.mark.parametrize("windows", [np.zeros((2, 3, 4)), np.zeros((0, 4)), np.zeros(0)])
+    def test_rejects_windows_of_other_shape(self, windows):
+        with pytest.raises(InputShapeError, match="expected a window"):
+            quantum_embed(windows, 1.0, 1.0, 0.5, 1.0)
+
     def test_no_dynamics_all_ones(self):
         fv = quantum_embed(np.zeros(4), a_x=0.0, a_z=1.0, a_zz=0.5, t=1.0)
         assert np.max(np.abs(fv.values - 1.0)) < 1e-12
