@@ -187,8 +187,6 @@ def cmd_run(args) -> int:
         if not kept:
             raise ConfigError("embedding filter removed every template")
         grid = dataclasses.replace(grid, embeddings=kept)
-    if not os.path.isdir(args.data):
-        raise IngestionError(f"data directory not found: {args.data}")
     dataset_paths = sorted(
         os.path.join(args.data, name)
         for name in os.listdir(args.data)

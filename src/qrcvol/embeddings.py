@@ -281,17 +281,17 @@ def cache_filename(ticker: str, cfg: EmbeddingConfig) -> str:
 
 
 def _floats(value) -> bool:
-    """True for a finite 2-D float array."""
-    return (isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype.kind == "f"
+    """True for a finite 2-D float64 array, the one dtype the cache writers write."""
+    return (isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype == np.float64
             and bool(np.isfinite(value).all()))
 
 
 # what each cache entry must hold: (check, description)
 _ENTRIES = {
-    "features": (_floats, "a finite 2-D float array"),
+    "features": (_floats, "a finite 2-D float64 array"),
     "dataset_sha256": (lambda v: isinstance(v, str), "a str"),
     "readouts": (lambda v: isinstance(v, str), "a str"),
-    "results": (lambda v: _floats(v) and v.shape[1] == 6, "a finite (n, 6) float array"),
+    "results": (lambda v: _floats(v) and v.shape[1] == 6, "a finite (n, 6) float64 array"),
     "ap_defined": (lambda v: isinstance(v, bool), "a bool"),
 }
 

@@ -295,8 +295,10 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir) -> ExperimentReport:
     # file serves its results, else a matching embedding file is read and
     # fitted, else the pair is embedded, so a warm run opens no `.emb.npz`.
     # The missing tickers of one config are embedded in at most `workers`
-    # batches of at most MAX_BATCH; rows do not depend on the batch, so any
-    # split gives the same bytes.
+    # batches of at most MAX_BATCH, by at most `workers` processes, no more
+    # than there are CPUs; rows do not depend on the batch, so any split
+    # gives the same bytes.
+    workers = min(grid.workers, os.cpu_count() or 1)
     jobs = []  # (cfg, tickers)
     fits_reused = 0
     for cfg in embed_cfgs:
@@ -309,11 +311,11 @@ def run_grid(datasets: dict, grid: GridSpec, cache_dir) -> ExperimentReport:
                 fits_reused += 1
             elif not fit(cfg, ticker):
                 missing.append(ticker)
-        batches = max(grid.workers, math.ceil(len(missing) / MAX_BATCH))
+        batches = max(workers, math.ceil(len(missing) / MAX_BATCH))
         jobs += [(cfg, chunk) for chunk in _chunks(missing, batches)]
     pool = None
-    if grid.workers > 1 and len(jobs) > 1:
-        pool = ProcessPoolExecutor(max_workers=min(grid.workers, len(jobs)))
+    if workers > 1 and len(jobs) > 1:
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(jobs)))
     with pool or contextlib.nullcontext():
         # a job writes its tickers' `.emb.npz` files and returns nothing
         for _ in (pool.map if pool else map)(

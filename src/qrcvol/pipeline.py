@@ -394,21 +394,16 @@ def save_arrays(path, **arrays) -> None:
             out.array(name, value)
 
 
-# the `.npy` header versions save_arrays and np.savez write, by reader
-_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
-                   (2, 0): np.lib.format.read_array_header_2_0}
-
-
 @functools.lru_cache(maxsize=1024)
 def _npy_header(header: bytes):
-    """(shape, fortran_order, dtype) of a `.npy` header: magic, version,
-    length and dict.  Files of one kind repeat a few headers, so each
-    distinct one is parsed once."""
-    fp = io.BytesIO(header)
-    read = _HEADER_READERS.get(np.lib.format.read_magic(fp))
-    if read is None:
-        raise ValueError("unsupported .npy format version")
-    return read(fp)
+    """(shape, dtype) of a 1.0 `.npy` header (magic, version, length and
+    dict) of a C-ordered array of no object dtype; any other raises
+    ValueError.  Files of one kind repeat a few headers, so each distinct
+    one is parsed once."""
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(io.BytesIO(header[8:]))
+    if fortran_order or dtype.hasobject:
+        raise ValueError("Fortran-ordered array" if fortran_order else "object array")
+    return shape, dtype
 
 
 # a zip entry's local header: signature, 22 bytes of fields the central
@@ -418,10 +413,12 @@ _LOCAL_HEADER = struct.Struct("<4s22xHH")
 
 
 def _read_entry(fh, info: zipfile.ZipInfo, file_size: int) -> np.ndarray:
-    """The writable array of one stored `.npy` entry of the zip in fh, as
-    np.load gives it with allow_pickle=False: its header is parsed by
-    _npy_header, its data read straight into the array and checked
-    against the entry's CRC-32."""
+    """The writable, C-ordered array of one entry of the zip in fh, which
+    must be as _NpzEntries writes it: stored, a `.npy` of a header that
+    _npy_header accepts and array data that fills the rest of the entry,
+    read straight into the array and checked against the entry's CRC-32.
+    Any other entry (compressed, a 2.0 or 3.0 header, Fortran order, an
+    object array, bytes after the array data) raises ValueError."""
     if info.compress_type != zipfile.ZIP_STORED:
         raise ValueError(f"entry {info.filename!r} is compressed")
     fh.seek(info.header_offset)
@@ -433,43 +430,35 @@ def _read_entry(fh, info: zipfile.ZipInfo, file_size: int) -> np.ndarray:
     if start + info.file_size > file_size:
         raise ValueError(f"entry {info.filename!r} runs past the end of the file")
     fh.seek(start)
-    head = fh.read(12)  # magic, version and either size of header length field
+    head = fh.read(10)  # magic, version 1.0 and the 2-byte header length
     if not head.startswith(np.lib.format.MAGIC_PREFIX):
         raise ValueError("not a .npy entry")
-    size = 2 if head[6:7] == b"\x01" else 4  # of the header length field
-    end = 8 + size + int.from_bytes(head[8 : 8 + size], "little")
+    if head[6:8] != b"\x01\x00":
+        raise ValueError("unsupported .npy format version")
+    end = 10 + int.from_bytes(head[8:10], "little")
     if end > info.file_size:
         raise ValueError(f"entry {info.filename!r} ends inside its .npy header")
-    fh.seek(start)
-    header = fh.read(end)
-    shape, fortran_order, dtype = _npy_header(header)
-    if dtype.hasobject:
-        raise ValueError("object arrays cannot be loaded when allow_pickle=False")
+    header = head + fh.read(end - len(head))
+    shape, dtype = _npy_header(header)
     count = math.prod(shape)
-    if info.file_size - end < count * dtype.itemsize:
+    if info.file_size - end != count * dtype.itemsize:
         raise ValueError(f"array data of {info.file_size - end} bytes, expected {count * dtype.itemsize}")
     flat = np.empty(count, dtype)
     data = flat.view(np.uint8)
     if fh.readinto(data) != data.nbytes:
         raise ValueError(f"entry {info.filename!r} is short")
-    crc = zlib.crc32(data, zlib.crc32(header))
-    crc = zlib.crc32(fh.read(info.file_size - end - data.nbytes), crc)  # any bytes after the array
-    if crc != info.CRC:
+    if zlib.crc32(data, zlib.crc32(header)) != info.CRC:
         raise ValueError(f"bad CRC-32 for entry {info.filename!r}")
-    return flat.reshape(shape[::-1]).T if fortran_order else flat.reshape(shape)
+    return flat.reshape(shape)
 
 
 def load_arrays(path):
     """Arrays of a file written by save_arrays by name, 0-d ones as Python scalars.
 
     The zip is opened on the file, and each entry's data is read into
-    its array, so a read holds each array once; each entry's `.npy`
-    header is parsed by numpy's np.lib.format readers, once per distinct
-    header.
-
-    Returns None for a file of another format version; a file that is
-    not a readable `.npz` of stored `.npy` entries (a bad zip, a CRC
-    error, a compressed entry, an object array, short array data) raises
+    its array, so a read holds each array once.  Returns None for a file
+    of another format version.  Only the layout npz_writer writes is read
+    (see _read_entry): any other file, or one that is damaged, raises
     IngestionError naming path.
     """
     try:

@@ -58,7 +58,8 @@ window took 0.2-0.4 ms at a_x = t = 1, 0.4-0.65 ms at a_x = t = 2 and
 
 Guards
 ------
-* InputShapeError: a non-finite window value, scaler or time.
+* InputShapeError: a non-finite window value, scaler or time, or a
+  state (a diagonal or amplitudes) not of 2^n entries.
 * ResourceError: more than MAX_QUBITS qubits, or r * |t| above
   MAX_PHASE.  The series needs about r * |t| terms and its coefficient
   table about 3 r * |t| samples per state, so an extreme a_x * t fails
@@ -251,6 +252,14 @@ def _chebyshev_series(diag, x, coef, n):
     return out
 
 
+def _qubits(states: np.ndarray) -> int:
+    """n of states of 2^n amplitudes along their last axis; any other shape raises InputShapeError."""
+    size = states.shape[-1] if states.ndim else 0
+    if size < 1 or size & (size - 1):
+        raise InputShapeError(f"a state holds 2^n amplitudes along its last axis, got shape {states.shape}")
+    return size.bit_length() - 1
+
+
 def evolve(h: Hamiltonian, t: float) -> np.ndarray:
     """e^{-iHt}|0...0> for each row of h.diag (..., 2^n), by a Chebyshev expansion.
 
@@ -261,9 +270,8 @@ def evolve(h: Hamiltonian, t: float) -> np.ndarray:
     if not math.isfinite(t):
         raise InputShapeError("evolution time must be finite")
     diag, a_x = h
-    shape = diag.shape
+    n, shape = _qubits(diag), diag.shape
     diag = diag.reshape(-1, shape[-1])
-    n = shape[-1].bit_length() - 1
     lo = diag.min(axis=1) - n * abs(a_x)
     hi = diag.max(axis=1) + n * abs(a_x)
     center, radius = (hi + lo) / 2, (hi - lo) / 2
@@ -291,7 +299,7 @@ def evolve(h: Hamiltonian, t: float) -> np.ndarray:
 def measure_features(amplitudes: np.ndarray) -> np.ndarray:
     """Z and ZZ expectation values from exact Born probabilities: (..., d), one row per state."""
     amplitudes = np.asarray(amplitudes)
-    n = amplitudes.shape[-1].bit_length() - 1
+    n = _qubits(amplitudes)
     probs = amplitudes.real**2 + amplitudes.imag**2
     deviation = np.abs(np.sqrt(probs.sum(axis=-1)) - 1.0)
     if not np.all(deviation <= NORM_ATOL):

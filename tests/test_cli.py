@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import logging
 import os
@@ -415,7 +416,7 @@ class TestRun:
         assert main(["run", "--data", str(data), "--config", str(other), "--out", str(out)]) == 2
         assert not (out / "manifest.json").exists()
 
-    @pytest.mark.parametrize("data, words", [("absent", "data directory not found"),
+    @pytest.mark.parametrize("data, words", [("absent", "No such file or directory"),
                                              ("empty", "no *.dataset.npz files in")])
     def test_data_directory_without_datasets_exit_two(self, workspace, capsys, data, words):
         tmp_path, _, _, config = workspace
@@ -753,12 +754,20 @@ class TestRun:
         tmp_path, _, data, config = workspace
         bad = data / "BAD.dataset.npz"
         good = (data / "SYNTH.dataset.npz").read_bytes()
-        for content in (b"", b"not a zip file", good[:200], good[:-30]):
+        # the dataset's own arrays, but with Fortran-ordered windows, a layout qrcvol never writes
+        arrays = load_arrays(data / "SYNTH.dataset.npz")
+        fortran = io.BytesIO()
+        np.savez(fortran, format=pipeline.FORMAT_VERSION,
+                 **{**arrays, "windows": np.asfortranarray(arrays["windows"])})
+        for content in (b"", b"not a zip file", good[:200], good[:-30], fortran.getvalue()):
             bad.write_bytes(content)
             rc = main(["run", "--data", str(data), "--config", str(config),
                        "--out", str(tmp_path / "corrupt")])
             assert rc == 2
-            assert str(bad) in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert str(bad) in err
+        # the last content is refused for its layout, not for the ticker it shares with SYNTH's file
+        assert "Fortran-ordered array" in err
 
     def test_dataset_file_of_other_format_version_exit_two(self, workspace, capsys):
         tmp_path, _, data, config = workspace

@@ -415,8 +415,9 @@ class TestCache:
         ("features", 1.0),
         ("features", np.eye(2, dtype=np.int64)),
         ("features", np.full((2, 2), np.nan)),
+        ("features", np.eye(2, dtype=np.float32)),
         ("dataset_sha256", np.array(["abc", "abc"])),
-    ], ids=["features-0d", "features-int", "features-nan", "dataset_sha256-array"])
+    ], ids=["features-0d", "features-int", "features-nan", "features-float32", "dataset_sha256-array"])
     def test_malformed_entry_raises_naming_it(self, tmp_path, entry, value):
         cfg = EmbeddingConfig.make("raw")
         path = write_embedded("T", cfg, tmp_path, "abc", np.eye(2))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import os
 import re
 import tracemalloc
 import weakref
@@ -601,8 +602,8 @@ class TestFitCache:
         assert path.read_bytes() == written
 
     @pytest.mark.parametrize("damage", ["truncated", "dataset_sha256", "readouts", "results", "ap_defined",
-                                        "ap_defined-array", "results-nan", "results-impossible",
-                                        "results-ap", "results-count-sum"])
+                                        "ap_defined-array", "results-nan", "results-float32",
+                                        "results-impossible", "results-ap", "results-count-sum"])
     def test_unreadable_fit_file_raises(self, tmp_path, damage):
         datasets, grid = self.datasets(), self.grid()
         run_grid(datasets, grid, cache_dir=tmp_path)
@@ -615,6 +616,8 @@ class TestFitCache:
                 arrays["ap_defined"] = np.array([True, False])
             elif damage == "results-nan":
                 arrays["results"] = np.full_like(arrays["results"], np.nan)
+            elif damage == "results-float32":  # the same values, exactly, in another dtype
+                arrays["results"] = arrays["results"].astype(np.float32)
             elif damage == "results-impossible":  # accuracy 0.5 too high, tp 3 too low, fp fractional
                 arrays["results"][0] += [0.5, 0.0, -3.0, 0.5, 0.0, 0.0]
             elif damage == "results-ap":
@@ -680,7 +683,9 @@ class TestWorkers:
         cache = [cache_bytes(tmp_path / name / "cache") for name in ("one", "two")]
         assert sum(name.endswith(".fit.npz") for name in cache[0]) == 12 and cache[0] == cache[1]
 
-    def test_pool_capped_at_number_of_batches(self, tmp_path, monkeypatch):
+    def recording_pool(self, monkeypatch, cpus):
+        """The max_workers of each pool run_grid starts, on a host of cpus
+        CPUs; the pool maps in this process, so no process is started."""
         started = []
 
         def recording_pool(max_workers):
@@ -688,11 +693,25 @@ class TestWorkers:
             return InProcessPool()
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        return started
+
+    def test_pool_capped_at_number_of_batches(self, tmp_path, monkeypatch):
+        started = self.recording_pool(monkeypatch, cpus=16)
         datasets = {"A": synth_dataset(0), "B": synth_dataset(1)}
         run_grid(datasets, small_grid(workers=5000), tmp_path / "1")
         run_grid(datasets, small_grid(embeddings=ESN_RAW_QUANTUM, workers=5000), tmp_path / "2")
         run_grid(datasets, small_grid(embeddings=ESN_RAW_QUANTUM, workers=3), tmp_path / "3")
         assert started == [2, 8, 3]
+
+    @pytest.mark.parametrize("cpus, started", [(2, [2]), (1, []), (None, [])])
+    def test_pool_capped_at_cpu_count(self, tmp_path, monkeypatch, cpus, started):
+        # os.cpu_count() is None when the count cannot be found: one process, no pool
+        recorded = self.recording_pool(monkeypatch, cpus)
+        datasets = {f"S{k}": synth_dataset(k) for k in range(3)}
+        report = run_grid(datasets, small_grid(embeddings=ESN_RAW_QUANTUM, workers=5000), tmp_path)
+        assert recorded == started
+        assert report.cache_counts["embeddings"] == (0, 12)
 
     def test_batches_capped_at_max_batch(self, tmp_path, monkeypatch):
         # a batch holds its tickers' cache files open while it embeds them

@@ -107,6 +107,12 @@ class TestEvolve:
         with pytest.raises(InputShapeError, match="evolution time must be finite"):
             evolve(build_hamiltonian((0.1, 0.2), (1.0, 1.0, 0.5)), t)
 
+    @pytest.mark.parametrize("diag", [np.zeros((2, 6)), np.zeros(3), np.zeros((2, 0)), np.array(0.5)],
+                             ids=["6 amplitudes", "3 amplitudes", "no amplitudes", "0-d"])
+    def test_state_of_other_than_2_to_the_n_amplitudes_rejected(self, diag):
+        with pytest.raises(InputShapeError, match="2\\^n amplitudes"):
+            evolve(quantum.Hamiltonian(diag, 1.0), 1.0)
+
     def test_empty_hamiltonian_identity(self):
         out = evolve(build_hamiltonian(np.zeros(3), (0.0, 1.0, 1.0)), t=2.7)
         assert np.array_equal(out, zero_state(3))
@@ -245,6 +251,12 @@ class TestMeasureFeatures:
         amps[0b1010] = 1.0
         fv = measure_features(amps)
         assert np.array_equal(fv, [1, -1, 1, -1, -1, 1, -1, -1, 1, -1])
+
+    @pytest.mark.parametrize("amps", [np.ones(6) / np.sqrt(6), np.ones((2, 3)) / np.sqrt(3), np.array(1.0)],
+                             ids=["6 amplitudes", "3 amplitudes", "0-d"])
+    def test_rejects_state_of_other_than_2_to_the_n_amplitudes(self, amps):
+        with pytest.raises(InputShapeError, match="2\\^n amplitudes"):
+            measure_features(amps)
 
     def test_rejects_unnormalized_state(self):
         with pytest.raises(StateError):
